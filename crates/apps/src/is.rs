@@ -12,7 +12,6 @@
 
 use dsm_core::{
     BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode, Model, RunResult,
-    TransportKind,
 };
 use dsm_sim::Work;
 
@@ -87,21 +86,10 @@ const BUCKET_LOCK: LockId = LockId(0);
 /// Runs IS under the given implementation.  Returns the run result and
 /// whether the final shared bucket counts match the sequential version.
 pub fn run(kind: ImplKind, nprocs: usize, p: &IsParams) -> (RunResult, bool) {
-    run_on(kind, nprocs, p, TransportKind::Simulated)
+    run_opts(kind, nprocs, p, crate::runner::RunOpts::default())
 }
 
-/// Like [`run`], but with an explicit transport backend carrying the publish
-/// stream (the simulated default leaves the run byte-identical to [`run`]).
-pub fn run_on(
-    kind: ImplKind,
-    nprocs: usize,
-    p: &IsParams,
-    transport: TransportKind,
-) -> (RunResult, bool) {
-    run_opts(kind, nprocs, p, crate::runner::RunOpts::on(transport))
-}
-
-/// Like [`run_on`], but with the full option set, including a fault plan
+/// Like [`run`], but with the full option set, including a fault plan
 /// for crash-injection/recovery runs.
 pub fn run_opts(
     kind: ImplKind,

@@ -43,4 +43,4 @@ pub mod sor;
 pub mod water;
 
 pub use params::{AppParams, Scale};
-pub use runner::{run_app, run_app_on, run_app_opts, sequential_time, App, AppReport, RunOpts};
+pub use runner::{run_app, run_app_opts, sequential_time, App, AppReport, RunOpts};

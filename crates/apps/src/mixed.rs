@@ -27,7 +27,6 @@
 
 use dsm_core::{
     BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode, Model, RunResult,
-    TransportKind,
 };
 use dsm_mem::PAGE_SIZE;
 
@@ -125,17 +124,6 @@ pub fn expected(p: &MixedParams, nprocs: usize) -> (Vec<u32>, Vec<u32>, Vec<u32>
 /// Panics for EC implementations (the program has no lock bindings) and when
 /// `nprocs` chunks do not fit in one page.
 pub fn run(kind: ImplKind, nprocs: usize, p: &MixedParams) -> (RunResult, bool) {
-    run_on(kind, nprocs, p, TransportKind::Simulated)
-}
-
-/// Like [`run`], but with an explicit transport backend carrying the publish
-/// stream (the simulated default leaves the run byte-identical to [`run`]).
-pub fn run_on(
-    kind: ImplKind,
-    nprocs: usize,
-    p: &MixedParams,
-    transport: TransportKind,
-) -> (RunResult, bool) {
     assert!(
         kind.model() != Model::Ec,
         "the mixed workload is barriers-and-locks only (LRC family)"
@@ -145,9 +133,7 @@ pub fn run_on(
         "processor chunks must fit in one falsely-shared page"
     );
     let p = p.clone();
-    let mut cfg = DsmConfig::with_procs(kind, nprocs);
-    cfg.transport = transport;
-    let mut dsm = Dsm::new(cfg).expect("valid config");
+    let mut dsm = Dsm::new(DsmConfig::with_procs(kind, nprocs)).expect("valid config");
     let fs = dsm.alloc_array::<u32>("mx-false", p.pages * WPP, BlockGranularity::Word);
     let own = dsm.alloc_array::<u32>("mx-own", nprocs * p.pages * WPP, BlockGranularity::Word);
     let mig = dsm.alloc_array::<u32>("mx-mig", p.pages * WPP, BlockGranularity::Word);

@@ -14,7 +14,6 @@
 
 use dsm_core::{
     BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode, Model, RunResult,
-    TransportKind,
 };
 use dsm_sim::Work;
 
@@ -130,21 +129,10 @@ fn entry_lock(slot: usize) -> LockId {
 /// Runs Quicksort under the given implementation.  Returns the run result and
 /// whether the final array is correctly sorted.
 pub fn run(kind: ImplKind, nprocs: usize, p: &QsParams) -> (RunResult, bool) {
-    run_on(kind, nprocs, p, TransportKind::Simulated)
+    run_opts(kind, nprocs, p, crate::runner::RunOpts::default())
 }
 
-/// Like [`run`], but with an explicit transport backend carrying the publish
-/// stream (the simulated default leaves the run byte-identical to [`run`]).
-pub fn run_on(
-    kind: ImplKind,
-    nprocs: usize,
-    p: &QsParams,
-    transport: TransportKind,
-) -> (RunResult, bool) {
-    run_opts(kind, nprocs, p, crate::runner::RunOpts::on(transport))
-}
-
-/// Like [`run_on`], but with the full option set.  Note that the task-queue
+/// Like [`run`], but with the full option set.  Note that the task-queue
 /// program is *outside* the crash-recovery determinism contract (its control
 /// flow depends on lock-ordered shared reads), so a fault plan targeting
 /// Quicksort is plumbed through for API uniformity but not supported by the

@@ -147,28 +147,16 @@ pub fn sequential_time(app: App, scale: Scale, cost: &CostModel) -> SimTime {
 /// Runs one application under one implementation at the given scale and
 /// processor count, over the default simulated transport.
 pub fn run_app(app: App, kind: ImplKind, nprocs: usize, scale: Scale) -> AppReport {
-    run_app_on(app, kind, nprocs, scale, TransportKind::Simulated)
+    run_app_opts(app, kind, nprocs, scale, RunOpts::default())
 }
 
-/// Like [`run_app`], but with an explicit transport backend carrying the
-/// publish stream.  The simulated default leaves the run byte-identical to
-/// [`run_app`]; the channel and socket backends additionally replicate the
-/// final memory contents on real threads or sockets and verify them against
-/// the engines' master copies (see `AppReport::wire`).
-pub fn run_app_on(
-    app: App,
-    kind: ImplKind,
-    nprocs: usize,
-    scale: Scale,
-    transport: TransportKind,
-) -> AppReport {
-    run_app_opts(app, kind, nprocs, scale, RunOpts::on(transport))
-}
-
-/// Like [`run_app_on`], but with the full option set — in particular a
-/// [`FaultPlan`] that kills one node at a chosen barrier and recovers it
-/// from its last checkpoint (the crash/checkpoint/recover subsystem of
-/// `DESIGN.md` §8).  With `RunOpts::default()` this is exactly [`run_app`].
+/// Like [`run_app`], but with the full option set: a transport backend
+/// ([`RunOpts::on`]) whose replicas rebuild the final memory contents on
+/// real threads or sockets and verify them against the engines' master
+/// copies (see `AppReport::wire`), and a [`FaultPlan`] that kills one node
+/// at a chosen barrier and recovers it from its last checkpoint (the
+/// crash/checkpoint/recover subsystem of `DESIGN.md` §8).  With
+/// `RunOpts::default()` this is exactly [`run_app`].
 pub fn run_app_opts(
     app: App,
     kind: ImplKind,

@@ -16,7 +16,6 @@
 
 use dsm_core::{
     BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode, Model, RunResult,
-    TransportKind,
 };
 use dsm_sim::Work;
 
@@ -152,22 +151,10 @@ fn row_lock(i: usize, colour: usize) -> LockId {
 /// processor count.  Returns the run result and whether the parallel output
 /// matches the sequential version exactly.
 pub fn run(kind: ImplKind, nprocs: usize, p: &SorParams, plus: bool) -> (RunResult, bool) {
-    run_on(kind, nprocs, p, plus, TransportKind::Simulated)
+    run_opts(kind, nprocs, p, plus, crate::runner::RunOpts::default())
 }
 
-/// Like [`run`], but with an explicit transport backend carrying the publish
-/// stream (the simulated default leaves the run byte-identical to [`run`]).
-pub fn run_on(
-    kind: ImplKind,
-    nprocs: usize,
-    p: &SorParams,
-    plus: bool,
-    transport: TransportKind,
-) -> (RunResult, bool) {
-    run_opts(kind, nprocs, p, plus, crate::runner::RunOpts::on(transport))
-}
-
-/// Like [`run_on`], but with the full option set, including a fault plan
+/// Like [`run`], but with the full option set, including a fault plan
 /// for crash-injection/recovery runs.
 pub fn run_opts(
     kind: ImplKind,

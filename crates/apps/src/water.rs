@@ -22,7 +22,7 @@
 
 use dsm_core::{
     BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode, Model, ProcessContext,
-    RunResult, SharedArray, TransportKind,
+    RunResult, SharedArray,
 };
 use dsm_sim::Work;
 
@@ -228,21 +228,10 @@ impl Layout {
 /// relative tolerance (force contributions are summed in a different order in
 /// parallel).
 pub fn run(kind: ImplKind, nprocs: usize, p: &WaterParams) -> (RunResult, bool) {
-    run_on(kind, nprocs, p, TransportKind::Simulated)
+    run_opts(kind, nprocs, p, crate::runner::RunOpts::default())
 }
 
-/// Like [`run`], but with an explicit transport backend carrying the publish
-/// stream (the simulated default leaves the run byte-identical to [`run`]).
-pub fn run_on(
-    kind: ImplKind,
-    nprocs: usize,
-    p: &WaterParams,
-    transport: TransportKind,
-) -> (RunResult, bool) {
-    run_opts(kind, nprocs, p, crate::runner::RunOpts::on(transport))
-}
-
-/// Like [`run_on`], but with the full option set, including a fault plan
+/// Like [`run`], but with the full option set, including a fault plan
 /// for crash-injection/recovery runs.
 pub fn run_opts(
     kind: ImplKind,

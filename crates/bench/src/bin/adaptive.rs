@@ -5,7 +5,7 @@
 //!
 //! Prints one JSON row per implementation (total simulated traffic, the
 //! page-sharing aggregates and the migration counts per target mode), a
-//! `table6`-style summary table, and a final JSON verdict row comparing the
+//! Table 6-style summary table, and a final JSON verdict row comparing the
 //! best adaptive implementation against every static one on total bytes.
 //! `BENCH_adaptive.json` at the repo root records the trajectory across
 //! commits.

@@ -9,26 +9,27 @@
 //! | `table1` | Table 1 — the trapping x collection combinations |
 //! | `table2` | Table 2 — application parameters |
 //! | `table3` | Table 3 — best EC vs best LRC vs best HLRC execution times (+ 1 proc.) |
-//! | `table4` | Table 4 — EC-ci / EC-time / EC-diff execution times |
-//! | `table5` | Table 5 — LRC-ci / LRC-time / LRC-diff execution times |
-//! | `table6` | beyond the paper — HLRC and ALRC per-combination execution times |
+//! | `tables` | Tables 4–6 — per-combination execution times of the EC, LRC, HLRC and ALRC families |
 //! | `traffic` | Section 7.2 — message counts and megabytes per application |
 //! | `scaling` | host wall-clock vs simulated time at 8/16/32 processors (JSON) |
 //! | `adaptive` | beyond the paper — mixed-sharing workload, static vs adaptive policies (JSON) |
 //! | `kv` | beyond the paper — closed-loop sharded KV/cache tier, throughput + p50/p99/p999 (JSON) |
-//! | `matrix_smoke` | CI smoke — SOR under all 12 implementations + golden diffs |
 //! | `water_restructured` | Section 7.2 — the restructured Water experiment |
 //! | `ablation_ci_opt` | Section 8.1 — the dirty-bit loop-splitting optimisation |
 //! | `ablation_small_objects` | Section 4.2 — eager small-object twins vs page faults |
 //!
 //! All binaries accept `--scale tiny|small|paper` (default `small`) and
 //! `--procs N` (default 8).  The binaries that sweep implementations —
-//! `table3`–`table6`, `traffic`, `scaling`, `hotpath`, `adaptive`,
-//! `matrix_smoke`, the transport bins — also honor `--impls NAME[,NAME...]`
-//! (a comma-separated subset of the twelve implementation names, e.g.
+//! `table3`, `tables`, `traffic`, `scaling`, `hotpath`, `adaptive`, the
+//! transport bins — also honor `--impls NAME[,NAME...]` (a comma-separated
+//! subset of the twelve implementation names, e.g.
 //! `--impls EC-time,HLRC-diff,ALRC-diff`; default: all); the parameter
 //! tables (`table1`, `table2`) and the fixed-pair experiments
 //! (`water_restructured`, the ablations) ignore it.
+//!
+//! The repository's end-to-end benchmark is a separate package, `perfbench`
+//! (see its README):
+//! `cargo run --release --manifest-path perfbench/Cargo.toml -- --workload kv-read|kv-write|paper-apps --seed N --seconds S --trace 0|1`.
 //!
 //! The JSON-emitting binaries all start their output with the standard
 //! header line from [`print_json_header`], so the `BENCH_*.json` trajectory

@@ -26,6 +26,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, RwLock};
 
+use dsm_mem::wire::WireMsgKind;
 use dsm_mem::{page_range, PageMode, PageModeChange, RegionDesc};
 use dsm_sim::NodeId;
 
@@ -186,7 +187,7 @@ impl DataPolicy for Adaptive {
             return 0;
         }
         // Ship the committed decisions to the transport replicas as one
-        // control frame ([eval][count][records]) so the real-wire backends
+        // control message ([eval][count][records]) so the real-wire backends
         // can verify every replica saw the same migrations.
         if let Some(w) = local.wire.as_deref_mut() {
             let mut payload = Vec::with_capacity(8 + changes.len() * PageModeChange::WIRE_SIZE);
@@ -195,7 +196,7 @@ impl DataPolicy for Adaptive {
             for c in changes {
                 c.encode_into(&mut payload);
             }
-            w.send_ctrl(&payload);
+            w.send_oob(WireMsgKind::Ctrl, &payload);
         }
         // The decisions ride the barrier release: each departer's release
         // message grows by one record per migration.

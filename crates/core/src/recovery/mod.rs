@@ -34,6 +34,7 @@
 //! barrier-structured kernels satisfy this; task-queue programs (Quicksort)
 //! do not and are documented out of recovery scope.
 
+use dsm_mem::wire::WireMsgKind;
 use dsm_mem::{CkptImage, CkptRegion, VectorClock};
 use dsm_sim::{CostModel, NodeStats, SimTime};
 
@@ -295,18 +296,13 @@ fn build_image(local: &NodeLocal, prev: &[RegionCkpt]) -> CkptImage {
 }
 
 /// Ships a checkpoint image to the transport replicas, when a real backend
-/// is attached (taken/put back around the send so `local` stays borrowable).
+/// is attached.
 fn send_image(local: &mut NodeLocal, image: &CkptImage) {
-    if local.wire.is_none() {
-        return;
+    if let Some(w) = local.wire.as_deref_mut() {
+        let mut bytes = Vec::with_capacity(image.encoded_len());
+        image.encode_into(&mut bytes);
+        w.send_oob(WireMsgKind::Ckpt, &bytes);
     }
-    let mut bytes = Vec::with_capacity(image.encoded_len());
-    image.encode_into(&mut bytes);
-    let mut wire = local.wire.take();
-    if let Some(w) = wire.as_deref_mut() {
-        w.send_ckpt(&bytes);
-    }
-    local.wire = wire;
 }
 
 /// True while the node is replaying skipped barriers: every shared-memory
@@ -435,15 +431,11 @@ pub(crate) fn restore(local: &mut NodeLocal, cost: &CostModel, undo_applied: usi
     // re-admission (replayed publish frames follow with fresh sequences).
     let node = local.node.index() as u32;
     let barriers = local.stats.barriers;
-    if local.wire.is_some() {
+    if let Some(w) = local.wire.as_deref_mut() {
         let mut payload = Vec::with_capacity(12);
         payload.extend_from_slice(&node.to_le_bytes());
         payload.extend_from_slice(&barriers.to_le_bytes());
-        let mut wire = local.wire.take();
-        if let Some(w) = wire.as_deref_mut() {
-            w.send_rollback(&payload);
-        }
-        local.wire = wire;
+        w.send_oob(WireMsgKind::Rollback, &payload);
     }
 }
 

@@ -29,6 +29,12 @@
 //! previous clock, so ordering metadata scales with what changed, not with
 //! nprocs.
 //!
+//! Beside the frames travel the out-of-band kinds of
+//! [`WireMsgKind::OOB`] — engine control broadcasts, checkpoint images and
+//! rollback notices — sent immediately by [`WireEndpoint::send_oob`] and
+//! tagged with their kind on both backends, so a replica has exactly one
+//! entry point per message kind.
+//!
 //! Cost accounting is transport-independent: the simulated clocks and
 //! statistics are charged identically under every backend, so simulated
 //! times and all goldens stay byte-identical; the backends differ only in
@@ -41,8 +47,8 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
 
 use dsm_mem::wire::{
-    self, begin_batch, encode_frame_v2, finish_batch, fnv64, fnv64_regions, frame_v2_meta_len,
-    read_msg, write_msg, BatchReader, FrameV2, WireFrame, WireInit, WireMsgKind, WireReport,
+    self, begin_batch, encode_frame_v2, finish_batch, fnv64_regions, frame_v2_meta_len, read_msg,
+    write_msg, BatchReader, FrameV2, OobTally, WireFrame, WireInit, WireMsgKind, WireReport,
 };
 use dsm_mem::{put_varint, varint_len, BufferPool, CompactClock};
 use dsm_sim::NodeId;
@@ -128,26 +134,16 @@ pub struct TransportReport {
     pub rollback_frames: u64,
 }
 
-/// Sentinel region index marking an in-process control frame (the channel
-/// backend's counterpart of [`WireMsgKind::Ctrl`]): replicas fingerprint the
-/// payload instead of applying it.
-const CTRL_REGION: u32 = u32::MAX;
-
-/// Sentinel region index for a checkpoint image (the channel backend's
-/// counterpart of [`WireMsgKind::Ckpt`]): replicas count and fingerprint the
-/// encoded [`dsm_mem::CkptImage`] without applying it.
-const CKPT_REGION: u32 = u32::MAX - 1;
-
-/// Sentinel region index for a rollback notice ([`WireMsgKind::Rollback`]):
-/// a recovering node announcing it re-enters from its last checkpoint.
-const ROLLBACK_REGION: u32 = u32::MAX - 2;
-
 /// One replica of the shared regions, rebuilt purely from publish frames.
 ///
 /// Frames of a region are applied strictly in `seq` order; out-of-order
 /// arrivals wait in a per-region reorder buffer.  The per-region sequence
 /// numbers are dense (the engines draw them from the same counter the
 /// publish bumps), so a replica that has seen every frame always drains.
+///
+/// Both real backends feed a replica through the same two entry points:
+/// [`Replica::offer`] for each publish frame and [`Replica::take_oob`] for
+/// each out-of-band message.
 #[derive(Debug)]
 struct Replica {
     regions: Vec<Vec<u8>>,
@@ -157,15 +153,8 @@ struct Replica {
     pending: Vec<BTreeMap<u64, Arc<WireFrame>>>,
     frames_applied: u64,
     bytes_received: u64,
-    /// Control frames received and their order-independent fingerprint.
-    ctrl_frames: u64,
-    ctrl_fnv: u64,
-    /// Checkpoint images received and their order-independent fingerprint.
-    ckpt_frames: u64,
-    ckpt_fnv: u64,
-    /// Rollback notices received and their order-independent fingerprint.
-    rollback_frames: u64,
-    rollback_fnv: u64,
+    /// Out-of-band messages received.
+    oob: OobTally,
     /// Recycles applied frames' payload buffers back to the decode path, so
     /// a socket peer's read loop stops allocating per frame in steady state.
     pool: BufferPool,
@@ -179,59 +168,39 @@ impl Replica {
             pending: init.iter().map(|_| BTreeMap::new()).collect(),
             frames_applied: 0,
             bytes_received: 0,
-            ctrl_frames: 0,
-            ctrl_fnv: 0,
-            ckpt_frames: 0,
-            ckpt_fnv: 0,
-            rollback_frames: 0,
-            rollback_fnv: 0,
+            oob: OobTally::default(),
             pool: BufferPool::new(),
         }
     }
 
-    /// Folds one control payload into the replica's count and fingerprint.
-    fn take_ctrl(&mut self, payload: &[u8]) {
-        self.ctrl_frames += 1;
-        self.ctrl_fnv ^= fnv64(payload);
+    /// Tallies one out-of-band message; the body is not applied.  A
+    /// checkpoint image must at least decode — a replica is the
+    /// crash-recovery escrow, so a malformed image is a transport bug worth
+    /// failing on.
+    fn take_oob(&mut self, kind: WireMsgKind, body: &[u8]) {
+        if kind == WireMsgKind::Ckpt {
+            assert!(
+                dsm_mem::CkptImage::decode(body).is_some(),
+                "malformed checkpoint image reached a replica"
+            );
+        }
+        self.oob.add(kind, body);
     }
 
-    /// Folds one checkpoint image into the replica's count and fingerprint.
-    /// The image must at least decode — a replica is the crash-recovery
-    /// escrow, so a malformed image is a transport bug worth failing on.
-    fn take_ckpt(&mut self, payload: &[u8]) {
-        assert!(
-            dsm_mem::CkptImage::decode(payload).is_some(),
-            "malformed checkpoint image reached a replica"
-        );
-        self.ckpt_frames += 1;
-        self.ckpt_fnv ^= fnv64(payload);
-    }
-
-    /// Folds one rollback notice into the replica's count and fingerprint.
-    fn take_rollback(&mut self, payload: &[u8]) {
-        self.rollback_frames += 1;
-        self.rollback_fnv ^= fnv64(payload);
+    /// Takes every message waiting in a channel inbox, without blocking.
+    fn drain_inbox(&mut self, inbox: &mpsc::Receiver<ChannelMsg>) {
+        while let Ok(msg) = inbox.try_recv() {
+            match msg {
+                ChannelMsg::Batch(frames) => frames.into_iter().for_each(|f| self.offer(f)),
+                ChannelMsg::Oob(kind, body) => self.take_oob(kind, &body),
+            }
+        }
     }
 
     /// Accepts a frame, applying it — and any unblocked successors — as soon
     /// as its region's sequence reaches it.  Uniquely-owned applied frames
     /// donate their payload buffer back to the pool.
     fn offer(&mut self, frame: Arc<WireFrame>) {
-        match frame.region {
-            CTRL_REGION => {
-                self.take_ctrl(&frame.payload);
-                return;
-            }
-            CKPT_REGION => {
-                self.take_ckpt(&frame.payload);
-                return;
-            }
-            ROLLBACK_REGION => {
-                self.take_rollback(&frame.payload);
-                return;
-            }
-            _ => {}
-        }
         let r = frame.region as usize;
         assert!(r < self.regions.len(), "frame for unknown region {r}");
         self.pending[r].insert(frame.seq, frame);
@@ -268,18 +237,20 @@ impl Replica {
             contents_fnv: self.fnv(),
             frames_applied: self.frames_applied,
             bytes_received: self.bytes_received,
-            ctrl_frames: self.ctrl_frames,
-            ctrl_fnv: self.ctrl_fnv,
-            ckpt_frames: self.ckpt_frames,
-            ckpt_fnv: self.ckpt_fnv,
-            rollback_frames: self.rollback_frames,
-            rollback_fnv: self.rollback_fnv,
+            oob: self.oob,
         }
     }
 }
 
-/// An epoch's worth of frames, handed to a peer's inbox in one send.
-type FrameBatch = Vec<Arc<WireFrame>>;
+/// One send into a channel-backend inbox: the in-process form of a
+/// [`WireMsgKind::Batch`] message or of one out-of-band message.
+#[derive(Debug)]
+enum ChannelMsg {
+    /// An epoch's frames, shared with every other receiver.
+    Batch(Vec<Arc<WireFrame>>),
+    /// One message of a kind in [`WireMsgKind::OOB`], body shared likewise.
+    Oob(WireMsgKind, Arc<[u8]>),
+}
 
 /// Flush the socket batch buffer early if it outgrows this (pathological
 /// epochs only; normal epochs are a few KiB).
@@ -303,20 +274,9 @@ pub(crate) struct WireEndpoint {
     pub wire_bytes_meta: u64,
     /// Sends saved by coalescing: frames beyond the first in each batch.
     pub frames_coalesced: u64,
-    /// Control broadcasts this endpoint sent (see [`WireEndpoint::send_ctrl`]).
-    pub ctrl_sent: u64,
-    /// XOR of the [`fnv64`] of every control payload this endpoint sent.
-    pub ctrl_fnv: u64,
-    /// Checkpoint images this endpoint shipped (see
-    /// [`WireEndpoint::send_ckpt`]).
-    pub ckpt_sent: u64,
-    /// XOR of the [`fnv64`] of every checkpoint image this endpoint sent.
-    pub ckpt_fnv: u64,
-    /// Rollback notices this endpoint sent (see
-    /// [`WireEndpoint::send_rollback`]).
-    pub rollback_sent: u64,
-    /// XOR of the [`fnv64`] of every rollback notice this endpoint sent.
-    pub rollback_fnv: u64,
+    /// Out-of-band messages this endpoint sent (see
+    /// [`WireEndpoint::send_oob`]).
+    pub oob_sent: OobTally,
     /// Scratch run table the engines fill while collecting a publish
     /// (borrowed out with `std::mem::take`, handed back after the frame is
     /// built, so steady-state publishes reuse its capacity).
@@ -335,11 +295,11 @@ enum EndpointInner {
     /// Channel backend: senders to every other node's inbox, this node's own
     /// inbox, and this node's own replica.
     Channel {
-        peers: Vec<mpsc::Sender<FrameBatch>>,
-        inbox: mpsc::Receiver<FrameBatch>,
+        peers: Vec<mpsc::Sender<ChannelMsg>>,
+        inbox: mpsc::Receiver<ChannelMsg>,
         replica: Replica,
         /// Frames published since the last flush.
-        pending: FrameBatch,
+        pending: Vec<Arc<WireFrame>>,
         /// Scratch for sizing the would-be-on-wire delta clock record.
         clock_scratch: Vec<u8>,
     },
@@ -364,12 +324,7 @@ impl WireEndpoint {
             wire_bytes_payload: 0,
             wire_bytes_meta: 0,
             frames_coalesced: 0,
-            ctrl_sent: 0,
-            ctrl_fnv: 0,
-            ckpt_sent: 0,
-            ckpt_fnv: 0,
-            rollback_sent: 0,
-            rollback_fnv: 0,
+            oob_sent: OobTally::default(),
             scratch_runs: Vec::new(),
             enc: CompactClock::new(),
             started: false,
@@ -423,7 +378,6 @@ impl WireEndpoint {
                 pending.push(Arc::new(WireFrame {
                     region,
                     seq,
-                    clock: clock.to_vec(),
                     runs: runs.to_vec(),
                     payload,
                 }));
@@ -463,62 +417,28 @@ impl WireEndpoint {
         }
     }
 
-    /// Broadcasts one engine control payload (opaque bytes) to every replica,
-    /// immediately — control frames bypass the epoch batch so they never
-    /// perturb the data plane's coalescing accounting.  Replicas do not apply
-    /// the payload; they count it and fold it into an order-independent
-    /// XOR-FNV fingerprint that [`Transport::finish`] verifies against the
-    /// senders' totals, proving every replica observed every broadcast.
-    pub fn send_ctrl(&mut self, payload: &[u8]) {
-        self.ctrl_sent += 1;
-        self.ctrl_fnv ^= fnv64(payload);
-        self.send_oob(CTRL_REGION, WireMsgKind::Ctrl, self.ctrl_sent, payload);
-    }
-
-    /// Ships one encoded [`dsm_mem::CkptImage`] to every replica,
-    /// immediately (checkpoints cut at barrier boundaries must not wait in
-    /// an epoch batch).  Replicas validate, count and fingerprint the image
-    /// — it is the crash-recovery escrow, verified like control broadcasts.
-    pub fn send_ckpt(&mut self, payload: &[u8]) {
-        self.ckpt_sent += 1;
-        self.ckpt_fnv ^= fnv64(payload);
-        self.send_oob(CKPT_REGION, WireMsgKind::Ckpt, self.ckpt_sent, payload);
-    }
-
-    /// Announces to every replica that this node rolled back to its last
-    /// checkpoint and is replaying (its republished frames follow under
-    /// fresh sequences).
-    pub fn send_rollback(&mut self, payload: &[u8]) {
-        self.rollback_sent += 1;
-        self.rollback_fnv ^= fnv64(payload);
-        self.send_oob(
-            ROLLBACK_REGION,
-            WireMsgKind::Rollback,
-            self.rollback_sent,
-            payload,
-        );
-    }
-
-    /// Shared delivery path of the out-of-band (non-data) frame kinds:
-    /// bypasses the epoch batch so they never perturb the data plane's
-    /// coalescing accounting, and costs one message per receiver
-    /// (u32 length prefix + kind byte + body).
-    fn send_oob(&mut self, region: u32, kind: WireMsgKind, seq: u64, payload: &[u8]) {
+    /// Sends one out-of-band message — an engine control broadcast, an
+    /// encoded [`dsm_mem::CkptImage`] or a rollback notice — to every
+    /// replica, immediately: it bypasses the epoch batch, so it never waits
+    /// behind it or perturbs the coalescing accounting, and costs one
+    /// message per receiver (u32 length prefix + kind byte + body).
+    /// Replicas tally it instead of applying it; [`Transport::finish`]
+    /// checks every replica's tally against the senders'.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kind` is not in [`WireMsgKind::OOB`].
+    pub fn send_oob(&mut self, kind: WireMsgKind, payload: &[u8]) {
+        self.oob_sent.add(kind, payload);
         match &mut self.inner {
             EndpointInner::Channel { peers, replica, .. } => {
-                let frame = Arc::new(WireFrame {
-                    region,
-                    seq,
-                    clock: Vec::new(),
-                    runs: Vec::new(),
-                    payload: payload.to_vec(),
-                });
                 self.wire_bytes_meta += (payload.len() as u64 + 5) * (peers.len() as u64 + 1);
+                let body: Arc<[u8]> = payload.into();
                 for peer in peers.iter() {
-                    peer.send(vec![Arc::clone(&frame)])
+                    peer.send(ChannelMsg::Oob(kind, Arc::clone(&body)))
                         .expect("peer inbox closed mid-run");
                 }
-                replica.offer(frame);
+                replica.take_oob(kind, &body);
             }
             EndpointInner::Socket { conns, .. } => {
                 // Written directly to each stream; the open data batch (if
@@ -550,21 +470,17 @@ impl WireEndpoint {
                     self.wire_bytes_meta +=
                         wire::BATCH_HEADER_LEN as u64 * (peers.len() as u64 + 1);
                     for peer in peers.iter() {
-                        peer.send(pending.clone())
+                        peer.send(ChannelMsg::Batch(pending.clone()))
                             .expect("peer inbox closed mid-run");
                     }
                     for f in pending.drain(..) {
                         replica.offer(f);
                     }
                 }
-                // Absorb whatever peers have flushed so far; the rest is
+                // Absorb whatever peers have sent so far; the rest is
                 // drained after the run, when every send is join-ordered
                 // before the drain.
-                while let Ok(batch) = inbox.try_recv() {
-                    for f in batch {
-                        replica.offer(f);
-                    }
-                }
+                replica.drain_inbox(inbox);
             }
             EndpointInner::Socket {
                 conns,
@@ -651,23 +567,37 @@ fn absorb_endpoint(report: &mut TransportReport, ep: &WireEndpoint) {
     report.wire_bytes_meta += ep.wire_bytes_meta;
     report.wire_bytes += ep.wire_bytes();
     report.frames_coalesced += ep.frames_coalesced;
-    report.ctrl_frames += ep.ctrl_sent;
-    report.ckpt_frames += ep.ckpt_sent;
-    report.rollback_frames += ep.rollback_sent;
+    report.ctrl_frames += ep.oob_sent.count(WireMsgKind::Ctrl);
+    report.ckpt_frames += ep.oob_sent.count(WireMsgKind::Ckpt);
+    report.rollback_frames += ep.oob_sent.count(WireMsgKind::Rollback);
 }
 
-/// The out-of-band totals a set of finished endpoints implies, as
-/// `(count, fnv)` pairs for control broadcasts, checkpoint images and
-/// rollback notices: every replica must have received each count of frames
-/// with the matching order-independent XOR-FNV fingerprint.  Which endpoint
-/// sent each one is timing-dependent, but the totals are not.
-fn expected_oob(endpoints: &[WireEndpoint]) -> [(u64, u64); 3] {
-    endpoints.iter().fold([(0, 0); 3], |mut acc, ep| {
-        acc[0] = (acc[0].0 + ep.ctrl_sent, acc[0].1 ^ ep.ctrl_fnv);
-        acc[1] = (acc[1].0 + ep.ckpt_sent, acc[1].1 ^ ep.ckpt_fnv);
-        acc[2] = (acc[2].0 + ep.rollback_sent, acc[2].1 ^ ep.rollback_fnv);
+/// The out-of-band tally every replica must match: the finished endpoints'
+/// tallies merged.  Which endpoint sent each message is timing-dependent,
+/// but the totals are not.
+fn expected_oob(endpoints: &[WireEndpoint]) -> OobTally {
+    endpoints.iter().fold(OobTally::default(), |mut acc, ep| {
+        acc.merge(&ep.oob_sent);
         acc
     })
+}
+
+/// Verifies one replica's end-of-run report and folds it into the report.
+///
+/// Panics if the replica's contents diverge from the master copies or it
+/// missed an out-of-band message.
+fn absorb_replica(report: &mut TransportReport, replica: &WireReport, oob: &OobTally) {
+    let backend = report.backend;
+    assert_eq!(
+        replica.contents_fnv, report.master_fnv,
+        "{backend} replica diverged from the engines' master copies"
+    );
+    assert_eq!(
+        replica.oob, *oob,
+        "{backend} replica missed an out-of-band message"
+    );
+    report.frames_applied += replica.frames_applied;
+    report.replicas_verified += 1;
 }
 
 /// The default backend: no endpoints, no replication, no bytes.  Publishes
@@ -698,13 +628,11 @@ struct ChannelTransport {
     endpoints: Vec<Option<Box<WireEndpoint>>>,
 }
 
-/// One node's frame channel: the sender peers clone, the node's own inbox.
-type BatchChannel = (mpsc::Sender<FrameBatch>, mpsc::Receiver<FrameBatch>);
-
 impl ChannelTransport {
     fn new(nprocs: usize, init: &[Vec<u8>]) -> Self {
-        let channels: Vec<BatchChannel> = (0..nprocs).map(|_| mpsc::channel()).collect();
-        let senders: Vec<mpsc::Sender<FrameBatch>> =
+        let channels: Vec<(mpsc::Sender<ChannelMsg>, mpsc::Receiver<ChannelMsg>)> =
+            (0..nprocs).map(|_| mpsc::channel()).collect();
+        let senders: Vec<mpsc::Sender<ChannelMsg>> =
             channels.iter().map(|(tx, _)| tx.clone()).collect();
         let endpoints = channels
             .into_iter()
@@ -744,7 +672,7 @@ impl Transport for ChannelTransport {
         for ep in endpoints.iter_mut() {
             ep.flush();
         }
-        let [ctrl, ckpt, rollback] = expected_oob(&endpoints);
+        let oob = expected_oob(&endpoints);
         let mut report = empty_report(self.label(), master);
         for ep in endpoints {
             absorb_endpoint(&mut report, &ep);
@@ -756,35 +684,10 @@ impl Transport for ChannelTransport {
             };
             // Every worker thread has been joined, so every send
             // happens-before this drain: the inbox holds the complete
-            // remainder of the run's frames.
-            while let Ok(batch) = inbox.try_recv() {
-                for f in batch {
-                    replica.offer(f);
-                }
-            }
+            // remainder of the run's messages.
+            replica.drain_inbox(&inbox);
             assert!(replica.drained(), "replica is missing publish frames");
-            assert_eq!(
-                replica.fnv(),
-                report.master_fnv,
-                "channel replica diverged from the engines' master copies"
-            );
-            assert_eq!(
-                (replica.ctrl_frames, replica.ctrl_fnv),
-                ctrl,
-                "channel replica missed an engine control broadcast"
-            );
-            assert_eq!(
-                (replica.ckpt_frames, replica.ckpt_fnv),
-                ckpt,
-                "channel replica missed a checkpoint image"
-            );
-            assert_eq!(
-                (replica.rollback_frames, replica.rollback_fnv),
-                rollback,
-                "channel replica missed a rollback notice"
-            );
-            report.frames_applied += replica.frames_applied;
-            report.replicas_verified += 1;
+            absorb_replica(&mut report, &replica.report(), &oob);
         }
         report
     }
@@ -889,7 +792,7 @@ impl Transport for SocketTransport {
         for ep in endpoints.iter_mut() {
             ep.flush();
         }
-        let [ctrl, ckpt, rollback] = expected_oob(&endpoints);
+        let oob = expected_oob(&endpoints);
         for ep in endpoints {
             absorb_endpoint(&mut report, &ep);
             let EndpointInner::Socket { mut conns, .. } = ep.inner else {
@@ -899,34 +802,21 @@ impl Transport for SocketTransport {
                 write_msg(conn, WireMsgKind::Fin, &[]).expect("send fin");
             }
         }
-        // Every peer now sees nprocs Fins and reports back.
+        // Every peer now sees nprocs Fins and reports back.  Every peer
+        // receives every message, so each one's byte count times the peer
+        // count is exactly what the endpoints accounted.
+        let npeers = self.controls.len() as u64;
         let mut body = Vec::new();
-        for control in self.controls.drain(..) {
-            let mut control = control;
+        for mut control in self.controls.drain(..) {
             let kind = read_msg(&mut control, &mut body).expect("read peer report");
             assert_eq!(kind, Some(WireMsgKind::Report), "peer sent a non-report");
             let peer = WireReport::decode(&body).expect("malformed peer report");
+            absorb_replica(&mut report, &peer, &oob);
             assert_eq!(
-                peer.contents_fnv, report.master_fnv,
-                "socket replica diverged from the engines' master copies"
+                peer.bytes_received.checked_mul(npeers),
+                Some(report.wire_bytes),
+                "socket replica received other bytes than the endpoints sent"
             );
-            assert_eq!(
-                (peer.ctrl_frames, peer.ctrl_fnv),
-                ctrl,
-                "socket replica missed an engine control broadcast"
-            );
-            assert_eq!(
-                (peer.ckpt_frames, peer.ckpt_fnv),
-                ckpt,
-                "socket replica missed a checkpoint image"
-            );
-            assert_eq!(
-                (peer.rollback_frames, peer.rollback_fnv),
-                rollback,
-                "socket replica missed a rollback notice"
-            );
-            report.frames_applied += peer.frames_applied;
-            report.replicas_verified += 1;
         }
         for server in self.servers.drain(..) {
             server
@@ -945,17 +835,17 @@ impl Transport for SocketTransport {
 /// Protocol: every inbound connection announces its role with one byte —
 /// `C` for the single control connection, which immediately carries an
 /// `Init` message (number of node streams to expect, initial region
-/// images), or `N` for a node stream carrying `Batch` (or legacy `Frame`)
+/// images), or `N` for a node stream carrying `Batch` and out-of-band
 /// messages and a final `Fin`.  One reader thread serves each node stream
 /// end to end: it owns the stream's receive-side [`CompactClock`] baseline
 /// (the delta clock records of a stream replay against it in order) and a
-/// reusable message buffer, reads through a [`io::BufReader`], and applies
-/// decoded frames straight into the shared replica under a mutex — no
-/// cross-thread handoff, no per-message allocation (payload buffers come
-/// from the replica's [`BufferPool`], which recycles applied frames).  Once
-/// every node stream has finished, the peer writes its [`WireReport`]
-/// (contents fingerprint, frames applied, bytes received) back on the
-/// control connection.
+/// reusable message buffer, reads through a [`io::BufReader`], and hands
+/// decoded frames and out-of-band messages straight to the shared replica
+/// under a mutex — no cross-thread handoff, no per-message allocation
+/// (payload buffers come from the replica's [`BufferPool`], which recycles
+/// applied frames).  Once every node stream has finished, the peer writes
+/// its [`WireReport`] (contents fingerprint, frames applied, bytes
+/// received, out-of-band tally) back on the control connection.
 ///
 /// # Errors
 ///
@@ -1012,10 +902,14 @@ pub fn serve_transport_peer(listener: TcpListener) -> io::Result<()> {
                     let mut body = Vec::new();
                     let mut conn = io::BufReader::new(conn);
                     loop {
-                        match read_msg(&mut conn, &mut body)? {
-                            Some(WireMsgKind::Batch) => {
-                                let mut r = sync_lock(replica);
-                                r.note_received(body.len() as u64 + 5);
+                        let kind = match read_msg(&mut conn, &mut body)? {
+                            Some(WireMsgKind::Fin) | None => return Ok(()),
+                            Some(kind) => kind,
+                        };
+                        let mut r = sync_lock(replica);
+                        r.note_received(body.len() as u64 + 5);
+                        match kind {
+                            WireMsgKind::Batch => {
                                 let mut frames = BatchReader::new(&body)
                                     .ok_or_else(|| bad("batch lacks a frame count"))?;
                                 while frames.remaining() > 0 {
@@ -1028,30 +922,8 @@ pub fn serve_transport_peer(listener: TcpListener) -> io::Result<()> {
                                     return Err(bad("trailing bytes after the last batch frame"));
                                 }
                             }
-                            Some(WireMsgKind::Frame) => {
-                                let frame = WireFrame::decode(&body)
-                                    .ok_or_else(|| bad("malformed frame"))?;
-                                let mut r = sync_lock(replica);
-                                r.note_received(body.len() as u64 + 5);
-                                r.offer(Arc::new(frame));
-                            }
-                            Some(WireMsgKind::Ctrl) => {
-                                let mut r = sync_lock(replica);
-                                r.note_received(body.len() as u64 + 5);
-                                r.take_ctrl(&body);
-                            }
-                            Some(WireMsgKind::Ckpt) => {
-                                let mut r = sync_lock(replica);
-                                r.note_received(body.len() as u64 + 5);
-                                r.take_ckpt(&body);
-                            }
-                            Some(WireMsgKind::Rollback) => {
-                                let mut r = sync_lock(replica);
-                                r.note_received(body.len() as u64 + 5);
-                                r.take_rollback(&body);
-                            }
-                            Some(WireMsgKind::Fin) | None => return Ok(()),
-                            Some(_) => return Err(bad("unexpected message on a node stream")),
+                            kind if WireMsgKind::OOB.contains(&kind) => r.take_oob(kind, &body),
+                            _ => return Err(bad("unexpected message on a node stream")),
                         }
                     }
                 })
@@ -1087,7 +959,6 @@ mod tests {
         Arc::new(WireFrame {
             region,
             seq,
-            clock: vec![],
             runs: vec![(off, 1)],
             payload: vec![byte],
         })
@@ -1259,9 +1130,9 @@ mod tests {
         master[0][0] = 1;
         a.publish(0, 1, &[1, 0], &[(0, 1)], &master[0]);
         // Control broadcasts from both sides, interleaved with data.
-        a.send_ctrl(&[1, 2, 3]);
-        b.send_ctrl(&[4, 5]);
-        assert_eq!(a.ctrl_sent, 1);
+        a.send_oob(WireMsgKind::Ctrl, &[1, 2, 3]);
+        b.send_oob(WireMsgKind::Ctrl, &[4, 5]);
+        assert_eq!(a.oob_sent.count(WireMsgKind::Ctrl), 1);
         assert_eq!(a.frames_sent, 1, "ctrl frames are not data frames");
         let report = t.finish(vec![*a, *b], &master);
         assert_eq!(report.ctrl_frames, 2);
@@ -1270,15 +1141,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "control broadcast")]
+    #[should_panic(expected = "out-of-band")]
     fn channel_ctrl_divergence_is_caught() {
         let init = vec![vec![0u8; 8]];
         let mut t = ChannelTransport::new(1, &init);
         let mut a = t.take_endpoint(NodeId::new(0)).expect("endpoint");
-        // Claim a broadcast that never went out: the replica's count can't
+        // Claim a broadcast that never went out: the replica's tally can't
         // match.
-        a.ctrl_sent = 1;
+        a.oob_sent.add(WireMsgKind::Ctrl, b"never sent");
         t.finish(vec![*a], &init);
+    }
+
+    #[test]
+    #[should_panic(expected = "other bytes")]
+    fn socket_byte_miscount_is_caught() {
+        let init = vec![vec![0u8; 8]];
+        let mut t = SocketTransport::new_local(1, 1, &init);
+        let mut a = t.take_endpoint(NodeId::new(0)).expect("endpoint");
+        let mut master = init.clone();
+        master[0][0] = 3;
+        a.publish(0, 1, &[], &[(0, 1)], &master[0]);
+        // Account one byte that never went out: the peer's count can't
+        // match.
+        a.wire_bytes_meta += 1;
+        t.finish(vec![*a], &master);
     }
 
     #[test]
@@ -1292,8 +1178,8 @@ mod tests {
         // A ctrl broadcast while a's data batch is still open: the peer must
         // account both, in any order.
         a.publish(0, 1, &[], &[(0, 1)], &master[0]);
-        a.send_ctrl(&[9, 9, 9, 9]);
-        b.send_ctrl(&[8]);
+        a.send_oob(WireMsgKind::Ctrl, &[9, 9, 9, 9]);
+        b.send_oob(WireMsgKind::Ctrl, &[8]);
         let report = t.finish(vec![*a, *b], &master);
         assert_eq!(report.ctrl_frames, 2);
         assert_eq!(report.replicas_verified, 2);

@@ -286,9 +286,9 @@ impl ClockDelta {
 /// The sender keeps one `CompactClock` per outgoing stream, each receiver
 /// one per incoming stream; both sides advance the baseline on every record,
 /// so decode reconstructs the sender's clock exactly.  The first record of a
-/// stream (or any record after [`CompactClock::reset`], e.g. when a receiver
-/// rejoins mid-stream) must be sent in *full* mode: the delta is taken from
-/// the all-zero clock, which is still naturally sparse.
+/// stream (or any record a receiver may decode without its predecessor, e.g.
+/// when a receiver rejoins mid-stream) must be sent in *full* mode: the delta
+/// is taken from the all-zero clock, which is still naturally sparse.
 ///
 /// # Examples
 ///
@@ -316,12 +316,6 @@ impl CompactClock {
         CompactClock::default()
     }
 
-    /// Forgets the baseline.  The next encoded record must use full mode or
-    /// the streams desynchronize.
-    pub fn reset(&mut self) {
-        self.baseline.clear();
-    }
-
     /// The last clock encoded or decoded on this stream.
     pub fn baseline(&self) -> &[u32] {
         &self.baseline
@@ -342,14 +336,6 @@ impl CompactClock {
         self.baseline.clear();
         self.baseline.extend_from_slice(entries);
         out.len() - start
-    }
-
-    /// Encoded size of the record [`CompactClock::encode_next`] would append
-    /// for `entries` — without advancing the baseline.
-    pub fn peek_record_len(&mut self, entries: &[u32], full: bool) -> usize {
-        let base: &[u32] = if full { &[] } else { &self.baseline };
-        self.scratch.compute(base, entries);
-        varint_len(entries.len() as u64) + self.scratch.encoded_len()
     }
 
     /// Decodes one clock record from the front of `buf`, advancing the
@@ -492,16 +478,7 @@ mod tests {
         let clocks: [&[u32]; 4] = [&[0, 0, 0], &[1, 0, 0], &[2, 5, 1], &[2, 5, 1]];
         let mut buf = Vec::new();
         for (i, c) in clocks.iter().enumerate() {
-            let full = i == 0;
-            assert_eq!(enc.peek_record_len(c, full), {
-                let mut probe = Vec::new();
-                let mut again = CompactClock::new();
-                again
-                    .baseline
-                    .extend_from_slice(if full { &[] } else { clocks[i - 1] });
-                again.encode_next(c, full, &mut probe)
-            });
-            enc.encode_next(c, full, &mut buf);
+            enc.encode_next(c, i == 0, &mut buf);
         }
         let mut at = 0;
         for (i, c) in clocks.iter().enumerate() {

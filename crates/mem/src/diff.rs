@@ -105,8 +105,8 @@ impl PartialEq for Diff {
     }
 }
 
-/// Per-run header bytes in the encoded (wire) representation of a diff:
-/// a 4-byte offset and a 4-byte length, as a run-length encoding would carry.
+/// Per-run header bytes a diff costs on the simulated wire: a 4-byte offset
+/// and a 4-byte length, as a run-length encoding would carry.
 const RUN_HEADER_BYTES: usize = 8;
 
 /// Streaming builder: accepts changed byte ranges in increasing order and
@@ -334,41 +334,6 @@ impl Diff {
             }
         }
         b.finish(granularity)
-    }
-
-    /// Reassembles a diff from decoded wire parts: `(offset, len)` run
-    /// descriptors in increasing offset order plus the concatenated payload
-    /// (run bytes back to back, in run order).  Returns `None` if the run
-    /// table and payload disagree on the total length or the runs are not
-    /// strictly increasing/disjoint — a malformed wire record must not build
-    /// a diff that would later panic in [`Diff::apply`].
-    pub(crate) fn from_wire_parts(
-        runs: &[(u32, u32)],
-        payload: Vec<u8>,
-        granularity: BlockGranularity,
-    ) -> Option<Self> {
-        let mut body = DiffBody {
-            runs: Vec::with_capacity(runs.len()),
-            payload,
-        };
-        let mut pos = 0usize;
-        let mut prev_end = 0usize;
-        for &(offset, len) in runs {
-            let (offset, len) = (offset as usize, len as usize);
-            if len == 0 || offset < prev_end {
-                return None;
-            }
-            prev_end = offset + len;
-            body.runs.push(RunDesc { offset, pos, len });
-            pos += len;
-        }
-        if pos != body.payload.len() {
-            return None;
-        }
-        Some(Diff {
-            body: Arc::new(body),
-            granularity,
-        })
     }
 
     /// The runs of this diff, in increasing offset order.

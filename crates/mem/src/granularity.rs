@@ -52,23 +52,6 @@ impl BlockGranularity {
     pub fn offset_of(self, block: usize) -> usize {
         block * self.bytes()
     }
-
-    /// One-byte wire code of this granularity (see [`crate::wire`]).
-    pub fn wire_code(self) -> u8 {
-        match self {
-            BlockGranularity::Word => 0,
-            BlockGranularity::DoubleWord => 1,
-        }
-    }
-
-    /// Decodes a granularity from its wire code.
-    pub fn from_wire_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(BlockGranularity::Word),
-            1 => Some(BlockGranularity::DoubleWord),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for BlockGranularity {
@@ -111,13 +94,5 @@ mod tests {
     #[test]
     fn default_is_word() {
         assert_eq!(BlockGranularity::default(), BlockGranularity::Word);
-    }
-
-    #[test]
-    fn wire_codes_round_trip() {
-        for g in [BlockGranularity::Word, BlockGranularity::DoubleWord] {
-            assert_eq!(BlockGranularity::from_wire_code(g.wire_code()), Some(g));
-        }
-        assert_eq!(BlockGranularity::from_wire_code(2), None);
     }
 }

@@ -4,9 +4,9 @@
 //! accounting.  The real backends (in-process channels, sockets) move actual
 //! bytes, and this module is the dependency-free codec they move them with.
 //! Everything is little-endian and encoded straight from the flat payload +
-//! run-offset representation the data plane already keeps ([`Diff`],
-//! [`FlatUpdate`], [`VectorClock`]): encoding is a header write plus one
-//! payload `memcpy` per record, never a tree walk.
+//! run-offset representation the data plane already keeps (the engines' run
+//! tables, [`FlatUpdate`], [`VectorClock`]): encoding is a header write plus
+//! one payload `memcpy` per record, never a tree walk.
 //!
 //! # Record layouts (all integers little-endian)
 //!
@@ -14,20 +14,17 @@
 //! |----------------|--------------------------------------------------------------------|
 //! | message        | `u32 len` · `u8 kind` · `body[len-1]`                              |
 //! | `VectorClock`  | `u32 n` · `n × u32 entry`                                          |
-//! | `Diff`         | `u8 gran` · `u32 nruns` · `nruns × (u32 off, u32 len)` · payload   |
 //! | `FlatUpdate`   | `u32 nruns` · `nruns × (u32 start, u32 len, u64 stamp)`            |
-//! | [`WireFrame`]  | `u32 region` · `u64 seq` · clock · `u32 nruns` · runs · payload    |
 //! | frame v2       | varints: `region` · `seq` · `u8 mode` · clock record · runs · payload |
 //! | batch body     | `u32 nframes` · `nframes × (varint len, frame v2)`                 |
 //! | [`WireInit`]   | `u32 nprocs` · `u32 nregions` · `nregions × (u32 len, bytes)`      |
 //! | [`WireReport`] | `u64 fnv` · `u64 frames` · `u64 bytes` · 3 × (`u64 count` · `u64 fnv`) for ctrl/ckpt/rollback |
 //!
-//! The v2 frame (see [`encode_frame_v2`]) is the compact form the real
-//! backends batch per epoch: the clock travels as a [`CompactClock`] delta
-//! record against the stream's previous clock (`mode` 1 = encoded from the
-//! all-zero clock, required on the first frame of a stream), and run offsets
-//! are gap-encoded varints.  The v1 [`WireFrame`] record stays as the
-//! stateless per-frame form (and the simulated backend's cost model).
+//! Publish frames travel only in v2 form (see [`encode_frame_v2`]), batched
+//! per epoch: the clock travels as a [`CompactClock`] delta record against
+//! the stream's previous clock (`mode` 1 = encoded from the all-zero clock,
+//! required on the first frame of a stream), and run offsets are gap-encoded
+//! varints.  [`WireFrame`] is the decoded form a replica applies.
 //!
 //! Malformed input decodes to `None` (in-memory records) or
 //! `io::ErrorKind::InvalidData` (streamed messages); a corrupt peer must not
@@ -36,7 +33,7 @@
 use std::io::{self, Read, Write};
 
 use crate::cclock::{get_varint, put_varint, varint_len, CompactClock};
-use crate::{BlockGranularity, BufferPool, Diff, FlatRun, FlatUpdate, VectorClock};
+use crate::{BufferPool, FlatRun, FlatUpdate, VectorClock};
 use dsm_sim::NodeId;
 
 /// Upper bound on one framed message, as a sanity check against corrupt
@@ -86,10 +83,6 @@ impl<'a> Reader<'a> {
         let s = self.buf.get(self.at..end)?;
         self.at = end;
         Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
     }
 
     fn u32(&mut self) -> Option<u32> {
@@ -142,41 +135,6 @@ fn decode_vclock_from(r: &mut Reader<'_>) -> Option<VectorClock> {
     Some(clock)
 }
 
-/// Appends the wire encoding of a diff to `out`: granularity code, run
-/// table, then the flat payload in one `extend_from_slice` per run.
-pub fn encode_diff(diff: &Diff, out: &mut Vec<u8>) {
-    out.push(diff.granularity().wire_code());
-    put_u32(out, diff.runs().len() as u32);
-    for run in diff.runs() {
-        put_u32(out, run.offset as u32);
-        put_u32(out, run.len() as u32);
-    }
-    for run in diff.runs() {
-        out.extend_from_slice(run.data);
-    }
-}
-
-/// Decodes a diff; returns the diff and the bytes consumed.
-pub fn decode_diff(buf: &[u8]) -> Option<(Diff, usize)> {
-    let mut r = Reader::new(buf);
-    let granularity = BlockGranularity::from_wire_code(r.u8()?)?;
-    let nruns = r.u32()? as usize;
-    if nruns > MAX_WIRE_MSG / 8 {
-        return None;
-    }
-    let mut runs = Vec::with_capacity(nruns);
-    let mut payload_len = 0usize;
-    for _ in 0..nruns {
-        let offset = r.u32()?;
-        let len = r.u32()?;
-        payload_len = payload_len.checked_add(len as usize)?;
-        runs.push((offset, len));
-    }
-    let payload = r.take(payload_len)?.to_vec();
-    let diff = Diff::from_wire_parts(&runs, payload, granularity)?;
-    Some((diff, r.at))
-}
-
 /// Appends the wire encoding of a flattened update snapshot to `out`.
 pub fn encode_flat_update(update: &FlatUpdate, out: &mut Vec<u8>) {
     put_u32(out, update.runs().len() as u32);
@@ -204,21 +162,20 @@ pub fn decode_flat_update(buf: &[u8]) -> Option<(FlatUpdate, usize)> {
     Some((FlatUpdate::from_wire_runs(runs), r.at))
 }
 
-/// One replicated publish: the bytes one publish event wrote into a region's
-/// master copy, plus the per-region sequence number that totally orders it.
+/// One replicated publish, as a replica applies it: the bytes one publish
+/// event wrote into a region's master copy, plus the per-region sequence
+/// number that totally orders it.
 ///
-/// Frames carry the publisher's vector clock (empty under EC, which has no
-/// vector time) — deliberately, because the O(nprocs) clock record is exactly
-/// the per-message overhead the 256-node transport sweep measures.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// The publisher's vector clock is not part of the frame: it travels as a
+/// delta record, and [`decode_frame_v2`] leaves it in the receiving codec's
+/// [`CompactClock::baseline`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireFrame {
     /// Dense index of the region the frame belongs to.
     pub region: u32,
     /// Per-region publish sequence number (1-based, dense): a replica applies
     /// frames of a region strictly in `seq` order.
     pub seq: u64,
-    /// The publisher's vector-clock entries at publish time (may be empty).
-    pub clock: Vec<u32>,
     /// Changed-byte runs as region-absolute `(offset, len)` pairs, in
     /// increasing offset order.
     pub runs: Vec<(u32, u32)>,
@@ -227,71 +184,6 @@ pub struct WireFrame {
 }
 
 impl WireFrame {
-    /// Length of the encoded frame body in bytes.
-    pub fn encoded_len(&self) -> usize {
-        4 + 8 + (4 + self.clock.len() * 4) + 4 + self.runs.len() * 8 + self.payload.len()
-    }
-
-    /// Appends the encoded frame body to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.reserve(self.encoded_len());
-        put_u32(out, self.region);
-        put_u64(out, self.seq);
-        put_u32(out, self.clock.len() as u32);
-        for &e in &self.clock {
-            put_u32(out, e);
-        }
-        put_u32(out, self.runs.len() as u32);
-        for &(offset, len) in &self.runs {
-            put_u32(out, offset);
-            put_u32(out, len);
-        }
-        out.extend_from_slice(&self.payload);
-    }
-
-    /// Decodes a frame body; the buffer must contain exactly one frame.
-    pub fn decode(buf: &[u8]) -> Option<WireFrame> {
-        let mut r = Reader::new(buf);
-        let region = r.u32()?;
-        let seq = r.u64()?;
-        let nclock = r.u32()? as usize;
-        if nclock > MAX_WIRE_MSG / 4 {
-            return None;
-        }
-        let mut clock = Vec::with_capacity(nclock);
-        for _ in 0..nclock {
-            clock.push(r.u32()?);
-        }
-        let nruns = r.u32()? as usize;
-        if nruns > MAX_WIRE_MSG / 8 {
-            return None;
-        }
-        let mut runs = Vec::with_capacity(nruns);
-        let mut payload_len = 0usize;
-        let mut prev_end = 0u64;
-        for _ in 0..nruns {
-            let offset = r.u32()?;
-            let len = r.u32()?;
-            if len == 0 || (offset as u64) < prev_end {
-                return None;
-            }
-            prev_end = offset as u64 + len as u64;
-            payload_len = payload_len.checked_add(len as usize)?;
-            runs.push((offset, len));
-        }
-        let payload = r.take(payload_len)?.to_vec();
-        if !r.done() {
-            return None;
-        }
-        Some(WireFrame {
-            region,
-            seq,
-            clock,
-            runs,
-            payload,
-        })
-    }
-
     /// Copies the frame's runs into a region-sized buffer.  Returns `false`
     /// (leaving a suffix unapplied) if a run falls outside the region.
     pub fn apply(&self, region: &mut [u8]) -> bool {
@@ -308,40 +200,40 @@ impl WireFrame {
     }
 }
 
-/// Kind byte of a framed transport message.
+/// Kind byte of a framed transport message.  Code 1 is unassigned:
+/// [`read_msg`] rejects it like any other unknown kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum WireMsgKind {
     /// Replica bootstrap: cluster shape and initial region contents.
     Init = 0,
-    /// One [`WireFrame`].
-    Frame = 1,
     /// End of stream from one sender; no body.
     Fin = 2,
     /// Replica's end-of-run [`WireReport`].
     Report = 3,
     /// An epoch's worth of v2 frames, coalesced (see [`BatchReader`]).
     Batch = 4,
-    /// An engine control broadcast (adaptive LRC's migration commits).  The
-    /// body is opaque to the transport: replicas count the messages and fold
-    /// each body into an order-independent XOR-of-[`fnv64`] fingerprint, so
-    /// the end-of-run report proves every replica saw every control payload.
+    /// An engine control broadcast (adaptive LRC's migration commits).
+    /// Out of band, like every kind in [`WireMsgKind::OOB`].
     Ctrl = 5,
     /// A checkpoint image (encoded [`CkptImage`](crate::CkptImage)) taken at
-    /// a barrier cut.  Opaque to the transport, fingerprinted like
-    /// [`WireMsgKind::Ctrl`].
+    /// a barrier cut.  Out of band.
     Ckpt = 6,
     /// A rollback announcement: a crashed node rewinding to its last
-    /// checkpoint before replaying.  Opaque to the transport, fingerprinted
-    /// like [`WireMsgKind::Ctrl`].
+    /// checkpoint before replaying.  Out of band.
     Rollback = 7,
 }
 
 impl WireMsgKind {
+    /// The out-of-band kinds, in [`OobTally`] (and [`WireReport`]) order.
+    /// Their bodies are opaque to the transport: replicas tally them instead
+    /// of applying them, so the end-of-run report proves every replica saw
+    /// every message.
+    pub const OOB: [WireMsgKind; 3] = [WireMsgKind::Ctrl, WireMsgKind::Ckpt, WireMsgKind::Rollback];
+
     fn from_code(code: u8) -> Option<Self> {
         match code {
             0 => Some(WireMsgKind::Init),
-            1 => Some(WireMsgKind::Frame),
             2 => Some(WireMsgKind::Fin),
             3 => Some(WireMsgKind::Report),
             4 => Some(WireMsgKind::Batch),
@@ -357,7 +249,7 @@ impl WireMsgKind {
 /// stream's previous clock.
 pub const CLOCK_MODE_DELTA: u8 = 0;
 /// `mode` byte of a v2 frame: the clock record is encoded from the all-zero
-/// clock (first frame of a stream, or after a receiver reset).
+/// clock (first frame of a stream, or whenever a receiver has no baseline).
 pub const CLOCK_MODE_FULL: u8 = 1;
 
 /// Borrowed view of one publish, as [`encode_frame_v2`] consumes it: the
@@ -419,8 +311,8 @@ pub fn encode_frame_v2(
 
 /// Meta bytes [`encode_frame_v2`] would append for a frame with this shape —
 /// everything except the payload — given the clock record's encoded size
-/// (see [`CompactClock::peek_record_len`]).  Lets the channel backend
-/// account exact would-be wire bytes without serializing.
+/// (the byte count [`CompactClock::encode_next`] returns).  Lets the channel
+/// backend account exact would-be wire bytes without serializing.
 pub fn frame_v2_meta_len(
     region: u32,
     seq: u64,
@@ -489,7 +381,6 @@ pub fn decode_frame_v2(
     Some(WireFrame {
         region,
         seq,
-        clock: codec.baseline().to_vec(),
         runs,
         payload,
     })
@@ -610,6 +501,49 @@ impl WireInit {
     }
 }
 
+/// Count and fingerprint of the out-of-band messages one endpoint sent or
+/// one replica received, per kind.  The fingerprint is the XOR of every
+/// body's [`fnv64`]: order-independent, so it compares equal however the
+/// senders' messages interleaved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct OobTally {
+    /// `(messages, fingerprint)` per kind, in [`WireMsgKind::OOB`] order.
+    kinds: [(u64, u64); 3],
+}
+
+impl OobTally {
+    fn slot(kind: WireMsgKind) -> usize {
+        WireMsgKind::OOB
+            .iter()
+            .position(|&k| k == kind)
+            .unwrap_or_else(|| panic!("{kind:?} is not an out-of-band kind"))
+    }
+
+    /// Folds one message body of `kind` in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kind` is not in [`WireMsgKind::OOB`].
+    pub fn add(&mut self, kind: WireMsgKind, body: &[u8]) {
+        let (count, fnv) = &mut self.kinds[Self::slot(kind)];
+        *count += 1;
+        *fnv ^= fnv64(body);
+    }
+
+    /// Messages of `kind` tallied.
+    pub fn count(&self, kind: WireMsgKind) -> u64 {
+        self.kinds[Self::slot(kind)].0
+    }
+
+    /// Folds another tally in: counts add, fingerprints XOR.
+    pub fn merge(&mut self, other: &OobTally) {
+        for (mine, theirs) in self.kinds.iter_mut().zip(other.kinds) {
+            mine.0 += theirs.0;
+            mine.1 ^= theirs.1;
+        }
+    }
+}
+
 /// A replica holder's end-of-run report, sent back on the control connection
 /// once every sender has finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -618,21 +552,10 @@ pub struct WireReport {
     pub contents_fnv: u64,
     /// Frames the replica applied.
     pub frames_applied: u64,
-    /// Payload bytes the replica received (encoded frame bodies).
+    /// Bytes the replica received on node streams, message framing included.
     pub bytes_received: u64,
-    /// [`WireMsgKind::Ctrl`] messages the replica received.
-    pub ctrl_frames: u64,
-    /// XOR of the [`fnv64`] of every control body received — order-independent,
-    /// so it is comparable however the senders' control messages interleaved.
-    pub ctrl_fnv: u64,
-    /// [`WireMsgKind::Ckpt`] messages the replica received.
-    pub ckpt_frames: u64,
-    /// XOR of the [`fnv64`] of every checkpoint body received.
-    pub ckpt_fnv: u64,
-    /// [`WireMsgKind::Rollback`] messages the replica received.
-    pub rollback_frames: u64,
-    /// XOR of the [`fnv64`] of every rollback body received.
-    pub rollback_fnv: u64,
+    /// Out-of-band messages the replica received.
+    pub oob: OobTally,
 }
 
 impl WireReport {
@@ -641,28 +564,24 @@ impl WireReport {
         put_u64(out, self.contents_fnv);
         put_u64(out, self.frames_applied);
         put_u64(out, self.bytes_received);
-        put_u64(out, self.ctrl_frames);
-        put_u64(out, self.ctrl_fnv);
-        put_u64(out, self.ckpt_frames);
-        put_u64(out, self.ckpt_fnv);
-        put_u64(out, self.rollback_frames);
-        put_u64(out, self.rollback_fnv);
+        for (count, fnv) in self.oob.kinds {
+            put_u64(out, count);
+            put_u64(out, fnv);
+        }
     }
 
     /// Decodes a body; the buffer must contain exactly one record.
     pub fn decode(buf: &[u8]) -> Option<WireReport> {
         let mut r = Reader::new(buf);
-        let report = WireReport {
+        let mut report = WireReport {
             contents_fnv: r.u64()?,
             frames_applied: r.u64()?,
             bytes_received: r.u64()?,
-            ctrl_frames: r.u64()?,
-            ctrl_fnv: r.u64()?,
-            ckpt_frames: r.u64()?,
-            ckpt_fnv: r.u64()?,
-            rollback_frames: r.u64()?,
-            rollback_fnv: r.u64()?,
+            oob: OobTally::default(),
         };
+        for slot in report.oob.kinds.iter_mut() {
+            *slot = (r.u64()?, r.u64()?);
+        }
         if !r.done() {
             return None;
         }
@@ -742,23 +661,6 @@ mod tests {
     }
 
     #[test]
-    fn diff_round_trip_preserves_apply() {
-        let twin = vec![0u8; 64];
-        let mut cur = twin.clone();
-        cur[4..16].fill(7);
-        cur[40..44].fill(9);
-        let d = Diff::from_compare(&twin, &cur, 0, BlockGranularity::Word);
-        let mut buf = Vec::new();
-        encode_diff(&d, &mut buf);
-        let (back, used) = decode_diff(&buf).expect("decodes");
-        assert_eq!(used, buf.len());
-        assert_eq!(back, d);
-        let mut target = vec![0u8; 64];
-        back.apply(&mut target);
-        assert_eq!(target, cur);
-    }
-
-    #[test]
     fn flat_update_round_trip() {
         let mut u = FlatUpdate::new();
         u.rebuild_from_stamps(&[0, 7, 7, 9, 0, 9]);
@@ -825,54 +727,32 @@ mod tests {
 
     #[test]
     fn frame_round_trip_and_apply() {
-        let f = WireFrame {
-            region: 2,
-            seq: 17,
-            clock: vec![1, 0, 4],
-            runs: vec![(0, 4), (8, 8)],
-            payload: vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
-        };
+        let data: Vec<u8> = (1..=16).collect();
         let mut buf = Vec::new();
-        f.encode_into(&mut buf);
-        assert_eq!(buf.len(), f.encoded_len());
-        let back = WireFrame::decode(&buf).expect("decodes");
-        assert_eq!(back, f);
+        encode_frame_v2(
+            &FrameV2 {
+                region: 2,
+                seq: 17,
+                clock: &[1, 0, 4],
+                full: true,
+                runs: &[(0, 4), (8, 8)],
+                data: &data,
+            },
+            &mut CompactClock::new(),
+            &mut buf,
+        );
+        let mut dec = CompactClock::new();
+        let back = decode_frame_v2(&buf, &mut dec, &mut BufferPool::new()).expect("decodes");
+        assert_eq!((back.region, back.seq), (2, 17));
+        assert_eq!(dec.baseline(), &[1, 0, 4], "the clock lands in the codec");
         let mut region = vec![0u8; 16];
         assert!(back.apply(&mut region));
         assert_eq!(&region[0..4], &[1, 2, 3, 4]);
-        assert_eq!(&region[8..16], &[5, 6, 7, 8, 9, 10, 11, 12]);
+        assert_eq!(&region[4..8], &[0; 4], "the gap stays untouched");
+        assert_eq!(&region[8..16], &[9, 10, 11, 12, 13, 14, 15, 16]);
         // A run past the end of the region is rejected, not a panic.
         let mut short = vec![0u8; 8];
         assert!(!back.apply(&mut short));
-    }
-
-    #[test]
-    fn frame_decode_rejects_malformed_input() {
-        let f = WireFrame {
-            region: 0,
-            seq: 1,
-            clock: vec![],
-            runs: vec![(0, 4)],
-            payload: vec![1, 2, 3, 4],
-        };
-        let mut buf = Vec::new();
-        f.encode_into(&mut buf);
-        assert!(
-            WireFrame::decode(&buf[..buf.len() - 1]).is_none(),
-            "truncated"
-        );
-        let mut extra = buf.clone();
-        extra.push(0);
-        assert!(WireFrame::decode(&extra).is_none(), "trailing garbage");
-        // Overlapping runs are rejected.
-        let bad = WireFrame {
-            runs: vec![(8, 8), (0, 4)],
-            payload: vec![0; 12],
-            ..WireFrame::default()
-        };
-        let mut bbuf = Vec::new();
-        bad.encode_into(&mut bbuf);
-        assert!(WireFrame::decode(&bbuf).is_none(), "unsorted runs");
     }
 
     #[test]
@@ -889,20 +769,36 @@ mod tests {
             contents_fnv: 0xdead_beef,
             frames_applied: 42,
             bytes_received: 4096,
-            ctrl_frames: 3,
-            ctrl_fnv: 0x1234,
-            ckpt_frames: 5,
-            ckpt_fnv: 0x5678,
-            rollback_frames: 1,
-            rollback_fnv: 0x9abc,
+            oob: OobTally {
+                kinds: [(3, 0x1234), (5, 0x5678), (1, 0x9abc)],
+            },
         };
         let mut rbuf = Vec::new();
         rep.encode_into(&mut rbuf);
+        assert_eq!(rbuf.len(), 9 * 8, "three u64s, then three count/fnv pairs");
         assert_eq!(WireReport::decode(&rbuf), Some(rep));
         assert!(
             WireReport::decode(&rbuf[..rbuf.len() - 1]).is_none(),
             "short"
         );
+    }
+
+    #[test]
+    fn oob_tally_is_per_kind_and_order_independent() {
+        let mut a = OobTally::default();
+        a.add(WireMsgKind::Ctrl, b"one");
+        a.add(WireMsgKind::Ctrl, b"two");
+        a.add(WireMsgKind::Rollback, b"back");
+        let mut b = OobTally::default();
+        b.add(WireMsgKind::Rollback, b"back");
+        let mut c = OobTally::default();
+        c.add(WireMsgKind::Ctrl, b"two");
+        c.add(WireMsgKind::Ctrl, b"one");
+        b.merge(&c);
+        assert_eq!(a, b);
+        assert_eq!(a.count(WireMsgKind::Ctrl), 2);
+        assert_eq!(a.count(WireMsgKind::Ckpt), 0);
+        assert_eq!(a.count(WireMsgKind::Rollback), 1);
     }
 
     #[test]
@@ -973,7 +869,7 @@ mod tests {
                         if i > 0 {
                             probe.encode_next(&frames[i - 1].2, true, &mut Vec::new());
                         }
-                        probe.peek_record_len(clock, i == 0)
+                        probe.encode_next(clock, i == 0, &mut Vec::new())
                     },
                     runs
                 )
@@ -998,7 +894,7 @@ mod tests {
             let f = reader.next(&mut dec, &mut pool).expect("frame decodes");
             assert_eq!(f.region, *region);
             assert_eq!(f.seq, *seq);
-            assert_eq!(&f.clock, clock);
+            assert_eq!(dec.baseline(), clock);
             assert_eq!(&f.runs, runs);
             let expect: Vec<u8> = runs
                 .iter()
@@ -1116,15 +1012,17 @@ mod tests {
         let zero = 0u32.to_le_bytes().to_vec();
         let mut body = Vec::new();
         assert!(read_msg(&mut &zero[..], &mut body).is_err());
-        // Unknown kind byte.
-        let mut unk = Vec::new();
-        unk.extend_from_slice(&1u32.to_le_bytes());
-        unk.push(99);
-        assert!(read_msg(&mut &unk[..], &mut body).is_err());
+        // Unknown kind bytes, including the unassigned code 1.
+        for code in [1u8, 99] {
+            let mut unk = Vec::new();
+            unk.extend_from_slice(&1u32.to_le_bytes());
+            unk.push(code);
+            assert!(read_msg(&mut &unk[..], &mut body).is_err(), "kind {code}");
+        }
         // Truncated body.
         let mut trunc = Vec::new();
         trunc.extend_from_slice(&10u32.to_le_bytes());
-        trunc.push(WireMsgKind::Frame as u8);
+        trunc.push(WireMsgKind::Batch as u8);
         trunc.extend_from_slice(&[0, 0]);
         assert!(read_msg(&mut &trunc[..], &mut body).is_err());
     }

@@ -168,59 +168,6 @@ fn bitset_matches_reference() {
     }
 }
 
-/// The wire codec round-trips diffs exactly — across both granularities,
-/// lengths with non-multiple-of-8 tails, empty diffs (no change) and full
-/// pages (every byte changed) — and the decoded diff applies identically.
-#[test]
-fn wire_diff_round_trips() {
-    for seed in 0..CASES * 2 {
-        let mut rng = Rng::new(seed + 6000);
-        // Shapes: empty page, full page, and random partial modifications
-        // over lengths that straddle the 8-byte chunk boundary.
-        let len = match seed % 4 {
-            0 => PAGE_SIZE,
-            _ => rng.in_range(1, 300),
-        };
-        let twin = rng.bytes(len);
-        let mut current = twin.clone();
-        match seed % 3 {
-            0 => {} // empty: nothing modified
-            1 => {
-                // full: every byte rewritten
-                for b in &mut current {
-                    *b = b.wrapping_add(1);
-                }
-            }
-            _ => {
-                for _ in 0..rng.below(24) {
-                    let p = rng.below(len);
-                    let run_end = (p + rng.in_range(1, 16)).min(len);
-                    for b in &mut current[p..run_end] {
-                        *b = rng.byte();
-                    }
-                }
-            }
-        }
-        let base = rng.below(4096);
-        for gran in [BlockGranularity::Word, BlockGranularity::DoubleWord] {
-            let d = Diff::from_compare(&twin, &current, base, gran);
-            let mut buf = Vec::new();
-            wire::encode_diff(&d, &mut buf);
-            let (back, used) = wire::decode_diff(&buf).expect("well-formed encoding");
-            assert_eq!(used, buf.len(), "seed {seed}");
-            assert_eq!(back, d, "seed {seed} gran {gran}");
-            assert_eq!(back.encoded_size(), d.encoded_size(), "seed {seed}");
-            let mut a = vec![0u8; base + len];
-            let mut b = a.clone();
-            a[base..].copy_from_slice(&twin);
-            b[base..].copy_from_slice(&twin);
-            d.apply(&mut a);
-            back.apply(&mut b);
-            assert_eq!(a, b, "seed {seed} gran {gran}");
-        }
-    }
-}
-
 /// The wire codec round-trips flattened update snapshots, including empty
 /// ones and ones whose stamp pattern covers every block.
 #[test]
@@ -269,51 +216,69 @@ fn wire_vclock_round_trips() {
     }
 }
 
-/// Random publish frames survive encode → length-prefixed stream → decode →
-/// apply: the reassembled frame rebuilds the same region bytes the original
-/// runs carried.
+/// Random publish frames survive encode → one-frame batch on a
+/// length-prefixed stream → decode → apply: the decoded frame rebuilds
+/// exactly the run bytes of the publisher's master copy, and leaves every
+/// other byte of the replica alone.
 #[test]
 fn wire_frame_round_trips_through_stream() {
+    use dsm_mem::CompactClock;
     for seed in 0..CASES {
         let mut rng = Rng::new(seed + 9000);
         let region_len = rng.in_range(64, 1024);
         let mut region = rng.bytes(region_len);
-        let mut frame = wire::WireFrame {
-            region: rng.below(8) as u32,
-            seq: rng.next_u64() % 1000,
-            clock: (0..rng.below(16)).map(|_| rng.next_u64() as u32).collect(),
-            runs: Vec::new(),
-            payload: Vec::new(),
-        };
-        // Disjoint increasing runs with fresh bytes.
+        let master = rng.bytes(region_len);
+        let clock: Vec<u32> = (0..rng.below(16)).map(|_| rng.next_u64() as u32).collect();
+        // Disjoint increasing runs.
+        let mut runs = Vec::new();
         let mut at = 0usize;
-        while at + 4 <= region_len && frame.runs.len() < 8 {
+        while at + 4 <= region_len && runs.len() < 8 {
             at += rng.below(96);
             let len = rng.in_range(1, 32).min(region_len.saturating_sub(at));
             if len == 0 {
                 break;
             }
-            let bytes = rng.bytes(len);
-            frame.runs.push((at as u32, len as u32));
-            frame.payload.extend_from_slice(&bytes);
+            runs.push((at as u32, len as u32));
             at += len + 1;
         }
-        let mut stream = Vec::new();
-        let mut body = Vec::new();
-        frame.encode_into(&mut body);
-        wire::write_msg(&mut stream, wire::WireMsgKind::Frame, &body).expect("write");
+        let mut batch = Vec::new();
+        wire::begin_batch(&mut batch);
+        let mut frame = Vec::new();
+        wire::encode_frame_v2(
+            &wire::FrameV2 {
+                region: rng.below(8) as u32,
+                seq: rng.next_u64() % 1000,
+                clock: &clock,
+                full: true,
+                runs: &runs,
+                data: &master,
+            },
+            &mut CompactClock::new(),
+            &mut frame,
+        );
+        dsm_mem::put_varint(&mut batch, frame.len() as u64);
+        batch.extend_from_slice(&frame);
+        wire::finish_batch(&mut batch, 1);
+        let mut stream = batch;
         wire::write_msg(&mut stream, wire::WireMsgKind::Fin, &[]).expect("write");
         let mut r = &stream[..];
         let mut msg = Vec::new();
         assert_eq!(
             wire::read_msg(&mut r, &mut msg).expect("read"),
-            Some(wire::WireMsgKind::Frame),
+            Some(wire::WireMsgKind::Batch),
             "seed {seed}"
         );
-        let back = wire::WireFrame::decode(&msg).expect("well-formed frame");
-        assert_eq!(back, frame, "seed {seed}");
+        let mut dec = CompactClock::new();
+        let back = wire::BatchReader::new(&msg)
+            .and_then(|mut b| b.next(&mut dec, &mut BufferPool::new()))
+            .expect("well-formed frame");
+        assert_eq!(back.runs, runs, "seed {seed}");
+        assert_eq!(dec.baseline(), &clock[..], "seed {seed}");
         let mut expect = region.clone();
-        assert!(frame.apply(&mut expect), "seed {seed}");
+        for &(off, len) in &runs {
+            let span = off as usize..(off + len) as usize;
+            expect[span.clone()].copy_from_slice(&master[span]);
+        }
         assert!(back.apply(&mut region), "seed {seed}");
         assert_eq!(region, expect, "seed {seed}");
         assert_eq!(
@@ -458,7 +423,7 @@ fn wire_v2_batch_round_trips() {
         let mut batch = Vec::new();
         wire::begin_batch(&mut batch);
         let nframes = rng.in_range(1, 6);
-        let mut expect: Vec<wire::WireFrame> = Vec::new();
+        let mut expect: Vec<(wire::WireFrame, Vec<u32>)> = Vec::new();
         let mut frame_buf = Vec::new();
         for f in 0..nframes {
             clock.bump(NodeId::new(rng.below(nprocs) as u32));
@@ -494,13 +459,13 @@ fn wire_v2_batch_round_trips() {
             );
             dsm_mem::put_varint(&mut batch, frame_buf.len() as u64);
             batch.extend_from_slice(&frame_buf);
-            expect.push(wire::WireFrame {
+            let frame = wire::WireFrame {
                 region,
                 seq: f as u64 + 1,
-                clock: clock.entries().to_vec(),
                 runs,
                 payload,
-            });
+            };
+            expect.push((frame, clock.entries().to_vec()));
         }
         wire::finish_batch(&mut batch, nframes as u32);
 
@@ -518,15 +483,12 @@ fn wire_v2_batch_round_trips() {
         let mut dec = CompactClock::new();
         let mut pool = BufferPool::new();
         let mut frames = wire::BatchReader::new(&msg).expect("frame count");
-        for (f, want) in expect.iter().enumerate() {
+        for (f, (want, want_clock)) in expect.iter().enumerate() {
             let got = frames
                 .next(&mut dec, &mut pool)
                 .unwrap_or_else(|| panic!("seed {seed} frame {f}: decode failed"));
-            assert_eq!(got.region, want.region, "seed {seed} frame {f}");
-            assert_eq!(got.seq, want.seq, "seed {seed} frame {f}");
-            assert_eq!(got.clock, want.clock, "seed {seed} frame {f}");
-            assert_eq!(got.runs, want.runs, "seed {seed} frame {f}");
-            assert_eq!(got.payload, want.payload, "seed {seed} frame {f}");
+            assert_eq!(&got, want, "seed {seed} frame {f}");
+            assert_eq!(dec.baseline(), &want_clock[..], "seed {seed} frame {f}");
         }
         assert!(frames.finished(), "seed {seed}");
 

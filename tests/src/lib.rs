@@ -268,9 +268,8 @@ pub fn canon_app(report: &dsm_apps::AppReport) -> String {
 }
 
 /// Compares `found` against the golden file at `tests/golden/<name>`, or
-/// rewrites the file when `DSM_BLESS_GOLDEN` is set.  Also used by the
-/// `matrix_smoke` bench bin (dsm-bench depends on this crate), so every
-/// golden in the workspace shares one bless/compare protocol.
+/// rewrites the file when `DSM_BLESS_GOLDEN` is set, so every golden in the
+/// workspace shares one bless/compare protocol.
 pub fn check_golden(name: &str, found: &str) {
     let dir = format!("{}/golden", env!("CARGO_MANIFEST_DIR"));
     let path = format!("{dir}/{name}");

@@ -8,7 +8,9 @@
 //! (it panics on divergence), so a completed run with `replicas_verified > 0`
 //! *is* the proof that every frame arrived, reordered into sequence order,
 //! and applied to exactly the engines' master bytes — per run, for every app,
-//! deterministic or not.
+//! deterministic or not.  The same `finish` checks that every replica
+//! tallied every out-of-band message, and that every socket peer received
+//! exactly the bytes the endpoints accounted.
 //!
 //! Cross-run comparison (channel/socket contents vs. a separate simulated
 //! run) is additionally asserted for the apps whose contents are bitwise
@@ -19,8 +21,8 @@
 //! Barnes-Hut, IS and 3D-FFT write every shared word from a deterministic
 //! owner and reproduce identical bytes every run.
 
-use dsm_apps::{run_app, run_app_on, App, Scale};
-use dsm_core::{ImplKind, TransportKind};
+use dsm_apps::{run_app, run_app_opts, App, AppReport, RunOpts, Scale};
+use dsm_core::{ImplKind, Model, TransportKind};
 
 /// True if `app` produces bitwise-identical shared contents on every run
 /// (established empirically; see the module docs).
@@ -28,16 +30,21 @@ fn contents_deterministic(app: App) -> bool {
     !matches!(app, App::Water | App::Quicksort)
 }
 
-/// Runs `app` under `kind` on the simulated, channel and socket backends.
-fn assert_backends_agree(app: App, kind: ImplKind, nprocs: usize) {
+fn run_over(app: App, kind: ImplKind, nprocs: usize, transport: TransportKind) -> AppReport {
+    run_app_opts(app, kind, nprocs, Scale::Tiny, RunOpts::on(transport))
+}
+
+/// Runs `app` under `kind` on the simulated, channel and socket backends and
+/// returns the channel and socket reports.
+fn assert_backends_agree(app: App, kind: ImplKind, nprocs: usize) -> [AppReport; 2] {
     let base = run_app(app, kind, nprocs, Scale::Tiny);
     assert!(base.verified, "{app}/{kind}: simulated run not verified");
     assert_eq!(base.wire.backend, "sim");
     assert_eq!(base.wire.replicas_verified, 0);
 
-    for transport in [TransportKind::Channel, TransportKind::SocketLocal(2)] {
+    [TransportKind::Channel, TransportKind::SocketLocal(2)].map(|transport| {
         let label = transport.label();
-        let r = run_app_on(app, kind, nprocs, Scale::Tiny, transport);
+        let r = run_over(app, kind, nprocs, transport);
         assert!(r.verified, "{app}/{kind} over {label}: run not verified");
         assert_eq!(r.wire.backend, label);
         assert!(
@@ -54,13 +61,19 @@ fn assert_backends_agree(app: App, kind: ImplKind, nprocs: usize) {
             "{app}/{kind} over {label}: replicas dropped frames"
         );
         assert!(r.wire.wire_bytes > 0, "{app}/{kind} over {label}: no bytes");
+        assert_eq!(
+            r.wire.wire_bytes,
+            r.wire.wire_bytes_payload + r.wire.wire_bytes_meta,
+            "{app}/{kind} over {label}: byte split does not add up"
+        );
         if contents_deterministic(app) {
             assert_eq!(
                 r.wire.master_fnv, base.wire.master_fnv,
                 "{app}/{kind} over {label}: final contents differ from simulated"
             );
         }
-    }
+        r
+    })
 }
 
 #[test]
@@ -79,16 +92,39 @@ fn every_app_agrees_across_backends_on_two_nodes() {
     }
 }
 
+/// SOR under one implementation per protocol family, over threads and over
+/// sockets: every epoch's frames coalesce into one batch per peer (LRC
+/// publishes a whole interval's dirty pages at once; EC buffers each
+/// release's grant frames until the barrier closes the epoch), and adaptive
+/// LRC's one migration commit reaches every replica as a control message
+/// while the static policies send none.
 #[test]
-fn the_full_nine_member_matrix_replicates_over_the_channel_backend() {
+fn sor_coalesces_and_ships_control_messages_on_both_backends() {
+    for kind in [
+        ImplKind::ec_time(),
+        ImplKind::lrc_diff(),
+        ImplKind::hlrc_diff(),
+        ImplKind::adaptive_diff(),
+    ] {
+        for r in assert_backends_agree(App::Sor, kind, 4) {
+            let label = r.wire.backend;
+            assert!(
+                r.wire.frames_coalesced > 0,
+                "SOR/{kind} over {label}: no epoch coalescing happened"
+            );
+            assert_eq!(
+                r.wire.ctrl_frames,
+                u64::from(kind.model() == Model::Adaptive),
+                "SOR/{kind} over {label}: control messages"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_full_twelve_member_matrix_replicates_over_the_channel_backend() {
     for kind in ImplKind::all() {
-        let r = run_app_on(
-            App::IntegerSort,
-            kind,
-            4,
-            Scale::Tiny,
-            TransportKind::Channel,
-        );
+        let r = run_over(App::IntegerSort, kind, 4, TransportKind::Channel);
         assert!(r.verified, "IS/{kind} over channel: run not verified");
         assert_eq!(
             r.wire.replicas_verified, 4,
@@ -105,11 +141,10 @@ fn the_full_nine_member_matrix_replicates_over_the_channel_backend() {
 #[test]
 fn socket_peer_count_scales_independently_of_node_count() {
     for npeers in [1usize, 3] {
-        let r = run_app_on(
+        let r = run_over(
             App::Sor,
             ImplKind::lrc_diff(),
             4,
-            Scale::Tiny,
             TransportKind::SocketLocal(npeers),
         );
         assert!(r.verified);
