@@ -354,7 +354,7 @@ impl<'a> ProcessContext<'a> {
         let mut held = HeldLock {
             mode,
             small_twins: None,
-            armed_pages: Vec::new(),
+            armed_pages: self.local.spare_armed.pop().unwrap_or_default(),
         };
         self.global
             .engine
@@ -393,6 +393,8 @@ impl<'a> ProcessContext<'a> {
         self.global
             .engine
             .before_release(&mut self.local, lock, &mut held);
+        held.armed_pages.clear();
+        self.local.spare_armed.push(held.armed_pages);
 
         let slot = self.global.sync.lock_slot(lock.index());
         {

@@ -14,6 +14,7 @@
 //! releases of independent locks proceed in parallel.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
@@ -22,7 +23,7 @@ use dsm_mem::{BlockGranularity, MemRange, RegionDesc, VectorClock};
 use crate::config::{Collection, DsmConfig, Trapping};
 use crate::engine::{ProtocolEngine, PublishRec, CTRL_MSG_BYTES};
 use crate::ids::{LockId, LockMode};
-use crate::local::{HeldLock, NodeLocal};
+use crate::local::{HeldLock, LocalRegion, NodeLocal};
 use crate::recovery::UndoRec;
 use crate::sync::{self, SlotTable};
 
@@ -52,8 +53,11 @@ struct EcLockState {
     seen_epoch: Vec<u64>,
 }
 
-/// Per-region entry-consistency state: the published master copy and
-/// per-word-block publish-sequence stamps.
+/// Word blocks per stamp-summary chunk (256 bytes of a region).
+const CHUNK_BLOCKS: usize = 64;
+
+/// Per-region entry-consistency state: the published master copy,
+/// per-word-block publish-sequence stamps, and their per-chunk summary.
 #[derive(Debug)]
 struct EcRegionState {
     /// Latest published value of every byte.
@@ -61,6 +65,80 @@ struct EcRegionState {
     /// Per word block: the publish sequence number that last wrote it
     /// (0 = never published).
     stamp: Vec<u64>,
+    /// Per chunk of [`CHUNK_BLOCKS`] word blocks: an upper bound on every
+    /// stamp in the chunk.  Raised with the stamps (under the region's write
+    /// lock) and never lowered; an `EcRange` rollback only lowers stamps, so
+    /// the bound stays sound.  A grant skips every chunk bounded at or below
+    /// the acquirer's floor: no block in it can pass the apply test.
+    summary: Vec<u64>,
+}
+
+impl EcRegionState {
+    /// Stamps the word blocks `blocks` (non-empty) with publish sequence
+    /// `seq` and raises their chunks' summary to cover it.
+    fn stamp(&mut self, blocks: Range<usize>, seq: u64) {
+        let chunks = blocks.start / CHUNK_BLOCKS..=(blocks.end - 1) / CHUNK_BLOCKS;
+        self.stamp[blocks].fill(seq);
+        for bound in &mut self.summary[chunks] {
+            *bound = (*bound).max(seq);
+        }
+    }
+}
+
+/// A grant's walk over the bound data: the logical counts its simulated
+/// charges and payload are computed from, plus the run bookkeeping that
+/// crosses chunk, range and region boundaries.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct GrantWalk {
+    /// Word blocks copied from the master copies.
+    applied_words: usize,
+    /// Maximal same-stamp runs among the applied blocks.
+    ts_runs: usize,
+    /// Blocks the responder's timestamp scan is charged for.
+    scan_blocks: u64,
+    /// Last applied block as `(region, block, stamp)`: an applied run that
+    /// starts at `block + 1` of the same region with the same stamp
+    /// continues the current run.
+    prev: Option<(usize, usize, u64)>,
+}
+
+impl GrantWalk {
+    /// Applies every block of `blocks` (region `ridx`) stamped above
+    /// `floor`, one maximal same-stamp run at a time: the apply decision is
+    /// constant within a run, so each run costs one decision and, when
+    /// applied, one copy.
+    fn runs(
+        &mut self,
+        rs: &EcRegionState,
+        local: &mut [u8],
+        ridx: usize,
+        blocks: Range<usize>,
+        floor: u64,
+    ) {
+        let stamps = &rs.stamp[blocks.clone()];
+        let mut i = 0;
+        while i < stamps.len() {
+            let (run_start, stamp) = (i, stamps[i]);
+            i += 1;
+            while i < stamps.len() && stamps[i] == stamp {
+                i += 1;
+            }
+            if stamp <= floor {
+                self.prev = None;
+                continue;
+            }
+            let (first, last) = (blocks.start + run_start, blocks.start + i);
+            let end = (last * 4).min(local.len());
+            local[first * 4..end].copy_from_slice(&rs.master[first * 4..end]);
+            self.applied_words += last - first;
+            let contiguous =
+                matches!(self.prev, Some((r, b, s)) if r == ridx && b + 1 == first && s == stamp);
+            if !contiguous {
+                self.ts_runs += 1;
+            }
+            self.prev = Some((ridx, last - 1, stamp));
+        }
+    }
 }
 
 /// The entry-consistency [`ProtocolEngine`].
@@ -139,7 +217,7 @@ impl Collect {
         let start = first * 4;
         let end = (last * 4).min(data.len());
         rsd.master[start..end].copy_from_slice(&data[start..end]);
-        rsd.stamp[first..last].fill(seq);
+        rsd.stamp(first..last, seq);
         self.changed_words += last - first;
         let contiguous = matches!(self.prev, Some((r, b)) if r == ridx && b + 1 == first);
         if !contiguous {
@@ -164,9 +242,11 @@ impl EcEngine {
             .iter()
             .zip(init.iter())
             .map(|(d, init)| {
+                let blocks = d.len.div_ceil(4);
                 RwLock::new(EcRegionState {
                     master: init.clone(),
-                    stamp: vec![0; d.len.div_ceil(4)],
+                    stamp: vec![0; blocks],
+                    summary: vec![0; blocks.div_ceil(CHUNK_BLOCKS)],
                 })
             })
             .collect();
@@ -184,6 +264,47 @@ impl EcEngine {
             }),
             publish_seq: AtomicU64::new(0),
         }
+    }
+
+    /// How many blocks the responder's timestamp scan is charged for over
+    /// `words` word blocks of region `ridx`: one per word, or one per
+    /// granule under compiler instrumentation.
+    fn scan_blocks(&self, ridx: usize, words: usize) -> u64 {
+        let per_block = match self.cfg.kind.trapping() {
+            Trapping::Instrumentation => self.regions[ridx].granularity.bytes() / 4,
+            Trapping::Twinning => 1,
+        };
+        (words / per_block.max(1)) as u64
+    }
+
+    /// Brings `local` up to date with the data `bound` to a lock, for a node
+    /// that has applied every publish stamped at or below `floor`.  Chunks
+    /// whose summary is at or below the floor are skipped whole (and break
+    /// the current run, as their blocks would); inside the others a run cut
+    /// at a chunk edge rejoins through `GrantWalk::prev`.  The counts are
+    /// therefore those of the per-block walk (DESIGN.md §5).  The binding is
+    /// borrowed, not cloned: the grant path must not allocate.
+    fn apply_bound(&self, bound: &[MemRange], local: &mut [LocalRegion], floor: u64) -> GrantWalk {
+        let mut walk = GrantWalk::default();
+        for range in bound {
+            let ridx = range.region.index();
+            let rs = sync::read(&self.region_state[ridx]);
+            let data = &mut local[ridx].data;
+            let blocks = range.blocks(BlockGranularity::Word);
+            walk.scan_blocks += self.scan_blocks(ridx, blocks.len());
+            let mut b = blocks.start;
+            while b < blocks.end {
+                let chunk = b / CHUNK_BLOCKS;
+                let end = ((chunk + 1) * CHUNK_BLOCKS).min(blocks.end);
+                if rs.summary[chunk] > floor {
+                    walk.runs(&rs, data, ridx, b..end, floor);
+                } else {
+                    walk.prev = None;
+                }
+                b = end;
+            }
+        }
+        walk
     }
 }
 
@@ -211,7 +332,6 @@ impl ProtocolEngine for EcEngine {
     /// payload size in bytes.
     fn remote_grant(&self, local: &mut NodeLocal, lock: LockId) -> usize {
         let cost = &self.cfg.cost;
-        let trapping = self.cfg.kind.trapping();
         let collection = self.cfg.kind.collection();
         let me = local.node.index();
 
@@ -226,60 +346,15 @@ impl ProtocolEngine for EcEngine {
         let prev_seen_epoch = meta.seen_epoch[me];
         let rebound = prev_seen_epoch != meta.rebind_epoch;
         let bound_bytes: usize = meta.bound.iter().map(|r| r.len).sum();
-
-        let mut applied_words = 0usize;
-        let mut ts_runs = 0usize;
-        let mut scan_blocks = 0u64;
-        let mut prev: Option<(usize, usize, u64)> = None;
-
-        // The binding is borrowed, not cloned: the grant path runs once per
-        // remote acquire and must not allocate.  The stamp scan walks
-        // maximal same-stamp runs — the apply decision is constant within a
-        // run, so each run costs one decision and (when applied) one copy —
-        // with `prev` carrying the run bookkeeping across range and region
-        // boundaries exactly as the word-by-word walk did.
-        for range in &meta.bound {
-            let ridx = range.region.index();
-            let rs = sync::read(&self.region_state[ridx]);
-            let local_data = &mut local.regions[ridx].data;
-            let gran_div = if trapping == Trapping::Instrumentation {
-                self.regions[ridx].granularity.bytes() / 4
-            } else {
-                1
-            };
-            let blocks = range.blocks(BlockGranularity::Word);
-            scan_blocks += (blocks.len() / gran_div.max(1)) as u64;
-            let stamps = &rs.stamp[blocks.clone()];
-            let mut i = 0usize;
-            while i < stamps.len() {
-                let stamp = stamps[i];
-                if stamp == 0 {
-                    prev = None;
-                    i += 1;
-                    continue;
-                }
-                let run_start = i;
-                i += 1;
-                while i < stamps.len() && stamps[i] == stamp {
-                    i += 1;
-                }
-                let first = blocks.start + run_start;
-                let last = blocks.start + i;
-                if rebound || stamp > seen {
-                    let start = first * 4;
-                    let end = (last * 4).min(local_data.len());
-                    local_data[start..end].copy_from_slice(&rs.master[start..end]);
-                    applied_words += i - run_start;
-                    let contiguous = matches!(prev, Some((r, b, s)) if r == ridx && b + 1 == first && s == stamp);
-                    if !contiguous {
-                        ts_runs += 1;
-                    }
-                    prev = Some((ridx, last - 1, stamp));
-                } else {
-                    prev = None;
-                }
-            }
-        }
+        // A rebound node has applied nothing of the new binding, so only
+        // never-published blocks (stamp 0) stay behind.
+        let floor = if rebound { 0 } else { seen };
+        let GrantWalk {
+            applied_words,
+            ts_runs,
+            scan_blocks,
+            ..
+        } = self.apply_bound(&meta.bound, &mut local.regions, floor);
 
         local.stats.words_applied += applied_words as u64;
         local.clock.advance(cost.apply_words(applied_words as u64));
@@ -722,6 +797,8 @@ impl ProtocolEngine for EcEngine {
                     stamps,
                     master,
                 } => {
+                    // The chunk summary stays as it is: it bounds the
+                    // restored (lower) stamps too.
                     let mut rs = sync::write(&self.region_state[*ridx]);
                     rs.stamp[*start_block..*start_block + stamps.len()].copy_from_slice(stamps);
                     let start = *start_block * 4;
@@ -737,6 +814,7 @@ impl ProtocolEngine for EcEngine {
 mod tests {
     use super::*;
     use crate::config::ImplKind;
+    use dsm_mem::testutil::TestRng;
     use dsm_mem::RegionId;
 
     fn engine(kind: ImplKind) -> EcEngine {
@@ -799,5 +877,230 @@ mod tests {
         e.rebind(LockId::new(0), vec![b]);
         let slot = e.locks.get(0);
         assert_eq!(sync::lock(&slot).rebind_epoch, 1);
+    }
+
+    /// The grant walk before the stamp summary: every bound block's stamp
+    /// is read, and a block is applied when it was ever published and is
+    /// newer than the floor (`rebound || stamp > seen` with the floor at 0
+    /// after a rebind).  The reference the chunked walk is held to.
+    fn reference_walk(
+        e: &EcEngine,
+        bound: &[MemRange],
+        local: &mut [LocalRegion],
+        floor: u64,
+    ) -> GrantWalk {
+        let mut walk = GrantWalk::default();
+        for range in bound {
+            let ridx = range.region.index();
+            let rs = sync::read(&e.region_state[ridx]);
+            let local_data = &mut local[ridx].data;
+            let blocks = range.blocks(BlockGranularity::Word);
+            walk.scan_blocks += e.scan_blocks(ridx, blocks.len());
+            let stamps = &rs.stamp[blocks.clone()];
+            let mut i = 0usize;
+            while i < stamps.len() {
+                let stamp = stamps[i];
+                if stamp == 0 {
+                    walk.prev = None;
+                    i += 1;
+                    continue;
+                }
+                let run_start = i;
+                i += 1;
+                while i < stamps.len() && stamps[i] == stamp {
+                    i += 1;
+                }
+                let first = blocks.start + run_start;
+                let last = blocks.start + i;
+                if stamp > floor {
+                    let start = first * 4;
+                    let end = (last * 4).min(local_data.len());
+                    local_data[start..end].copy_from_slice(&rs.master[start..end]);
+                    walk.applied_words += i - run_start;
+                    let contiguous = matches!(walk.prev, Some((r, b, s)) if r == ridx && b + 1 == first && s == stamp);
+                    if !contiguous {
+                        walk.ts_runs += 1;
+                    }
+                    walk.prev = Some((ridx, last - 1, stamp));
+                } else {
+                    walk.prev = None;
+                }
+            }
+        }
+        walk
+    }
+
+    /// Two regions of whole words but not whole chunks or pages, so the
+    /// last chunk of each is partial.
+    const REGION_LENS: [usize; 2] = [3 * dsm_mem::PAGE_SIZE + 8, 2 * dsm_mem::PAGE_SIZE + 100];
+
+    /// `bound` extended to a random binding of one to three disjoint ranges
+    /// over both regions, with byte-misaligned starts and ends.
+    fn random_binding(rng: &mut TestRng, mut bound: Vec<MemRange>) -> Vec<MemRange> {
+        let want = bound.len().max(1 + rng.below(3));
+        while bound.len() < want {
+            let r = rng.below(REGION_LENS.len());
+            let start = rng.below(REGION_LENS[r] - 1);
+            let len = 1 + rng.below((REGION_LENS[r] - start).min(3000));
+            let range = MemRange::new(RegionId::new(r as u32), start, len);
+            let overlaps = bound.iter().any(|b| {
+                b.region == range.region && b.start < range.end() && range.start < b.end()
+            });
+            if !overlaps {
+                bound.push(range);
+            }
+        }
+        bound
+    }
+
+    /// Runs the chunked and the reference walk for a grant of `lock` to
+    /// `local`'s node on copies of its region data, then the real grant,
+    /// and requires the same bytes, counts and (timestamps) payload from
+    /// all three.
+    fn checked_grant(e: &EcEngine, local: &mut NodeLocal, lock: usize) {
+        let me = local.node.index();
+        let (bound, rebound, floor) = {
+            let slot = e.locks.get(lock);
+            let meta = sync::lock(&slot);
+            let rebound = meta.seen_epoch[me] != meta.rebind_epoch;
+            let floor = if rebound { 0 } else { meta.seen_seq[me] };
+            (meta.bound.clone(), rebound, floor)
+        };
+        let data: Vec<Vec<u8>> = local.regions.iter().map(|r| r.data.clone()).collect();
+        let copy = || NodeLocal::new(local.node, local.nprocs, &e.regions, &data);
+        let (mut want_local, mut got_local) = (copy(), copy());
+        let want = reference_walk(e, &bound, &mut want_local.regions, floor);
+        let got = e.apply_bound(&bound, &mut got_local.regions, floor);
+        assert_eq!(got, want, "lock {lock} to node {me}, floor {floor}");
+
+        let applied_before = local.stats.words_applied;
+        let scanned_before = local.stats.ts_blocks_scanned;
+        let payload = e.remote_grant(local, LockId::new(lock as u32));
+        for ((w, g), l) in want_local
+            .regions
+            .iter()
+            .zip(&got_local.regions)
+            .zip(&local.regions)
+        {
+            assert!(w.data == g.data && w.data == l.data, "grant bytes differ");
+        }
+        assert_eq!(
+            local.stats.words_applied - applied_before,
+            want.applied_words as u64
+        );
+        if e.cfg.kind.collection() == Collection::Timestamps {
+            assert_eq!(
+                local.stats.ts_blocks_scanned - scanned_before,
+                want.scan_blocks
+            );
+            let bound_bytes: usize = bound.iter().map(|r| r.len).sum();
+            let want_payload = if rebound {
+                bound_bytes + 12
+            } else {
+                want.applied_words * 4 + want.ts_runs * (4 + 6)
+            };
+            assert_eq!(payload, want_payload);
+        }
+    }
+
+    /// One exclusive holding of `lock` by `local`'s node: arm, write a few
+    /// random spans of the binding (some long enough to cross several
+    /// 64-block chunks), publish.  With `rollback`, the publish's stamps
+    /// and master bytes are then restored from `EcRange` records, as a
+    /// crash rollback does, leaving the summary above the restored stamps.
+    fn holding(
+        e: &EcEngine,
+        local: &mut NodeLocal,
+        lock: usize,
+        rng: &mut TestRng,
+        rollback: bool,
+    ) {
+        let id = LockId::new(lock as u32);
+        let bound = {
+            let slot = e.locks.get(lock);
+            let meta = sync::lock(&slot);
+            meta.bound.clone()
+        };
+        let mut held = HeldLock {
+            mode: LockMode::Exclusive,
+            small_twins: None,
+            armed_pages: Vec::new(),
+        };
+        e.after_acquire(local, id, &mut held);
+        for _ in 0..1 + rng.below(4) {
+            let range = bound[rng.below(bound.len())];
+            let off = range.start + rng.below(range.len);
+            let len = 1 + rng.below((range.end() - off).min(700));
+            e.trap_write_span(local, range.region.index(), off, len, 1);
+            let data = &mut local.regions[range.region.index()].data;
+            data[off..off + len].copy_from_slice(&rng.bytes(len));
+        }
+        if rollback {
+            // Make this node a pending crash target, so the release records
+            // its undo log.
+            let node = local.node.index() as u32;
+            crate::recovery::arm(local, crate::FaultPlan::KillAt { node, barrier: 1 });
+        }
+        e.before_release(local, id, &mut held);
+        if let Some(recovery) = local.recovery.take() {
+            e.rollback_undo(local.node, &recovery.undo);
+        }
+    }
+
+    #[test]
+    fn chunked_grant_walk_matches_the_per_block_walk() {
+        const NPROCS: usize = 3;
+        for kind in ImplKind::ec_all() {
+            for seed in 1..=12u64 {
+                let mut rng = TestRng::new(seed);
+                let cfg = DsmConfig::with_procs(kind, NPROCS);
+                let regions: Vec<RegionDesc> = REGION_LENS
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &len)| {
+                        let gran = [BlockGranularity::Word, BlockGranularity::DoubleWord][i];
+                        RegionDesc::new(RegionId::new(i as u32), "r", len, gran)
+                    })
+                    .collect();
+                let init: Vec<Vec<u8>> = REGION_LENS.iter().map(|&len| rng.bytes(len)).collect();
+                let e = EcEngine::new(&cfg, &regions, &init);
+                let mut nodes: Vec<NodeLocal> = (0..NPROCS)
+                    .map(|n| {
+                        NodeLocal::new(dsm_sim::NodeId::new(n as u32), NPROCS, &regions, &init)
+                    })
+                    .collect();
+                // Two locks whose bindings overlap: the second's first range
+                // starts halfway into the first's.
+                let first = random_binding(&mut rng, Vec::new());
+                let shared = first[0];
+                let start = shared.start + shared.len / 2;
+                let len = shared.len.min(REGION_LENS[shared.region.index()] - start);
+                let second =
+                    random_binding(&mut rng, vec![MemRange::new(shared.region, start, len)]);
+                e.bind(LockId::new(0), first);
+                e.bind(LockId::new(1), second);
+                for _ in 0..80 {
+                    let lock = rng.below(2);
+                    let local = &mut nodes[rng.below(NPROCS)];
+                    match rng.below(10) {
+                        0 => e.rebind(
+                            LockId::new(lock as u32),
+                            random_binding(&mut rng, Vec::new()),
+                        ),
+                        1 => holding(&e, local, lock, &mut rng, true),
+                        2 => checked_grant(&e, local, lock),
+                        _ => {
+                            checked_grant(&e, local, lock);
+                            holding(&e, local, lock, &mut rng, false);
+                        }
+                    }
+                }
+                for local in &mut nodes {
+                    for lock in 0..2 {
+                        checked_grant(&e, local, lock);
+                    }
+                }
+            }
+        }
     }
 }

@@ -170,6 +170,10 @@ pub(crate) struct NodeLocal {
     /// the dirty list does not surrender its capacity (the publish path would
     /// otherwise reallocate the list every interval).
     pub scratch_dirty: Vec<(usize, usize)>,
+    /// Emptied [`HeldLock::armed_pages`] lists of released locks, handed to
+    /// the next acquires so arming keeps their capacity (a node may hold
+    /// several locks at once, hence a stack rather than one spare).
+    pub spare_armed: Vec<Vec<(usize, usize)>>,
     /// This node's transport endpoint: where publish frames go under the
     /// channel and socket backends.  `None` under the default simulated
     /// backend, which keeps the publish path branch-only.  Ownership rule:
@@ -206,6 +210,7 @@ impl NodeLocal {
             scratch_clock: dsm_mem::VectorClock::new(nprocs),
             pool: BufferPool::new(),
             scratch_dirty: Vec::new(),
+            spare_armed: Vec::new(),
             wire: None,
             recovery: None,
         }
