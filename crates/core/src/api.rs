@@ -786,20 +786,27 @@ mod tests {
     #[test]
     fn guards_release_on_drop_with_raw_costs() {
         // A guard-based program and a raw program must produce identical
-        // traffic (the guard is sugar, not semantics).
+        // traffic (the guard is sugar, not semantics).  The nodes take the
+        // lock in turn, one per barrier episode: the traffic depends on which
+        // node is granted the lock first, so a race for it would make the
+        // two runs differ by schedule alone.
         let run = |guards: bool| {
             let mut d = dsm(ImplKind::lrc_diff(), 2);
             let a = d.alloc_array::<u32>("a", 16, BlockGranularity::Word);
             let result = d.run(|ctx| {
-                if guards {
-                    let mut g = ctx.lock(LockId::new(0), LockMode::Exclusive);
-                    g.modify(a, 0, |v: u32| v + 1);
-                } else {
-                    ctx.acquire(LockId::new(0), LockMode::Exclusive);
-                    ctx.update::<u32>(a.region(), 0, |v| v + 1);
-                    ctx.release(LockId::new(0));
+                for turn in 0..ctx.nprocs() {
+                    if ctx.node() == turn {
+                        if guards {
+                            let mut g = ctx.lock(LockId::new(0), LockMode::Exclusive);
+                            g.modify(a, 0, |v: u32| v + 1);
+                        } else {
+                            ctx.acquire(LockId::new(0), LockMode::Exclusive);
+                            ctx.update::<u32>(a.region(), 0, |v| v + 1);
+                            ctx.release(LockId::new(0));
+                        }
+                    }
+                    ctx.barrier(BarrierId::new(0));
                 }
-                ctx.barrier(BarrierId::new(0));
             });
             (
                 result.final_at(a, 0),

@@ -263,12 +263,12 @@ impl<'a> ProcessContext<'a> {
             return;
         }
         assert!(
-            !self.local.held.contains_key(&lock.0),
+            self.local.held_index(lock).is_none(),
             "lock {lock} acquired twice by {}",
             self.local.node
         );
         self.global.engine.validate_acquire(lock, mode);
-        let cost = self.cost().clone();
+        let cost = &self.global.cfg.cost;
         self.local.clock.advance(cost.lock_overhead());
         self.local.stats.lock_acquires += 1;
         let me = self.local.node;
@@ -286,7 +286,9 @@ impl<'a> ProcessContext<'a> {
                 if ok {
                     break;
                 }
+                l.waiters += 1;
                 l = sync::wait(&slot.cv, l);
+                l.waiters -= 1;
             }
 
             let manager = lock.manager(nprocs);
@@ -359,7 +361,7 @@ impl<'a> ProcessContext<'a> {
         self.global
             .engine
             .after_acquire(&mut self.local, lock, &mut held);
-        self.local.held.insert(lock.0, held);
+        self.local.held.push((lock.0, held));
     }
 
     /// Releases a lock previously acquired with [`ProcessContext::acquire`].
@@ -376,18 +378,16 @@ impl<'a> ProcessContext<'a> {
         if recovery::skipping(&self.local) {
             return;
         }
-        assert!(
-            self.local.held.contains_key(&lock.0),
-            "release of lock {lock} that {} does not hold",
-            self.local.node
-        );
-        let cost = self.cost().clone();
-        self.local.clock.advance(cost.lock_overhead());
-        let mut held = self
-            .local
-            .held
-            .remove(&lock.0)
-            .expect("release of a lock that is not held");
+        let Some(pos) = self.local.held_index(lock) else {
+            panic!(
+                "release of lock {lock} that {} does not hold",
+                self.local.node
+            );
+        };
+        self.local
+            .clock
+            .advance(self.global.cfg.cost.lock_overhead());
+        let (_, mut held) = self.local.held.swap_remove(pos);
         // Publish before the lock becomes available so the next acquirer's
         // grant sees everything this holding modified.
         self.global
@@ -397,16 +397,20 @@ impl<'a> ProcessContext<'a> {
         self.local.spare_armed.push(held.armed_pages);
 
         let slot = self.global.sync.lock_slot(lock.index());
-        {
+        let contended = {
             let mut l = sync::lock(&slot.sync);
             match held.mode {
                 LockMode::Exclusive => l.exclusive_holder = None,
                 LockMode::ReadOnly => l.readers = l.readers.saturating_sub(1),
             }
             l.free_time = l.free_time.max(self.local.clock.now());
+            l.waiters > 0
+        };
+        // Only contenders for *this* lock wake up, and only if there are any:
+        // the futex wake is a syscall even with nobody to wake.
+        if contended {
+            slot.cv.notify_all();
         }
-        // Only contenders for *this* lock wake up.
-        slot.cv.notify_all();
     }
 
     /// Rebinds a lock to a new set of memory ranges (EC only; a no-op under
@@ -443,7 +447,7 @@ impl<'a> ProcessContext<'a> {
         // recorded, so the crash epoch's interval is never published and the
         // barrier slot never counts the doomed arrival.
         recovery::maybe_fire(&mut self.local);
-        let cost = self.cost().clone();
+        let cost = &self.global.cfg.cost;
         self.local.clock.advance(cost.barrier_overhead());
         self.local.stats.barriers += 1;
         let me = self.local.node;
@@ -506,7 +510,7 @@ impl<'a> ProcessContext<'a> {
             self.local.clock.advance(cost.message(depart_payload));
         }
         self.local.epoch += 1;
-        recovery::checkpoint_if_armed(&mut self.local, &cost);
+        recovery::checkpoint_if_armed(&mut self.local, cost);
     }
 
     /// Rolls this processor back to its last barrier-cut checkpoint after an

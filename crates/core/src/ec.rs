@@ -310,13 +310,11 @@ impl EcEngine {
 
 impl ProtocolEngine for EcEngine {
     fn bind(&self, lock: LockId, ranges: Vec<MemRange>) {
-        let slot = self.locks.get(lock.index());
-        sync::lock(&slot).bound = ranges;
+        sync::lock(self.locks.get(lock.index())).bound = ranges;
     }
 
     fn rebind(&self, lock: LockId, ranges: Vec<MemRange>) {
-        let slot = self.locks.get(lock.index());
-        let mut meta = sync::lock(&slot);
+        let mut meta = sync::lock(self.locks.get(lock.index()));
         if meta.bound != ranges {
             meta.bound = ranges;
             meta.rebind_epoch += 1;
@@ -335,8 +333,7 @@ impl ProtocolEngine for EcEngine {
         let collection = self.cfg.kind.collection();
         let me = local.node.index();
 
-        let slot = self.locks.get(lock.index());
-        let mut meta = sync::lock(&slot);
+        let mut meta = sync::lock(self.locks.get(lock.index()));
         meta.incarnation += 1;
         // Everything this lock's chain has published is visible (same mutex
         // ordered the publish), so its own high-water mark is the safe
@@ -419,8 +416,7 @@ impl ProtocolEngine for EcEngine {
         // Arming touches only this node's private state, so the binding can
         // be borrowed under the lock's mutex (no clone): no other lock of
         // the ordering hierarchy is taken below.
-        let slot = self.locks.get(lock.index());
-        let meta = sync::lock(&slot);
+        let meta = sync::lock(self.locks.get(lock.index()));
         let bound = &meta.bound;
         let total: usize = bound.iter().map(|r| r.len).sum();
         if total == 0 {
@@ -475,8 +471,7 @@ impl ProtocolEngine for EcEngine {
         let diff_ring = self.cfg.diff_ring;
         let me = local.node;
 
-        let slot = self.locks.get(lock.index());
-        let mut meta = sync::lock(&slot);
+        let mut meta = sync::lock(self.locks.get(lock.index()));
         if meta.bound.is_empty() {
             if let Some(buf) = held.small_twins.take() {
                 local.pool.put(buf);
@@ -773,20 +768,17 @@ impl ProtocolEngine for EcEngine {
                     prev_seen_seq,
                     prev_seen_epoch,
                 } => {
-                    let slot = self.locks.get(*lock);
-                    let mut meta = sync::lock(&slot);
+                    let mut meta = sync::lock(self.locks.get(*lock));
                     meta.seen_seq[me] = *prev_seen_seq;
                     meta.seen_epoch[me] = *prev_seen_epoch;
                     meta.incarnation = meta.incarnation.saturating_sub(1);
                 }
                 UndoRec::EcPublish { lock, stamp } => {
-                    let slot = self.locks.get(*lock);
-                    let mut meta = sync::lock(&slot);
+                    let mut meta = sync::lock(self.locks.get(*lock));
                     meta.publishes.retain(|r| r.stamp != *stamp);
                 }
                 UndoRec::EcDiffCharge { lock, stamp } => {
-                    let slot = self.locks.get(*lock);
-                    let mut meta = sync::lock(&slot);
+                    let mut meta = sync::lock(self.locks.get(*lock));
                     if let Some(r) = meta.publishes.iter_mut().find(|r| r.stamp == *stamp) {
                         r.creation_charged = false;
                     }
@@ -835,8 +827,7 @@ mod tests {
         let r = MemRange::new(RegionId::new(0), 0, 64);
         e.bind(LockId::new(5), vec![r]);
         assert_eq!(e.locks.len(), 6);
-        let slot = e.locks.get(5);
-        let meta = sync::lock(&slot);
+        let meta = sync::lock(e.locks.get(5));
         assert_eq!(meta.bound, vec![r]);
         assert_eq!(meta.seen_seq.len(), 4);
     }
@@ -870,13 +861,9 @@ mod tests {
         let b = MemRange::new(RegionId::new(0), 64, 64);
         e.bind(LockId::new(0), vec![a]);
         e.rebind(LockId::new(0), vec![a]);
-        {
-            let slot = e.locks.get(0);
-            assert_eq!(sync::lock(&slot).rebind_epoch, 0);
-        }
+        assert_eq!(sync::lock(e.locks.get(0)).rebind_epoch, 0);
         e.rebind(LockId::new(0), vec![b]);
-        let slot = e.locks.get(0);
-        assert_eq!(sync::lock(&slot).rebind_epoch, 1);
+        assert_eq!(sync::lock(e.locks.get(0)).rebind_epoch, 1);
     }
 
     /// The grant walk before the stamp summary: every bound block's stamp
@@ -960,8 +947,7 @@ mod tests {
     fn checked_grant(e: &EcEngine, local: &mut NodeLocal, lock: usize) {
         let me = local.node.index();
         let (bound, rebound, floor) = {
-            let slot = e.locks.get(lock);
-            let meta = sync::lock(&slot);
+            let meta = sync::lock(e.locks.get(lock));
             let rebound = meta.seen_epoch[me] != meta.rebind_epoch;
             let floor = if rebound { 0 } else { meta.seen_seq[me] };
             (meta.bound.clone(), rebound, floor)
@@ -1017,8 +1003,7 @@ mod tests {
     ) {
         let id = LockId::new(lock as u32);
         let bound = {
-            let slot = e.locks.get(lock);
-            let meta = sync::lock(&slot);
+            let meta = sync::lock(e.locks.get(lock));
             meta.bound.clone()
         };
         let mut held = HeldLock {

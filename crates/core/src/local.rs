@@ -5,12 +5,10 @@
 //! (software dirty bits), and — for LRC — per-page records of which remote
 //! intervals have already been applied.
 
-use std::collections::HashMap;
-
 use dsm_mem::{pages_in, BitSet, BufferPool, RegionDesc, PAGE_SIZE};
 use dsm_sim::{NodeClock, NodeId, NodeStats};
 
-use crate::ids::LockMode;
+use crate::ids::{LockId, LockMode};
 
 /// Number of word-granularity blocks in one page.
 pub(crate) const WORDS_PER_PAGE: usize = PAGE_SIZE / 4;
@@ -139,8 +137,10 @@ pub(crate) struct NodeLocal {
     /// Bumped at every acquire and barrier; used to avoid re-checking page
     /// freshness on every access (LRC).
     pub epoch: u64,
-    /// Locks currently held by this node.
-    pub held: HashMap<u32, HeldLock>,
+    /// Locks currently held by this node, keyed by lock id and searched
+    /// linearly: a node holds a handful of locks at once (SOR+'s final band,
+    /// the largest case, holds two per row of its band).
+    pub held: Vec<(u32, HeldLock)>,
     /// Pages dirtied during the current interval, awaiting publication at the
     /// next release or barrier (LRC).
     pub dirty_pages: Vec<(usize, usize)>,
@@ -202,7 +202,7 @@ impl NodeLocal {
             regions: local_regions,
             vector: dsm_mem::VectorClock::new(nprocs),
             epoch: 1,
-            held: HashMap::new(),
+            held: Vec::new(),
             dirty_pages: Vec::new(),
             intervals_at_last_barrier: 0,
             scratch_stale: Vec::new(),
@@ -214,6 +214,12 @@ impl NodeLocal {
             wire: None,
             recovery: None,
         }
+    }
+
+    /// The position of `lock` in [`held`](NodeLocal::held), if this node
+    /// holds it.
+    pub fn held_index(&self, lock: LockId) -> Option<usize> {
+        self.held.iter().position(|(id, _)| *id == lock.0)
     }
 
     /// Appends an undo record for a crash-epoch mutation to shared state,

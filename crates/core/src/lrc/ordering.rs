@@ -507,8 +507,7 @@ impl<P: DataPolicy> ProtocolEngine for LrcEngine<P> {
         // buffer, no allocation) so the lock mutex is not held across the
         // interval-log reads below.
         {
-            let slot = self.lock_state.get(lock.index());
-            let st = sync::lock(&slot);
+            let st = sync::lock(self.lock_state.get(lock.index()));
             local.scratch_clock.copy_from(&st.release_vec);
         }
         let notices = self.notices_between(&local.vector, &local.scratch_clock);
@@ -531,8 +530,9 @@ impl<P: DataPolicy> ProtocolEngine for LrcEngine<P> {
     /// pages) and record the release vector for the next acquirer.
     fn before_release(&self, local: &mut NodeLocal, lock: LockId, _held: &mut HeldLock) {
         self.publish_interval(local);
-        let slot = self.lock_state.get(lock.index());
-        sync::lock(&slot).release_vec.copy_from(&local.vector);
+        sync::lock(self.lock_state.get(lock.index()))
+            .release_vec
+            .copy_from(&local.vector);
     }
 
     fn barrier_arrive(&self, local: &mut NodeLocal) -> usize {

@@ -291,7 +291,7 @@ fn build_image(local: &NodeLocal, prev: &[RegionCkpt]) -> CkptImage {
             .zip(prev.iter())
             .map(|(r, p)| CkptRegion::delta(&p.data, &r.data, stamp))
             .collect(),
-        locks: local.held.keys().copied().collect(),
+        locks: local.held.iter().map(|&(id, _)| id).collect(),
     }
 }
 

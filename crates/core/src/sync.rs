@@ -9,8 +9,15 @@
 //! objects never contend and waiters wake only when *their* object changes
 //! state.  The model-specific protocol state is sharded separately by the
 //! engines (see `DESIGN.md`, "Sharding layout").
+//!
+//! The tables are append-only, so finding an existing slot is one acquire
+//! load and an index: no table lock and no reference count.  A lock slot
+//! counts the threads blocked on its condition variable, and a release
+//! signals it only when that count is non-zero, so an uncontended
+//! acquire/release pair takes the slot mutex twice and makes no syscall.
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use dsm_mem::VectorClock;
 use dsm_sim::{NodeId, SimTime};
@@ -39,14 +46,39 @@ pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// A grow-on-demand table of `Arc`-shared slots, indexed densely.
+/// Slots in a [`SlotTable`]'s first segment; segment `k` holds
+/// `FIRST_SEGMENT << k` slots.
+const FIRST_SEGMENT: usize = 64;
+
+/// Segments needed to cover every `usize` index.
+const SEGMENTS: usize = (usize::BITS - FIRST_SEGMENT.trailing_zeros()) as usize;
+
+/// The segment holding slot `index`, and the slot's offset in it.  Segment
+/// `k` covers indices `FIRST_SEGMENT * (2^k - 1)..FIRST_SEGMENT * (2^(k+1) - 1)`.
+fn locate(index: usize) -> (usize, usize) {
+    let biased = index
+        .checked_add(FIRST_SEGMENT)
+        .expect("slot index overflows usize");
+    let seg = (biased.ilog2() - FIRST_SEGMENT.ilog2()) as usize;
+    (seg, biased - (FIRST_SEGMENT << seg))
+}
+
+/// An append-only table of slots, indexed densely and created on demand.
 ///
-/// Lookups of existing slots take only the table's read lock; the write lock
-/// is taken once per slot, the first time its index is used.  Callers receive
-/// an `Arc` so per-slot mutexes are acquired *after* the table lock has been
-/// released — the table lock is never held across protocol work.
+/// Slots live in geometrically growing segments, each built whole (every
+/// slot by `make`, with its own index) the first time one of its indices is
+/// used, and never moved or freed before the table.  A lookup is therefore
+/// one acquire load and an index, and it hands out a plain reference: no
+/// table lock is taken and no reference count is touched, so lookups from
+/// different workers share cache lines only for reading.  Per-slot mutexes
+/// are the callers' business.
 pub(crate) struct SlotTable<T> {
-    slots: RwLock<Vec<Arc<T>>>,
+    segments: [OnceLock<Box<[T]>>; SEGMENTS],
+    /// One past the highest index looked up so far.  Relaxed throughout: it
+    /// publishes no slot (every slot is reached through its segment's
+    /// `OnceLock`, which orders the segment's construction before any use),
+    /// it only sizes [`len`](SlotTable::len) and [`iter`](SlotTable::iter).
+    len: AtomicUsize,
     make: Box<dyn Fn(usize) -> T + Send + Sync>,
 }
 
@@ -55,34 +87,39 @@ impl<T> SlotTable<T> {
     /// the slot index).
     pub fn new(make: impl Fn(usize) -> T + Send + Sync + 'static) -> Self {
         SlotTable {
-            slots: RwLock::new(Vec::new()),
+            segments: std::array::from_fn(|_| OnceLock::new()),
+            len: AtomicUsize::new(0),
             make: Box::new(make),
         }
     }
 
-    /// Returns the slot at `index`, creating it (and any gap before it) on
-    /// first use.
-    pub fn get(&self, index: usize) -> Arc<T> {
-        if let Some(slot) = read(&self.slots).get(index) {
-            return Arc::clone(slot);
+    /// Returns the slot at `index`, creating its segment on first use.
+    pub fn get(&self, index: usize) -> &T {
+        let (seg, offset) = locate(index);
+        let slots = self.segments[seg].get_or_init(|| {
+            let first = FIRST_SEGMENT * ((1 << seg) - 1);
+            (first..first + (FIRST_SEGMENT << seg))
+                .map(&self.make)
+                .collect()
+        });
+        // Read before writing, so lookups of known slots leave the counter's
+        // cache line shared.
+        if self.len.load(Ordering::Relaxed) <= index {
+            self.len.fetch_max(index + 1, Ordering::Relaxed);
         }
-        let mut slots = write(&self.slots);
-        while slots.len() <= index {
-            let i = slots.len();
-            slots.push(Arc::new((self.make)(i)));
-        }
-        Arc::clone(&slots[index])
+        &slots[offset]
     }
 
-    /// Number of slots created so far.
+    /// One past the highest index looked up so far: every slot below it
+    /// counts as created, as if the table filled gaps on demand.
     pub fn len(&self) -> usize {
-        read(&self.slots).len()
+        self.len.load(Ordering::Relaxed)
     }
 
-    /// A snapshot of every slot created so far (used for end-of-run stats
-    /// aggregation).
-    pub fn snapshot(&self) -> Vec<Arc<T>> {
-        read(&self.slots).clone()
+    /// Every slot below [`len`](SlotTable::len), in index order (used for
+    /// end-of-run stats aggregation).
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        (0..self.len()).map(|i| self.get(i))
     }
 }
 
@@ -108,6 +145,11 @@ pub(crate) struct LockSync {
     pub free_time: SimTime,
     /// Number of times the lock has been transferred between processors.
     pub transfers: u64,
+    /// Threads blocked on the slot's condition variable.  Raised and lowered
+    /// under the slot mutex around each wait, and read under it by release,
+    /// which signals only when it is non-zero: a waiter is counted before it
+    /// blocks, so no wake-up can be lost.
+    pub waiters: usize,
 }
 
 impl LockSync {
@@ -118,6 +160,7 @@ impl LockSync {
             last_owner: None,
             free_time: SimTime::ZERO,
             transfers: 0,
+            waiters: 0,
         }
     }
 
@@ -133,12 +176,14 @@ impl LockSync {
 }
 
 /// One lock's slot: its synchronization status plus the condition variable
-/// its waiters block on.  Waiters of different locks never share a wakeup.
+/// its waiters block on.  Waiters of different locks never share a wakeup,
+/// and a release with no waiter wakes nobody.
 #[derive(Debug)]
 pub(crate) struct LockSlot {
     /// The lock's synchronization status.
     pub sync: Mutex<LockSync>,
-    /// Woken when the lock becomes available.
+    /// Woken when the lock becomes available and [`LockSync::waiters`] is
+    /// non-zero.
     pub cv: Condvar,
 }
 
@@ -224,12 +269,12 @@ impl SyncTables {
     }
 
     /// The slot of lock `index`, created on first use.
-    pub fn lock_slot(&self, index: usize) -> Arc<LockSlot> {
+    pub fn lock_slot(&self, index: usize) -> &LockSlot {
         self.locks.get(index)
     }
 
     /// The slot of barrier `index`, created on first use.
-    pub fn barrier_slot(&self, index: usize) -> Arc<BarrierSlot> {
+    pub fn barrier_slot(&self, index: usize) -> &BarrierSlot {
         self.barriers.get(index)
     }
 
@@ -243,7 +288,6 @@ impl SyncTables {
     /// the run's [`TrafficReport`](dsm_sim::TrafficReport)).
     pub fn total_lock_transfers(&self) -> u64 {
         self.locks
-            .snapshot()
             .iter()
             .map(|slot| lock(&slot.sync).transfers)
             .sum()
@@ -253,6 +297,7 @@ impl SyncTables {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn slot_tables_grow_on_demand() {
@@ -271,7 +316,7 @@ mod tests {
         lock(&a.sync).transfers = 7;
         let b = tables.lock_slot(0);
         assert_eq!(lock(&b.sync).transfers, 7);
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(std::ptr::eq(a, b));
         assert_eq!(tables.total_lock_transfers(), 7);
     }
 
@@ -293,6 +338,96 @@ mod tests {
         assert_eq!(*t.get(3), 30);
         assert_eq!(t.len(), 4);
         assert_eq!(*t.get(1), 10);
-        assert_eq!(t.snapshot().len(), 4);
+        assert_eq!(t.iter().count(), 4);
+    }
+
+    /// A table whose `make` counts its calls per index, for indices below
+    /// `max` (a call for any other index panics on the count's index).
+    fn counting_table(max: usize) -> (SlotTable<usize>, Arc<Vec<AtomicUsize>>) {
+        let made: Arc<Vec<AtomicUsize>> = Arc::new((0..max).map(|_| AtomicUsize::new(0)).collect());
+        let counts = Arc::clone(&made);
+        let t = SlotTable::new(move |i| {
+            counts[i].fetch_add(1, Ordering::Relaxed);
+            i
+        });
+        (t, made)
+    }
+
+    #[test]
+    fn segment_boundaries_map_to_distinct_stable_slots() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(63), (0, 63));
+        assert_eq!(locate(64), (1, 0));
+        assert_eq!(locate(191), (1, 127));
+        assert_eq!(locate(192), (2, 0));
+        assert_eq!(locate(447), (2, 255));
+        assert_eq!(locate(448), (3, 0));
+
+        // Both sides of the first five boundaries: 64, 192, 448, 960, 1984.
+        let boundaries: Vec<usize> = (1..=5).map(|k| FIRST_SEGMENT * ((1 << k) - 1)).collect();
+        let built = FIRST_SEGMENT * ((1 << 6) - 1);
+        let (t, made) = counting_table(built);
+        let mut seen: Vec<(usize, *const usize)> = Vec::new();
+        for &b in &boundaries {
+            for i in [b - 1, b] {
+                let slot = t.get(i);
+                assert_eq!(*slot, i, "slot {i} built with another index");
+                seen.push((i, slot as *const usize));
+            }
+        }
+        for (n, &(i, addr)) in seen.iter().enumerate() {
+            assert!(std::ptr::eq(t.get(i), addr), "slot {i} moved");
+            assert!(
+                seen[n + 1..].iter().all(|&(_, other)| other != addr),
+                "slot {i} shares its address"
+            );
+        }
+        // Every segment touched was built exactly once, each slot by its own
+        // index; building the next segment would have indexed past `made`.
+        for (i, count) in made.iter().enumerate() {
+            assert_eq!(count.load(Ordering::Relaxed), 1, "slot {i}");
+        }
+        assert_eq!(t.len(), boundaries[4] + 1);
+    }
+
+    #[test]
+    fn racing_first_use_builds_each_slot_once() {
+        const THREADS: usize = 8;
+        // 500 lies in the 512-slot segment starting at 448.
+        let (t, made) = counting_table(960);
+        let start = std::sync::Barrier::new(THREADS);
+        let addrs: Vec<usize> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        t.get(500) as *const usize as usize
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(addrs.iter().all(|&a| a == addrs[0]), "{addrs:?}");
+        assert_eq!(*t.get(500), 500);
+        for (i, count) in made.iter().enumerate() {
+            let want = usize::from(i >= 448);
+            assert_eq!(count.load(Ordering::Relaxed), want, "slot {i}");
+        }
+    }
+
+    #[test]
+    fn len_and_order_match_a_gap_filling_vec() {
+        let t: SlotTable<usize> = SlotTable::new(|i| i * 10);
+        // The table this one replaced: a vector that fills gaps up to every
+        // index looked up.
+        let mut old: Vec<usize> = Vec::new();
+        for index in [3, 1, 70, 0, 200, 65, 63, 1000, 4] {
+            assert_eq!(*t.get(index), index * 10);
+            while old.len() <= index {
+                old.push(old.len() * 10);
+            }
+            assert_eq!(t.len(), old.len());
+            assert_eq!(t.iter().copied().collect::<Vec<_>>(), old);
+        }
     }
 }

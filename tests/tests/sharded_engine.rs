@@ -1,13 +1,49 @@
 //! Tests specific to the sharded runtime: cross-implementation equivalence on
-//! a contended multi-lock workload, and a many-locks × many-processors stress
-//! test that exercises exactly the shape the old single-mutex/single-condvar
-//! design serialized (and whose thundering-herd wakeups it amplified).
+//! a contended multi-lock workload, and many-processor stress tests that
+//! exercise exactly the shape the old single-mutex/single-condvar design
+//! serialized (and whose thundering-herd wakeups it amplified).
+//!
+//! Each case runs under a deadline, so a lost wake-up (a release that skips
+//! the signal while a contender is blocked) fails in bounded time instead
+//! of hanging the suite.
+
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
 
 use dsm_core::{BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode};
 
-/// All six implementations must produce identical final region contents on a
-/// workload where every processor repeatedly acquires *other* processors'
-/// locks (migratory data, heavy contention on every lock).
+/// How long one case may run before it counts as hung.  Every case finishes
+/// in a few seconds even in an unoptimized build.
+const DEADLINE: Duration = Duration::from_secs(120);
+
+/// Runs `case` on its own thread and fails if it has not finished within
+/// [`DEADLINE`]; a panic inside `case` is re-raised here.
+fn within_deadline(what: &str, case: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let worker = thread::spawn(move || {
+        case();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(DEADLINE) {
+        Ok(()) => worker.join().expect("case finished"),
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            // The case panicked before reporting: surface its panic.
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        // The hung worker cannot be joined; it ends with the test process.
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("{what} did not finish within {DEADLINE:?}: a lock waiter was never woken")
+        }
+    }
+}
+
+/// All twelve implementations (`ImplKind::all()`) must produce identical
+/// final region contents on a workload where every processor repeatedly
+/// acquires *other* processors' locks (migratory data, heavy contention on
+/// every lock).
 ///
 /// The updates commute (wrapping adds of per-(processor, round) constants),
 /// so the final contents are independent of the order in which the lock
@@ -15,6 +51,13 @@ use dsm_core::{BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, Lo
 /// scheduling noise.
 #[test]
 fn six_impls_agree_on_contended_multilock_workload() {
+    within_deadline(
+        "contended multi-lock workload",
+        contended_multilock_workload,
+    );
+}
+
+fn contended_multilock_workload() {
     const NPROCS: usize = 4;
     const NLOCKS: usize = 8;
     const SLOTS_PER_LOCK: usize = 16;
@@ -83,12 +126,19 @@ fn six_impls_agree_on_contended_multilock_workload() {
 /// proceed in parallel.  Under the old design every one of these operations
 /// took the single cluster mutex and every release woke every waiter in the
 /// cluster; the test pins down that the sharded runtime still executes the
-/// workload correctly at a thread count well above the paper's 8.
+/// workload correctly at a thread count well above the paper's 8.  Lock ids
+/// are spread (`l * 37`) over several segments of the slot tables, so first
+/// uses race on segment creation too.
 #[test]
 fn many_locks_many_processors_stress() {
+    within_deadline("many-locks stress", many_locks_many_processors);
+}
+
+fn many_locks_many_processors() {
     const NPROCS: usize = 16;
     const NLOCKS: usize = 64;
     const ACQUIRES_PER_PROC: usize = 200;
+    let lock_of = |l: usize| LockId::new((l * 37) as u32);
 
     for kind in [ImplKind::ec_diff(), ImplKind::lrc_diff()] {
         let mut dsm = Dsm::new(DsmConfig::with_procs(kind, NPROCS)).unwrap();
@@ -96,7 +146,7 @@ fn many_locks_many_processors_stress() {
         // sharing under LRC.
         let counters = dsm.alloc_array::<u32>("counters", NLOCKS, BlockGranularity::Word);
         for l in 0..NLOCKS {
-            dsm.bind(LockId::new(l as u32), [counters.range(l, 1)]);
+            dsm.bind(lock_of(l), [counters.range(l, 1)]);
         }
 
         let result = dsm.run(|ctx| {
@@ -109,9 +159,9 @@ fn many_locks_many_processors_stress() {
                 x ^= x >> 7;
                 x ^= x << 17;
                 let l = (x % NLOCKS as u64) as usize;
-                ctx.acquire(LockId::new(l as u32), LockMode::Exclusive);
+                ctx.acquire(lock_of(l), LockMode::Exclusive);
                 ctx.modify(counters, l, |v: u32| v + 1);
-                ctx.release(LockId::new(l as u32));
+                ctx.release(lock_of(l));
             }
             ctx.barrier(BarrierId::new(0));
         });
@@ -134,10 +184,68 @@ fn many_locks_many_processors_stress() {
     }
 }
 
+/// One hot lock, sixteen processors, both modes: under EC-time each node
+/// mixes read-only and exclusive acquires of the same lock, so releases in
+/// both modes find blocked contenders of either kind.  Writers set the two
+/// bound words together; a reader that saw them differ would have entered
+/// while a writer held the lock, or been granted a torn copy.
+#[test]
+fn hot_lock_mixed_modes_stress() {
+    within_deadline("hot-lock mixed-mode stress", hot_lock_mixed_modes);
+}
+
+fn hot_lock_mixed_modes() {
+    const NPROCS: usize = 16;
+    const ACQUIRES_PER_PROC: usize = 200;
+    /// One acquire in this many is exclusive.
+    const WRITE_EVERY: usize = 4;
+
+    let mut dsm = Dsm::new(DsmConfig::with_procs(ImplKind::ec_time(), NPROCS)).unwrap();
+    let pair = dsm.alloc_array::<u32>("pair", 2, BlockGranularity::Word);
+    let hot = LockId::new(0);
+    dsm.bind(hot, [pair.whole()]);
+
+    let result = dsm.run(|ctx| {
+        let me = ctx.node();
+        for i in 0..ACQUIRES_PER_PROC {
+            if (me + i) % WRITE_EVERY == 0 {
+                ctx.acquire(hot, LockMode::Exclusive);
+                let next = ctx.get(pair, 0) + 1;
+                ctx.set(pair, 0, next);
+                ctx.set(pair, 1, next);
+                ctx.release(hot);
+            } else {
+                ctx.acquire(hot, LockMode::ReadOnly);
+                let (a, b) = (ctx.get(pair, 0), ctx.get(pair, 1));
+                ctx.release(hot);
+                assert_eq!(a, b, "node {me} read a torn pair");
+            }
+        }
+        ctx.barrier(BarrierId::new(0));
+    });
+
+    let writes = (0..NPROCS)
+        .map(|me| {
+            (0..ACQUIRES_PER_PROC)
+                .filter(|i| (me + i) % WRITE_EVERY == 0)
+                .count()
+        })
+        .sum::<usize>() as u32;
+    assert_eq!(result.final_array(pair), vec![writes, writes]);
+    assert_eq!(
+        result.traffic.lock_acquires,
+        (NPROCS * ACQUIRES_PER_PROC) as u64
+    );
+}
+
 /// Read-only EC locks admit concurrent readers per slot; a writer phase
 /// followed by a fan-out read phase must see the published value everywhere.
 #[test]
 fn read_only_locks_share_a_slot() {
+    within_deadline("read-only fan-out", read_only_fan_out);
+}
+
+fn read_only_fan_out() {
     const NPROCS: usize = 8;
     let kind = ImplKind::ec_time();
     let mut dsm = Dsm::new(DsmConfig::with_procs(kind, NPROCS)).unwrap();
