@@ -11,7 +11,8 @@
 //! engines (see `DESIGN.md`, "Sharding layout").
 //!
 //! The tables are append-only, so finding an existing slot is one acquire
-//! load and an index: no table lock and no reference count.  A lock slot
+//! load and an index: no table lock and no reference count.  Each slot
+//! starts on a cache line of its own, so no two slots share one.  A lock slot
 //! counts the threads blocked on its condition variable, and a release
 //! signals it only when that count is non-zero, so an uncontended
 //! acquire/release pair takes the slot mutex twice and makes no syscall.
@@ -63,6 +64,16 @@ fn locate(index: usize) -> (usize, usize) {
     (seg, biased - (FIRST_SEGMENT << seg))
 }
 
+/// A slot that starts on a cache line of its own.
+///
+/// A segment lays its slots side by side.  Unaligned, a slot could straddle
+/// two lines and share each with a neighbour, so two workers taking
+/// adjacent locks would pass lines back and forth, and which slots shared
+/// would change with where the allocator put the segment, from one run (or
+/// round) to the next.
+#[repr(align(64))]
+struct CacheAligned<T>(T);
+
 /// An append-only table of slots, indexed densely and created on demand.
 ///
 /// Slots live in geometrically growing segments, each built whole (every
@@ -70,10 +81,10 @@ fn locate(index: usize) -> (usize, usize) {
 /// used, and never moved or freed before the table.  A lookup is therefore
 /// one acquire load and an index, and it hands out a plain reference: no
 /// table lock is taken and no reference count is touched, so lookups from
-/// different workers share cache lines only for reading.  Per-slot mutexes
-/// are the callers' business.
+/// different workers share cache lines only for reading.  No two slots
+/// share a cache line.  Per-slot mutexes are the callers' business.
 pub(crate) struct SlotTable<T> {
-    segments: [OnceLock<Box<[T]>>; SEGMENTS],
+    segments: [OnceLock<Box<[CacheAligned<T>]>>; SEGMENTS],
     /// One past the highest index looked up so far.  Relaxed throughout: it
     /// publishes no slot (every slot is reached through its segment's
     /// `OnceLock`, which orders the segment's construction before any use),
@@ -99,7 +110,7 @@ impl<T> SlotTable<T> {
         let slots = self.segments[seg].get_or_init(|| {
             let first = FIRST_SEGMENT * ((1 << seg) - 1);
             (first..first + (FIRST_SEGMENT << seg))
-                .map(&self.make)
+                .map(|i| CacheAligned((self.make)(i)))
                 .collect()
         });
         // Read before writing, so lookups of known slots leave the counter's
@@ -107,7 +118,7 @@ impl<T> SlotTable<T> {
         if self.len.load(Ordering::Relaxed) <= index {
             self.len.fetch_max(index + 1, Ordering::Relaxed);
         }
-        &slots[offset]
+        &slots[offset].0
     }
 
     /// One past the highest index looked up so far: every slot below it
@@ -363,23 +374,28 @@ mod tests {
         assert_eq!(locate(447), (2, 255));
         assert_eq!(locate(448), (3, 0));
 
-        // Both sides of the first five boundaries: 64, 192, 448, 960, 1984.
+        // Two slots on each side of the first five boundaries: 64, 192, 448,
+        // 960, 1984.
         let boundaries: Vec<usize> = (1..=5).map(|k| FIRST_SEGMENT * ((1 << k) - 1)).collect();
         let built = FIRST_SEGMENT * ((1 << 6) - 1);
         let (t, made) = counting_table(built);
         let mut seen: Vec<(usize, *const usize)> = Vec::new();
         for &b in &boundaries {
-            for i in [b - 1, b] {
+            for i in [b - 2, b - 1, b, b + 1] {
                 let slot = t.get(i);
                 assert_eq!(*slot, i, "slot {i} built with another index");
                 seen.push((i, slot as *const usize));
             }
         }
+        let line = |p: *const usize| p as usize / 64;
         for (n, &(i, addr)) in seen.iter().enumerate() {
             assert!(std::ptr::eq(t.get(i), addr), "slot {i} moved");
+            assert_eq!(addr as usize % 64, 0, "slot {i} is not line-aligned");
             assert!(
-                seen[n + 1..].iter().all(|&(_, other)| other != addr),
-                "slot {i} shares its address"
+                seen[n + 1..]
+                    .iter()
+                    .all(|&(_, other)| line(other) != line(addr)),
+                "slot {i} shares its cache line"
             );
         }
         // Every segment touched was built exactly once, each slot by its own
@@ -387,7 +403,7 @@ mod tests {
         for (i, count) in made.iter().enumerate() {
             assert_eq!(count.load(Ordering::Relaxed), 1, "slot {i}");
         }
-        assert_eq!(t.len(), boundaries[4] + 1);
+        assert_eq!(t.len(), boundaries[4] + 2);
     }
 
     #[test]
