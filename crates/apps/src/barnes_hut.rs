@@ -20,8 +20,8 @@
 //!   the traversal phases.
 
 use dsm_core::{
-    BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode, Model, ProcessContext,
-    RunResult, SharedArray,
+    BarrierId, BlockGranularity, Dsm, ImplKind, LockId, LockMode, Model, ProcessContext, RunResult,
+    SharedArray,
 };
 use dsm_sim::Work;
 
@@ -381,10 +381,7 @@ pub fn run_opts(
 ) -> (RunResult, bool) {
     let p = p.clone();
     let n = p.bodies;
-    let mut cfg = DsmConfig::with_procs(kind, nprocs);
-    cfg.transport = opts.transport;
-    cfg.fault = opts.fault;
-    let mut dsm = Dsm::new(cfg).expect("valid config");
+    let mut dsm = Dsm::new(opts.config(kind, nprocs)).expect("valid config");
 
     let bodies = dsm.alloc_array::<f64>("bh-bodies", n * BODY_SLOTS, BlockGranularity::DoubleWord);
     let cells_f = dsm.alloc_array::<f64>(

@@ -14,9 +14,7 @@
 //!   eight non-contiguous 4-KiB pieces of that chunk; the chunk arrives in a
 //!   single grant message (update protocol).
 
-use dsm_core::{
-    BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode, Model, RunResult,
-};
+use dsm_core::{BarrierId, BlockGranularity, Dsm, ImplKind, LockId, LockMode, Model, RunResult};
 use dsm_sim::Work;
 
 /// 3D-FFT problem parameters.
@@ -232,10 +230,7 @@ pub fn run_opts(
         p.n2
     );
     let n = p.points();
-    let mut cfg = DsmConfig::with_procs(kind, nprocs);
-    cfg.transport = opts.transport;
-    cfg.fault = opts.fault;
-    let mut dsm = Dsm::new(cfg).expect("valid config");
+    let mut dsm = Dsm::new(opts.config(kind, nprocs)).expect("valid config");
     // Interleaved complex layout: element e occupies slots 2e (re) and 2e+1 (im).
     let src = dsm.alloc_array::<f64>("fft-src", 2 * n, BlockGranularity::DoubleWord);
     let dst = dsm.alloc_array::<f64>("fft-dst", 2 * n, BlockGranularity::DoubleWord);

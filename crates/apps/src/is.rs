@@ -10,9 +10,7 @@
 //! * EC version: the bucket array is bound to the lock; the second phase
 //!   additionally takes a read-only lock on the bucket array (Section 3.3).
 
-use dsm_core::{
-    BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode, Model, RunResult,
-};
+use dsm_core::{BarrierId, BlockGranularity, Dsm, ImplKind, LockId, LockMode, Model, RunResult};
 use dsm_sim::Work;
 
 /// IS problem parameters.
@@ -98,10 +96,7 @@ pub fn run_opts(
     opts: crate::runner::RunOpts,
 ) -> (RunResult, bool) {
     let p = p.clone();
-    let mut cfg = DsmConfig::with_procs(kind, nprocs);
-    cfg.transport = opts.transport;
-    cfg.fault = opts.fault;
-    let mut dsm = Dsm::new(cfg).expect("valid config");
+    let mut dsm = Dsm::new(opts.config(kind, nprocs)).expect("valid config");
     // The lock→data association is constructed in one place: under EC every
     // acquire of BUCKET_LOCK makes the bucket array consistent, under LRC
     // the binding is a no-op.

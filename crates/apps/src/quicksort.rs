@@ -12,9 +12,7 @@
 //!   to the sub-array of the task placed in that entry (Sections 3.3 and
 //!   7.2); the task data is read and written under that lock.
 
-use dsm_core::{
-    BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode, Model, RunResult,
-};
+use dsm_core::{BarrierId, BlockGranularity, Dsm, ImplKind, LockId, LockMode, Model, RunResult};
 use dsm_sim::Work;
 
 /// Quicksort problem parameters.
@@ -144,10 +142,7 @@ pub fn run_opts(
     opts: crate::runner::RunOpts,
 ) -> (RunResult, bool) {
     let p = p.clone();
-    let mut cfg = DsmConfig::with_procs(kind, nprocs);
-    cfg.transport = opts.transport;
-    cfg.fault = opts.fault;
-    let mut dsm = Dsm::new(cfg).expect("valid config");
+    let mut dsm = Dsm::new(opts.config(kind, nprocs)).expect("valid config");
     let array = dsm.alloc_array::<i32>("qs-array", p.n, BlockGranularity::Word);
     dsm.init_array(array, |i| p.value(i));
 

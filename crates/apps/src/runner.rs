@@ -4,7 +4,8 @@
 use std::fmt;
 
 use dsm_core::{
-    CostModel, FaultPlan, ImplKind, RecoveryReport, SimTime, TransportKind, TransportReport,
+    CostModel, DsmConfig, FaultPlan, ImplKind, RecoveryReport, SimTime, TransportKind,
+    TransportReport,
 };
 use dsm_sim::{ClusterStats, RegionSharing, TrafficReport};
 
@@ -65,24 +66,53 @@ impl fmt::Display for App {
 /// Optional knobs for an application run beyond implementation, scale and
 /// processor count.
 ///
-/// The default (`RunOpts::default()`) is the simulated transport with no
-/// fault plan, which leaves every run byte-identical to the plain
-/// [`run_app`] path.
-#[derive(Debug, Clone, Default)]
+/// The default (`RunOpts::default()`) is the paper's configuration over the
+/// simulated transport with no fault plan, which leaves every run
+/// byte-identical to the plain [`run_app`] path.
+#[derive(Debug, Clone)]
 pub struct RunOpts {
     /// Transport backend carrying the publish stream.
     pub transport: TransportKind,
     /// Deterministic crash-injection plan (see `DESIGN.md` §8); recovery
     /// statistics come back in [`AppReport::recovery`].
     pub fault: FaultPlan,
+    /// EC objects of at most this many bytes are twinned eagerly at
+    /// write-lock acquire (see [`DsmConfig::ec_small_object_limit`]); 0
+    /// falls back to Midway-style copy-on-write faults for every object
+    /// (the Section 4.2 ablation).
+    pub ec_small_object_limit: usize,
+    /// The dirty-bit loop-splitting optimisation (see
+    /// [`DsmConfig::ci_loop_optimization`]); `false` is the Section 8.1
+    /// ablation.
+    pub ci_loop_optimization: bool,
+}
+
+impl Default for RunOpts {
+    fn default() -> Self {
+        RunOpts::on(TransportKind::Simulated)
+    }
 }
 
 impl RunOpts {
-    /// Options selecting only a transport backend (no fault plan).
+    /// The paper's options over the given transport backend (no fault plan).
     pub fn on(transport: TransportKind) -> Self {
         RunOpts {
             transport,
             fault: FaultPlan::None,
+            ec_small_object_limit: dsm_mem::PAGE_SIZE,
+            ci_loop_optimization: true,
+        }
+    }
+
+    /// The configuration an application runs `kind` under on `nprocs`
+    /// processors with these options.
+    pub fn config(self, kind: ImplKind, nprocs: usize) -> DsmConfig {
+        DsmConfig {
+            transport: self.transport,
+            fault: self.fault,
+            ec_small_object_limit: self.ec_small_object_limit,
+            ci_loop_optimization: self.ci_loop_optimization,
+            ..DsmConfig::with_procs(kind, nprocs)
         }
     }
 }
@@ -165,7 +195,7 @@ pub fn run_app_opts(
     opts: RunOpts,
 ) -> AppReport {
     let p = AppParams::at(scale);
-    let cost = dsm_core::DsmConfig::paper(kind).cost;
+    let cost = DsmConfig::paper(kind).cost;
     let seq_time = sequential_time(app, scale, &cost);
     let (result, verified) = match app {
         App::Sor => sor::run_opts(kind, nprocs, &p.sor, false, opts),
@@ -212,6 +242,38 @@ mod tests {
         assert!(report.seq_time.as_nanos() > 0);
         assert!(report.speedup() > 0.0);
         assert!(report.traffic.messages > 0);
+    }
+
+    #[test]
+    fn small_object_twinning_is_a_run_option() {
+        let water = |opts| run_app_opts(App::Water, ImplKind::ec_time(), 2, Scale::Tiny, opts);
+        let eager = water(RunOpts::default());
+        let faulting = water(RunOpts {
+            ec_small_object_limit: 0,
+            ..RunOpts::default()
+        });
+        assert!(eager.verified && faulting.verified);
+        assert!(
+            faulting.traffic.write_faults > eager.traffic.write_faults,
+            "copy-on-write twinning must take more write faults"
+        );
+    }
+
+    #[test]
+    fn loop_splitting_is_a_run_option() {
+        let sor = |opts| run_app_opts(App::Sor, ImplKind::ec_ci(), 2, Scale::Tiny, opts);
+        let split = sor(RunOpts::default());
+        let naive = sor(RunOpts {
+            ci_loop_optimization: false,
+            ..RunOpts::default()
+        });
+        assert!(split.verified && naive.verified);
+        // The same stores, each one dearer without loop splitting.
+        assert_eq!(
+            naive.stats.total().instrumented_writes,
+            split.stats.total().instrumented_writes
+        );
+        assert!(naive.time > split.time);
     }
 
     #[test]

@@ -14,9 +14,7 @@
 //! * SOR+: only the boundary rows are shared; interior rows live in private
 //!   memory.
 
-use dsm_core::{
-    BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode, Model, RunResult,
-};
+use dsm_core::{BarrierId, BlockGranularity, Dsm, ImplKind, LockId, LockMode, Model, RunResult};
 use dsm_sim::Work;
 
 /// SOR problem parameters.
@@ -165,10 +163,7 @@ pub fn run_opts(
 ) -> (RunResult, bool) {
     let p = p.clone();
     let (tr, tc) = (p.total_rows(), p.total_cols());
-    let mut cfg = DsmConfig::with_procs(kind, nprocs);
-    cfg.transport = opts.transport;
-    cfg.fault = opts.fault;
-    let mut dsm = Dsm::new(cfg).expect("valid config");
+    let mut dsm = Dsm::new(opts.config(kind, nprocs)).expect("valid config");
     let matrix = dsm.alloc_array::<f32>("sor-matrix", tr * tc, BlockGranularity::Word);
     {
         let init = initial_layout(&p);

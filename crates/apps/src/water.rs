@@ -21,8 +21,8 @@
 //!   effect comparable to LRC's.
 
 use dsm_core::{
-    BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode, Model, ProcessContext,
-    RunResult, SharedArray,
+    BarrierId, BlockGranularity, Dsm, ImplKind, LockId, LockMode, Model, ProcessContext, RunResult,
+    SharedArray,
 };
 use dsm_sim::Work;
 
@@ -241,10 +241,7 @@ pub fn run_opts(
 ) -> (RunResult, bool) {
     let p = p.clone();
     let n = p.molecules;
-    let mut cfg = DsmConfig::with_procs(kind, nprocs);
-    cfg.transport = opts.transport;
-    cfg.fault = opts.fault;
-    let mut dsm = Dsm::new(cfg).expect("valid config");
+    let mut dsm = Dsm::new(opts.config(kind, nprocs)).expect("valid config");
 
     let (mol, pos_region, force_region) = if p.restructured {
         let pos = dsm.alloc_array::<f64>("water-pos", n * POS_SLOTS, BlockGranularity::DoubleWord);

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use dsm_apps::{run_app, App, Scale};
 use dsm_core::ImplKind;
-use dsm_mem::{BlockGranularity, Diff, FlatUpdate, UpdateMerge, VectorClock};
+use dsm_mem::{changed_word_runs, same_stamp_runs, VectorClock};
 use dsm_sim::NodeId;
 
 const SAMPLES: usize = 10;
@@ -77,35 +77,28 @@ fn table6() {
     }
 }
 
-/// Protocol building blocks: diff creation/application, timestamp merging,
-/// vector-clock operations.
+/// Protocol building blocks: the two word-run scans a write travels
+/// through (twin compare at release, same-stamp runs at a grant or miss),
+/// and vector-clock operations.
 fn mechanisms() {
     let twin = vec![0u8; 4096];
     let mut cur = twin.clone();
     for i in (0..4096).step_by(16) {
         cur[i] = 1;
     }
-    bench("mechanisms", "diff_create_page", || {
-        Diff::from_compare(&twin, &cur, 0, BlockGranularity::Word)
+    bench("mechanisms", "changed_word_runs_page", || {
+        let mut words = 0;
+        changed_word_runs(&twin, &cur, 0..1024, |s, e| words += e - s);
+        words
     });
-    let diff = Diff::from_compare(&twin, &cur, 0, BlockGranularity::Word);
-    let mut target = vec![0u8; 4096];
-    bench("mechanisms", "diff_apply_page", || diff.apply(&mut target));
-    bench("mechanisms", "timestamp_merge_reply", || {
-        let mut m = UpdateMerge::new(BlockGranularity::Word);
-        m.add(1, &diff);
-        m.reply_cost(6)
-    });
-    // The flattened-diff snapshot behind the LRC miss fast path: folding a
-    // diff chain flat, and the stamp-array rebuild the engine performs.
-    let mut merged = UpdateMerge::new(BlockGranularity::Word);
-    merged.add(1, &diff);
+    // One page of stamps: a published word every fourth, the rest unwritten.
     let stamps: Vec<u64> = (0..1024).map(|w| if w % 4 == 0 { 7 } else { 0 }).collect();
-    let mut snap = FlatUpdate::new();
-    bench("mechanisms", "snapshot_flatten_page", || {
-        merged.flatten_into(&mut snap);
-        snap.rebuild_from_stamps(&stamps);
-        snap.runs().len()
+    bench("mechanisms", "same_stamp_runs_page", || {
+        let mut runs = 0;
+        same_stamp_runs(&stamps, 0..1024, |_, _, stamp| {
+            runs += usize::from(stamp != 0)
+        });
+        runs
     });
     let mut a = VectorClock::new(8);
     let mut v = VectorClock::new(8);

@@ -2,18 +2,16 @@
 //! stores out of the computation loop (the paper reports a 16% improvement
 //! for SOR under EC-ci, 5% for SOR+, 2% for Water, and none elsewhere).
 
-use dsm_apps::{run_app, App, Scale};
+use dsm_apps::{run_app_opts, App, RunOpts, Scale};
 use dsm_bench::{print_table, secs, HarnessOpts};
 use dsm_core::ImplKind;
 
 fn run_at(app: App, nprocs: usize, scale: Scale, naive: bool) -> (String, String) {
-    if naive {
-        std::env::set_var("DSM_NAIVE_CI", "1");
-    } else {
-        std::env::remove_var("DSM_NAIVE_CI");
-    }
-    let r = run_app(app, ImplKind::ec_ci(), nprocs, scale);
-    std::env::remove_var("DSM_NAIVE_CI");
+    let opts = RunOpts {
+        ci_loop_optimization: !naive,
+        ..RunOpts::default()
+    };
+    let r = run_app_opts(app, ImplKind::ec_ci(), nprocs, scale, opts);
     (
         secs(r.time),
         format!("{}", r.stats.total().instrumented_writes),

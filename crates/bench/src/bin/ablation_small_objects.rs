@@ -5,15 +5,17 @@
 //! The difference shows up as protection faults and execution time for the
 //! applications dominated by small bound objects (Water, Barnes-Hut, IS).
 
-use dsm_apps::{run_app, App, Scale};
+use dsm_apps::{run_app_opts, App, RunOpts, Scale};
 use dsm_bench::{print_table, secs, HarnessOpts};
 use dsm_core::ImplKind;
 
 fn row(app: App, nprocs: usize, scale: Scale) -> Vec<String> {
-    let eager = run_app(app, ImplKind::ec_time(), nprocs, scale);
-    std::env::set_var("DSM_NO_SMALL_OBJECTS", "1");
-    let faulting = run_app(app, ImplKind::ec_time(), nprocs, scale);
-    std::env::remove_var("DSM_NO_SMALL_OBJECTS");
+    let run = |opts| run_app_opts(app, ImplKind::ec_time(), nprocs, scale, opts);
+    let eager = run(RunOpts::default());
+    let faulting = run(RunOpts {
+        ec_small_object_limit: 0,
+        ..RunOpts::default()
+    });
     vec![
         app.name().to_string(),
         secs(eager.time),

@@ -19,7 +19,7 @@
 
 use dsm_apps::{run_app_opts, App, AppParams, AppReport, RunOpts, Scale};
 use dsm_bench::{print_json_header, print_table, secs, HarnessOpts};
-use dsm_core::{FaultPlan, ImplKind, TransportKind};
+use dsm_core::{FaultPlan, ImplKind};
 
 /// One implementation's fault-free and crashed-and-recovered runs.
 struct Pair {
@@ -97,8 +97,8 @@ fn main() {
             opts.nprocs,
             opts.scale,
             RunOpts {
-                transport: TransportKind::Simulated,
                 fault,
+                ..RunOpts::default()
             },
         );
         let host_post_ms = t1.elapsed().as_secs_f64() * 1e3;

@@ -379,15 +379,9 @@ pub struct DsmConfig {
     /// faults (the EC twinning improvement over Midway, Section 4.2).  The
     /// paper draws the boundary at the page size.
     pub ec_small_object_limit: usize,
-    /// Use the hierarchical (page-level + word-level) dirty-bit scheme for
-    /// LRC with compiler instrumentation (Section 4.1).
-    pub hierarchical_dirty_bits: bool,
     /// Apply the loop-splitting compiler optimisation of Section 4.1/8.1,
     /// which batches dirty-bit stores and reduces their per-write cost.
     pub ci_loop_optimization: bool,
-    /// How many publish records (diffs) to retain per lock/page for traffic
-    /// accounting.  Older records fall back to a merged-size estimate.
-    pub diff_ring: usize,
     /// Which transport backend carries publish frames during the run.  The
     /// default [`TransportKind::Simulated`] replicates nothing and keeps
     /// every result byte-identical to the pre-transport runtime; the real
@@ -406,25 +400,15 @@ pub struct DsmConfig {
 
 impl DsmConfig {
     /// Configuration matching the paper's environment: 8 processors on the
-    /// 1996 ATM-LAN cost model.
-    ///
-    /// Two environment variables let the ablation benches toggle design
-    /// choices without changing application code: `DSM_NAIVE_CI=1` disables
-    /// the dirty-bit loop-splitting optimisation (Section 8.1) and
-    /// `DSM_NO_SMALL_OBJECTS=1` disables the eager small-object twinning
-    /// improvement, falling back to Midway-style copy-on-write faults for
-    /// every object (Section 4.2).
+    /// 1996 ATM-LAN cost model, with eager small-object twinning and the
+    /// dirty-bit loop-splitting optimisation on.
     pub fn paper(kind: ImplKind) -> Self {
-        let naive_ci = std::env::var_os("DSM_NAIVE_CI").is_some();
-        let no_small = std::env::var_os("DSM_NO_SMALL_OBJECTS").is_some();
         DsmConfig {
             nprocs: 8,
             kind,
             cost: CostModel::atm_lan_1996(),
-            ec_small_object_limit: if no_small { 0 } else { dsm_mem::PAGE_SIZE },
-            hierarchical_dirty_bits: true,
-            ci_loop_optimization: !naive_ci,
-            diff_ring: 64,
+            ec_small_object_limit: dsm_mem::PAGE_SIZE,
+            ci_loop_optimization: true,
             transport: TransportKind::Simulated,
             fault: FaultPlan::None,
         }
@@ -446,11 +430,6 @@ impl DsmConfig {
     pub fn validate(&self) -> Result<(), DsmError> {
         if self.nprocs == 0 {
             return Err(DsmError::InvalidConfig("nprocs must be at least 1".into()));
-        }
-        if self.diff_ring == 0 {
-            return Err(DsmError::InvalidConfig(
-                "diff_ring must be at least 1".into(),
-            ));
         }
         if let FaultPlan::KillAt { node, .. } = self.fault {
             if node as usize >= self.nprocs {
@@ -550,9 +529,6 @@ mod tests {
     fn invalid_configs_are_rejected() {
         let mut cfg = DsmConfig::paper(ImplKind::ec_time());
         cfg.nprocs = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = DsmConfig::paper(ImplKind::ec_time());
-        cfg.diff_ring = 0;
         assert!(cfg.validate().is_err());
     }
 

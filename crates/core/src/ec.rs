@@ -21,7 +21,7 @@ use std::sync::{Mutex, RwLock};
 use dsm_mem::{BlockGranularity, MemRange, RegionDesc, VectorClock};
 
 use crate::config::{Collection, DsmConfig, Trapping};
-use crate::engine::{ProtocolEngine, PublishRec, CTRL_MSG_BYTES};
+use crate::engine::{diff_size, ProtocolEngine, PublishRec, CTRL_MSG_BYTES, DIFF_RING};
 use crate::ids::{LockId, LockMode};
 use crate::local::{HeldLock, LocalRegion, NodeLocal};
 use crate::recovery::UndoRec;
@@ -115,19 +115,11 @@ impl GrantWalk {
         blocks: Range<usize>,
         floor: u64,
     ) {
-        let stamps = &rs.stamp[blocks.clone()];
-        let mut i = 0;
-        while i < stamps.len() {
-            let (run_start, stamp) = (i, stamps[i]);
-            i += 1;
-            while i < stamps.len() && stamps[i] == stamp {
-                i += 1;
-            }
+        dsm_mem::same_stamp_runs(&rs.stamp, blocks, |first, last, stamp| {
             if stamp <= floor {
                 self.prev = None;
-                continue;
+                return;
             }
-            let (first, last) = (blocks.start + run_start, blocks.start + i);
             let end = (last * 4).min(local.len());
             local[first * 4..end].copy_from_slice(&rs.master[first * 4..end]);
             self.applied_words += last - first;
@@ -137,7 +129,7 @@ impl GrantWalk {
                 self.ts_runs += 1;
             }
             self.prev = Some((ridx, last - 1, stamp));
-        }
+        });
     }
 }
 
@@ -468,7 +460,6 @@ impl ProtocolEngine for EcEngine {
         let cost = &self.cfg.cost;
         let trapping = self.cfg.kind.trapping();
         let collection = self.cfg.kind.collection();
-        let diff_ring = self.cfg.diff_ring;
         let me = local.node;
 
         let mut meta = sync::lock(self.locks.get(lock.index()));
@@ -637,7 +628,7 @@ impl ProtocolEngine for EcEngine {
             meta.publishes.push_back(PublishRec {
                 stamp: seq,
                 node: me,
-                encoded_size: col.changed_words * 4 + col.runs * 8,
+                encoded_size: diff_size(col.changed_words, col.runs),
                 compare_words: col.compare_words,
                 creation_charged: collection == Collection::Timestamps
                     || trapping == Trapping::Instrumentation,
@@ -646,7 +637,7 @@ impl ProtocolEngine for EcEngine {
                 lock: lock.index(),
                 stamp: seq,
             });
-            while meta.publishes.len() > diff_ring {
+            while meta.publishes.len() > DIFF_RING {
                 meta.publishes.pop_front();
             }
         }

@@ -30,16 +30,28 @@ use crate::lrc::{AdaptiveLrcEngine, HomeBasedLrcEngine, HomelessLrcEngine};
 /// bookkeeping) in bytes.
 pub(crate) const CTRL_MSG_BYTES: usize = 16;
 
+/// How many publish records (diffs) are retained per lock (EC) or page
+/// (LRC) for diff-collection traffic accounting.
+pub(crate) const DIFF_RING: usize = 64;
+
+/// Wire size of a run-length encoded diff of `words` changed words in
+/// `runs` runs: the words themselves plus a 4-byte offset and a 4-byte
+/// length per run.
+pub(crate) fn diff_size(words: usize, runs: usize) -> usize {
+    words * 4 + runs * 8
+}
+
 /// One publish record: the modifications one release (EC) or one interval
 /// (LRC) made to a lock's bound data or to a page.  Retained in a bounded
-/// ring for diff-collection traffic accounting.
+/// ring of [`DIFF_RING`] records for diff-collection traffic accounting.
 #[derive(Debug, Clone)]
 pub(crate) struct PublishRec {
     /// EC: global publish sequence number; LRC: interval index of the writer.
     pub stamp: u64,
     /// The writer (LRC; unused for EC where the lock identifies the chain).
     pub node: NodeId,
-    /// Wire size of the run-length encoded diff for this publish.
+    /// Wire size of the run-length encoded diff for this publish (see
+    /// [`diff_size`]).
     pub encoded_size: usize,
     /// Number of words that had to be compared against the twin to build the
     /// diff (charged lazily to the first requester under diff collection).
@@ -220,5 +232,12 @@ mod tests {
             engine.read_master(0, 100, &mut buf);
             assert_eq!(buf, [42, 0, 0, 0]);
         }
+    }
+
+    #[test]
+    fn encoded_size_includes_run_headers() {
+        assert_eq!(diff_size(0, 0), 0);
+        // Two one-word runs: 8 bytes of data plus two 8-byte run headers.
+        assert_eq!(diff_size(2, 2), 8 + 2 * 8);
     }
 }

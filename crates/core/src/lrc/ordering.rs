@@ -15,21 +15,24 @@
 //! behind its own mutex.  Faults on one region never block publishes to
 //! another.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
-use dsm_mem::{pages_in, MemRange, PageModeChange, RegionDesc, VectorClock, WriteNotice};
+use dsm_mem::{pages_in, same_stamp_runs, MemRange, PageModeChange, RegionDesc, VectorClock};
 use dsm_sim::{NodeId, RegionSharing};
 
 use crate::config::{Collection, DsmConfig, Trapping};
-use crate::engine::{ProtocolEngine, PublishRec};
+use crate::engine::{diff_size, ProtocolEngine, PublishRec, DIFF_RING};
 use crate::ids::{LockId, LockMode};
-use crate::local::{HeldLock, NodeLocal};
+use crate::local::{HeldLock, LocalPage, LocalRegion, NodeLocal};
 use crate::recovery::UndoRec;
 use crate::sync::{self, SlotTable};
 
 use super::policy::{DataPolicy, MissInfo};
-use super::state::{pack_stamp, unpack_stamp, LrcLockState, LrcPageState, LrcRegionState};
+use super::state::{
+    pack_stamp, unpack_stamp, LrcLockState, LrcPageState, LrcRegionState, NOTICE_WIRE_BYTES,
+};
 
 /// Publishes one maximal run of changed words: copies the new bytes into the
 /// master and stamps every word of the run.  `run` is in page-relative word
@@ -40,15 +43,97 @@ fn publish_run(
     master: &mut [u8],
     stamps: &mut [u64],
     data: &[u8],
-    span: &std::ops::Range<usize>,
+    span: &Range<usize>,
     base_word: usize,
     stamp: u64,
-    run: std::ops::Range<usize>,
+    run: Range<usize>,
 ) {
     let sb = span.start + run.start * 4;
     let eb = (span.start + run.end * 4).min(span.end);
     master[sb..eb].copy_from_slice(&data[sb..eb]);
     stamps[base_word + run.start..base_word + run.end].fill(stamp);
+}
+
+/// An access miss's walk over one page: the counts its simulated charges
+/// are computed from.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct MissWalk {
+    /// Words copied from the master copy.
+    applied_words: usize,
+    /// Maximal runs of applied words sharing one stamp.
+    ts_runs: usize,
+}
+
+/// Brings the page `span` of a node's region copy `data` up to date: copies
+/// from `master` every word stamped by a remote publish that `vector`
+/// entitles the node to and `lp.applied` has not seen, one same-stamp run at
+/// a time (one decision and one copy per run).
+///
+/// On a page with unpublished local writes the written words keep their
+/// local values: each run is applied around them, one copy per unwritten
+/// sub-run.  The page's twin, if it has one, receives the same words, so the
+/// next release's twin compare does not republish them as the node's own.
+/// Adjacent same-stamp runs never share a stamp and sub-runs are separated
+/// by written words, so `ts_runs` counts one per applied (sub-)run — what a
+/// word-by-word walk that starts a run at every stamp change or gap counts.
+fn apply_entitled(
+    stamp: &[u64],
+    master: &[u8],
+    span: Range<usize>,
+    data: &mut [u8],
+    lp: &mut LocalPage,
+    vector: &VectorClock,
+    me_idx: usize,
+) -> MissWalk {
+    let base_word = span.start / 4;
+    let nwords = span.len().div_ceil(4);
+    let LocalPage {
+        twin,
+        written,
+        dirty,
+        applied,
+        ..
+    } = lp;
+    let written = if *dirty { written.as_ref() } else { None };
+    let mut walk = MissWalk::default();
+    // Copies page words `s..e`; a last word past the region end is partial.
+    let mut copy = |s: usize, e: usize| {
+        let (sb, eb) = (s * 4, (e * 4).min(span.len()));
+        let src = &master[span.start + sb..span.start + eb];
+        data[span.start + sb..span.start + eb].copy_from_slice(src);
+        if let Some(twin) = twin.as_deref_mut() {
+            twin[sb..eb].copy_from_slice(src);
+        }
+        walk.applied_words += e - s;
+        walk.ts_runs += 1;
+    };
+    same_stamp_runs(stamp, base_word..base_word + nwords, |first, last, st| {
+        let Some((qn, i)) = unpack_stamp(st) else {
+            return;
+        };
+        let q = qn.index();
+        if q == me_idx || i > vector.entry(qn) || i <= applied[q] {
+            return;
+        }
+        let (s, e) = (first - base_word, last - base_word);
+        let Some(bits) = written else {
+            copy(s, e);
+            return;
+        };
+        let mut w = s;
+        while w < e {
+            if bits.get(w) {
+                w += 1;
+                continue;
+            }
+            let run = w;
+            while w < e && !bits.get(w) {
+                w += 1;
+            }
+            copy(run, w);
+        }
+    });
+    walk
 }
 
 /// The lazy-release-consistency [`ProtocolEngine`], parameterized by the
@@ -148,8 +233,6 @@ impl<P: DataPolicy> LrcEngine<P> {
         let cost = &self.cfg.cost;
         let trapping = self.cfg.kind.trapping();
         let collection = self.cfg.kind.collection();
-        let hierarchical = self.cfg.hierarchical_dirty_bits;
-        let diff_ring = self.cfg.diff_ring;
         let me = local.node;
         let me_idx = me.index();
         let next_interval = local.vector.entry(me) + 1;
@@ -202,7 +285,7 @@ impl<P: DataPolicy> LrcEngine<P> {
             let mut compare_words = 0usize;
 
             {
-                let crate::local::LocalRegion { data, pages } = local_region;
+                let LocalRegion { data, pages } = local_region;
                 let lp = &mut pages[page];
                 let rsd = &mut *rs;
                 match trapping {
@@ -325,16 +408,13 @@ impl<P: DataPolicy> LrcEngine<P> {
                     .history
                     .back()
                     .map_or(true, |r| r.interval <= local.vector.entry(r.node));
-                let encoded_size = changed_words * 4 + runs * 8;
+                let encoded_size = diff_size(changed_words, runs);
                 ps.sharing.record_publish(me_idx, encoded_size, serial);
                 ps.latest[me_idx] = next_interval;
-                // New stamps landed: any cached flattened snapshot of this
-                // page is now stale.
-                ps.stamp_ver += 1;
                 // Append to the page's publish history as a delta-chain
                 // record (recycled buffers: steady-state publishes allocate
                 // nothing).
-                ps.push_pub(me, next_interval, &pub_clock, diff_ring);
+                ps.push_pub(me, next_interval, &pub_clock, DIFF_RING);
                 let mut rec = PublishRec {
                     stamp: next_interval as u64,
                     node: me,
@@ -350,7 +430,7 @@ impl<P: DataPolicy> LrcEngine<P> {
                 }
                 let ps = &mut rs.pages[page];
                 ps.diffs.push_back(rec);
-                while ps.diffs.len() > diff_ring {
+                while ps.diffs.len() > DIFF_RING {
                     ps.diffs.pop_front();
                 }
             }
@@ -373,14 +453,13 @@ impl<P: DataPolicy> LrcEngine<P> {
                 }
             }
             Trapping::Instrumentation => {
-                if hierarchical {
-                    // Finding the dirty pages means checking the page-level
-                    // dirty bit of every page in the shared data set.
-                    local.stats.page_bits_checked += total_region_pages;
-                    local
-                        .clock
-                        .advance(cost.page_bit_checks(total_region_pages));
-                }
+                // Hierarchical dirty bits (Section 4.1): finding the dirty
+                // pages means checking the page-level dirty bit of every
+                // page in the shared data set.
+                local.stats.page_bits_checked += total_region_pages;
+                local
+                    .clock
+                    .advance(cost.page_bit_checks(total_region_pages));
             }
         }
 
@@ -459,6 +538,117 @@ impl<P: DataPolicy> LrcEngine<P> {
         }
     }
 
+    /// Resolves the page's stale sources into `stale`.  With none the page
+    /// is fresh: it is marked checked for this epoch and `true` is returned.
+    /// The caller holds the region's read or write lock.
+    fn settle_if_fresh(
+        &self,
+        rs: &LrcRegionState,
+        local: &mut NodeLocal,
+        ridx: usize,
+        page: usize,
+        upto_scratch: &mut Vec<u32>,
+        stale: &mut Vec<(usize, u32, u32)>,
+    ) -> bool {
+        stale.clear();
+        self.stale_sources_into(rs, local, ridx, page, upto_scratch, stale);
+        if !stale.is_empty() {
+            return false;
+        }
+        let (me_idx, epoch) = (local.node.index(), local.epoch);
+        let lp = &mut local.regions[ridx].pages[page];
+        self.mark_checked(&rs.pages[page], lp, ridx, me_idx, epoch);
+        true
+    }
+
+    /// Marks a fresh page checked for `epoch`.  A page that has applied
+    /// *every* publish made to it (not merely every publish the node is
+    /// entitled to) is also marked caught up: it stays fresh across epochs
+    /// for as long as the region's publish generation is unchanged, whatever
+    /// the node's vector gains at later acquires.  The caller holds the
+    /// region's lock, under which the generation is stable.
+    fn mark_checked(
+        &self,
+        ps: &LrcPageState,
+        lp: &mut LocalPage,
+        ridx: usize,
+        me_idx: usize,
+        epoch: u64,
+    ) {
+        let caught_up = ps
+            .latest
+            .iter()
+            .enumerate()
+            .all(|(q, &latest)| q == me_idx || latest <= lp.applied[q]);
+        let rgen = self.publish_gen[ridx].load(Ordering::Acquire);
+        lp.checked_epoch = epoch;
+        lp.checked_gen = if caught_up { rgen + 1 } else { 0 };
+    }
+
+    /// The locked half of `ensure_read_fresh`: settles the page under the
+    /// region's read lock if it is fresh, and otherwise takes the access
+    /// miss under the write lock.
+    fn refresh(
+        &self,
+        local: &mut NodeLocal,
+        ridx: usize,
+        page: usize,
+        stale: &mut Vec<(usize, u32, u32)>,
+        upto_scratch: &mut Vec<u32>,
+    ) {
+        // Fast path: a read lock suffices to discover the page is fresh.
+        // Staleness is monotone while our vector is fixed (entitled publish
+        // records only grow), so a page seen fresh here stays fresh for this
+        // epoch.
+        {
+            let rs = sync::read(&self.region_state[ridx]);
+            if self.settle_if_fresh(&rs, local, ridx, page, upto_scratch, stale) {
+                return;
+            }
+        }
+
+        // Access miss: re-resolve under the write lock (more intervals may
+        // have been published meanwhile; applying them too is within our
+        // entitlement).
+        let mut rs = sync::write(&self.region_state[ridx]);
+        if self.settle_if_fresh(&rs, local, ridx, page, upto_scratch, stale) {
+            return;
+        }
+
+        local.stats.access_misses += 1;
+        local.stats.pages_invalidated += 1;
+        rs.pages[page].sharing.record_miss();
+        local.undo(|| UndoRec::SharingMiss { ridx, page });
+        local.clock.advance(self.cfg.cost.page_fault());
+
+        let me_idx = local.node.index();
+        let span = local.regions[ridx].page_span(page);
+        let nwords = span.len().div_ceil(4);
+        let walk = {
+            let LocalRegion { data, pages } = &mut local.regions[ridx];
+            let lp = &mut pages[page];
+            let walk = apply_entitled(&rs.stamp, &rs.master, span, data, lp, &local.vector, me_idx);
+            for &(q, _, upto) in stale.iter() {
+                lp.applied[q] = lp.applied[q].max(upto);
+            }
+            self.mark_checked(&rs.pages[page], lp, ridx, me_idx, local.epoch);
+            walk
+        };
+
+        // Data movement: responders, reply sizes, collection costs and
+        // messages are the policy's concern.
+        let miss = MissInfo {
+            ridx,
+            page,
+            gran: self.regions[ridx].granularity,
+            nwords,
+            applied_words: walk.applied_words,
+            ts_runs: walk.ts_runs,
+            stale,
+        };
+        self.policy.on_miss(&self.cfg, local, &mut rs, &miss);
+    }
+
     /// Test-only view of the configuration and region table (the policy
     /// modules' unit tests build `NodeLocal`s against them).
     #[cfg(test)]
@@ -470,17 +660,6 @@ impl<P: DataPolicy> LrcEngine<P> {
     #[cfg(test)]
     pub(crate) fn policy(&self) -> &P {
         &self.policy
-    }
-
-    /// True if the page has applied *every* publish made to it (not merely
-    /// every publish the node is entitled to).  Such a page stays fresh
-    /// across epochs for as long as the region's publish generation is
-    /// unchanged, whatever the node's vector gains at later acquires.
-    fn caught_up(ps: &LrcPageState, lp: &crate::local::LocalPage, me_idx: usize) -> bool {
-        ps.latest
-            .iter()
-            .enumerate()
-            .all(|(q, &latest)| q == me_idx || latest <= lp.applied[q])
     }
 }
 
@@ -511,7 +690,7 @@ impl<P: DataPolicy> ProtocolEngine for LrcEngine<P> {
             local.scratch_clock.copy_from(&st.release_vec);
         }
         let notices = self.notices_between(&local.vector, &local.scratch_clock);
-        let payload = local.scratch_clock.wire_size() + notices as usize * WriteNotice::WIRE_SIZE;
+        let payload = local.scratch_clock.wire_size() + notices as usize * NOTICE_WIRE_BYTES;
         local.stats.write_notices_received += notices;
         let NodeLocal {
             vector,
@@ -551,7 +730,7 @@ impl<P: DataPolicy> ProtocolEngine for LrcEngine<P> {
             }
         }
         local.intervals_at_last_barrier = cur;
-        local.vector.wire_size() + pages as usize * WriteNotice::WIRE_SIZE
+        local.vector.wire_size() + pages as usize * NOTICE_WIRE_BYTES
     }
 
     fn barrier_depart(
@@ -563,12 +742,12 @@ impl<P: DataPolicy> ProtocolEngine for LrcEngine<P> {
         let notices = self.notices_between(old_vector, released_vector);
         local.stats.write_notices_received += notices;
         local.vector.merge_max(released_vector);
-        released_vector.wire_size() + notices as usize * WriteNotice::WIRE_SIZE
+        released_vector.wire_size() + notices as usize * NOTICE_WIRE_BYTES
     }
 
     /// Ensures the local copy of a page reflects every modification this node
     /// is entitled to see, taking an access miss (invalidate protocol) if it
-    /// does not.  The freshness decision and the apply loop are shared by
+    /// does not.  The freshness decision and the apply walk are shared by
     /// every policy; only the data-movement accounting of the miss differs.
     fn ensure_read_fresh(&self, local: &mut NodeLocal, ridx: usize, page: usize) {
         let epoch = local.epoch;
@@ -596,177 +775,13 @@ impl<P: DataPolicy> ProtocolEngine for LrcEngine<P> {
             }
         }
 
-        let cost = &self.cfg.cost;
-        let gran = self.regions[ridx].granularity;
-        let me_idx = local.node.index();
-
-        // The stale-source scan reuses the node's scratch buffers (taken out
-        // of `local` so the borrows below stay disjoint; every return path
-        // puts them back).
+        // The stale-source scan reuses the node's scratch buffers, taken out
+        // of `local` so the borrows in `refresh` stay disjoint.
         let mut stale = std::mem::take(&mut local.scratch_stale);
-        let mut upto_scratch = std::mem::take(&mut local.scratch_upto);
-        stale.clear();
-
-        // Fast path: a read lock suffices to discover the page is fresh.
-        // Staleness is monotone while our vector is fixed (entitled publish
-        // records only grow), so a page seen fresh here stays fresh for this
-        // epoch.
-        {
-            let rs = sync::read(&self.region_state[ridx]);
-            // Stable under the read lock: generations move only under the
-            // region's write lock.
-            let rgen = self.publish_gen[ridx].load(Ordering::Acquire);
-            self.stale_sources_into(&rs, local, ridx, page, &mut upto_scratch, &mut stale);
-            if stale.is_empty() {
-                let caught_up =
-                    Self::caught_up(&rs.pages[page], &local.regions[ridx].pages[page], me_idx);
-                drop(rs);
-                let lp = &mut local.regions[ridx].pages[page];
-                lp.checked_epoch = epoch;
-                lp.checked_gen = if caught_up { rgen + 1 } else { 0 };
-                local.scratch_stale = stale;
-                local.scratch_upto = upto_scratch;
-                return;
-            }
-        }
-
-        // Access miss: re-resolve under the write lock (more intervals may
-        // have been published meanwhile; applying them too is within our
-        // entitlement).
-        let mut rs = sync::write(&self.region_state[ridx]);
-        let rgen = self.publish_gen[ridx].load(Ordering::Acquire);
-        stale.clear();
-        self.stale_sources_into(&rs, local, ridx, page, &mut upto_scratch, &mut stale);
-        if stale.is_empty() {
-            let caught_up =
-                Self::caught_up(&rs.pages[page], &local.regions[ridx].pages[page], me_idx);
-            drop(rs);
-            let lp = &mut local.regions[ridx].pages[page];
-            lp.checked_epoch = epoch;
-            lp.checked_gen = if caught_up { rgen + 1 } else { 0 };
-            local.scratch_stale = stale;
-            local.scratch_upto = upto_scratch;
-            return;
-        }
-
-        local.stats.access_misses += 1;
-        local.stats.pages_invalidated += 1;
-        rs.pages[page].sharing.record_miss();
-        local.undo(|| UndoRec::SharingMiss { ridx, page });
-        local.clock.advance(cost.page_fault());
-
-        let span = local.regions[ridx].page_span(page);
-        let base_word = span.start / 4;
-        let nwords = span.len().div_ceil(4);
-
-        let mut applied_words = 0usize;
-        let mut ts_runs = 0usize;
-
-        {
-            let local_region = &mut local.regions[ridx];
-            let crate::local::LocalRegion { data, pages } = local_region;
-            let lp = &mut pages[page];
-            let LrcRegionState {
-                master,
-                stamp,
-                pages: rpages,
-            } = &mut *rs;
-            let ps = &mut rpages[page];
-
-            // Apply every block whose latest publish happens-before us and is
-            // newer than what we have, skipping blocks we have dirty local
-            // writes to (they belong to our current, unpublished interval).
-            if lp.dirty {
-                // The page holds unpublished local writes: walk word by word
-                // so `was_written` can exclude them.
-                let mut prev: Option<u64> = None;
-                for w in 0..nwords {
-                    let st = stamp[base_word + w];
-                    let Some((qn, i)) = unpack_stamp(st) else {
-                        prev = None;
-                        continue;
-                    };
-                    let q = qn.index();
-                    if q == me_idx {
-                        prev = None;
-                        continue;
-                    }
-                    let entitled = i <= local.vector.entry(qn) && i > lp.applied[q];
-                    if entitled && !lp.was_written(w) {
-                        let start = span.start + w * 4;
-                        let end = (start + 4).min(data.len());
-                        data[start..end].copy_from_slice(&master[start..end]);
-                        applied_words += 1;
-                        if prev != Some(st) {
-                            ts_runs += 1;
-                        }
-                        prev = Some(st);
-                    } else {
-                        prev = None;
-                    }
-                }
-            } else {
-                // Clean page: apply through the flattened-diff snapshot —
-                // one decision and (at most) one copy per maximal same-stamp
-                // run instead of one per word.  The snapshot is built from
-                // the same stamps the word walk reads, so the entitled set,
-                // `applied_words` and `ts_runs` are identical: within a run
-                // the stamp (and hence the per-word decision) is constant,
-                // and adjacent runs never share a stamp, so the word walk's
-                // run counting collapses to one count per applied run.  The
-                // first faulting consumer after a publish pays the rebuild;
-                // every later consumer reuses it, whatever its vector, since
-                // entitlement is re-decided per consumer against the shared
-                // runs.
-                if ps.snap_ver != ps.stamp_ver {
-                    ps.snap
-                        .rebuild_from_stamps(&stamp[base_word..base_word + nwords]);
-                    ps.snap_ver = ps.stamp_ver;
-                }
-                for run in ps.snap.runs() {
-                    let Some((qn, i)) = unpack_stamp(run.stamp) else {
-                        continue;
-                    };
-                    let q = qn.index();
-                    if q == me_idx {
-                        continue;
-                    }
-                    if i <= local.vector.entry(qn) && i > lp.applied[q] {
-                        let sb = span.start + run.start * 4;
-                        let eb = (span.start + (run.start + run.len) * 4).min(span.end);
-                        data[sb..eb].copy_from_slice(&master[sb..eb]);
-                        applied_words += run.len;
-                        ts_runs += 1;
-                    }
-                }
-            }
-
-            for &(q, _, upto) in &stale {
-                lp.applied[q] = lp.applied[q].max(upto);
-            }
-            lp.checked_epoch = epoch;
-            lp.checked_gen = if Self::caught_up(ps, lp, me_idx) {
-                rgen + 1
-            } else {
-                0
-            };
-        }
-
-        // Data movement: responders, reply sizes, collection costs and
-        // messages are the policy's concern.
-        let miss = MissInfo {
-            ridx,
-            page,
-            gran,
-            nwords,
-            applied_words,
-            ts_runs,
-            stale: &stale,
-        };
-        self.policy.on_miss(&self.cfg, local, &mut rs, &miss);
-        drop(rs);
+        let mut upto = std::mem::take(&mut local.scratch_upto);
+        self.refresh(local, ridx, page, &mut stale, &mut upto);
         local.scratch_stale = stale;
-        local.scratch_upto = upto_scratch;
+        local.scratch_upto = upto;
     }
 
     /// Write-trapping for LRC: ensure freshness, then record the span's
@@ -786,11 +801,9 @@ impl<P: DataPolicy> ProtocolEngine for LrcEngine<P> {
         let trapping = self.cfg.kind.trapping();
 
         if trapping == Trapping::Instrumentation {
-            let mut factor = if self.cfg.ci_loop_optimization { 1 } else { 2 };
-            if self.cfg.hierarchical_dirty_bits {
-                // The hierarchical scheme also sets a page-level dirty bit.
-                factor += 1;
-            }
+            // One store per word-level dirty bit (two without loop
+            // splitting), plus the hierarchical scheme's page-level bit.
+            let factor = 1 + if self.cfg.ci_loop_optimization { 1 } else { 2 };
             local.stats.instrumented_writes += count as u64;
             local
                 .clock
@@ -917,9 +930,12 @@ impl<P: DataPolicy> ProtocolEngine for LrcEngine<P> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::adaptive::Adaptive;
     use super::super::policy::{HomeBased, Homeless};
     use super::*;
     use crate::config::ImplKind;
+    use crate::local::WORDS_PER_PAGE;
+    use dsm_mem::testutil::TestRng;
     use dsm_mem::{BlockGranularity, RegionId};
     use dsm_sim::MsgKind;
 
@@ -1102,6 +1118,177 @@ mod tests {
         assert_eq!(home.stats.messages_of(MsgKind::DataRequest), 0);
         assert_eq!(home.stats.messages_of(MsgKind::DataReply), 0);
         assert_eq!(home.regions[0].data[0..4], 5u32.to_le_bytes());
+    }
+
+    /// A node that misses on a page it has already written in its current
+    /// interval must not publish the words the miss applied: only its own
+    /// write leaves with its interval's stamp, so a later remote write to
+    /// the applied word survives.
+    fn dirty_page_miss_case<P: DataPolicy>(kind: ImplKind) {
+        let e = engine::<P>(kind);
+        let mut reader = node(&e, 0);
+        let mut writer = node(&e, 1);
+        // Trap first, then store: a twin must hold the pre-write bytes.
+        let store = |local: &mut NodeLocal, word: usize, value: u32| {
+            e.trap_write(local, 0, word * 4, 4);
+            local.regions[0].data[word * 4..word * 4 + 4].copy_from_slice(&value.to_le_bytes());
+        };
+
+        store(&mut writer, 0, 7);
+        e.barrier_arrive(&mut writer);
+        // The reader writes word 1, then becomes entitled to the writer's
+        // interval 1 (a nested acquire) and misses on its dirty page.
+        store(&mut reader, 1, 5);
+        reader.vector.set_entry(NodeId::new(1), 1);
+        reader.epoch += 1;
+        e.ensure_read_fresh(&mut reader, 0, 0);
+        assert_eq!(reader.stats.access_misses, 1, "{kind}");
+        assert_eq!(reader.regions[0].data[0..4], 7u32.to_le_bytes(), "{kind}");
+
+        store(&mut writer, 0, 8);
+        e.barrier_arrive(&mut writer);
+        e.barrier_arrive(&mut reader);
+        assert_eq!(
+            reader.stats.diff_words, 1,
+            "{kind}: the reader wrote one word"
+        );
+        let mut master = [0u8; 8];
+        e.read_master(0, 0, &mut master);
+        assert_eq!(master[0..4], 8u32.to_le_bytes(), "{kind}: lost update");
+        assert_eq!(master[4..8], 5u32.to_le_bytes(), "{kind}");
+    }
+
+    #[test]
+    fn dirty_page_miss_does_not_republish_applied_words() {
+        for kind in ImplKind::lrc_all() {
+            dirty_page_miss_case::<Homeless>(kind);
+        }
+        for kind in ImplKind::hlrc_all() {
+            dirty_page_miss_case::<HomeBased>(kind);
+        }
+        for kind in ImplKind::adaptive_all() {
+            dirty_page_miss_case::<Adaptive>(kind);
+        }
+    }
+
+    /// The miss walk before the shared stamp-run scan: every word of the
+    /// page is decided on its own, a dirty page's written words are skipped,
+    /// and only `data` is written.  The reference `apply_entitled` is held
+    /// to.
+    fn reference_miss_walk(
+        stamp: &[u64],
+        master: &[u8],
+        span: Range<usize>,
+        data: &mut [u8],
+        lp: &LocalPage,
+        vector: &VectorClock,
+        me_idx: usize,
+    ) -> MissWalk {
+        let base_word = span.start / 4;
+        let mut walk = MissWalk::default();
+        let mut prev: Option<u64> = None;
+        for w in 0..span.len().div_ceil(4) {
+            let st = stamp[base_word + w];
+            let Some((qn, i)) = unpack_stamp(st) else {
+                prev = None;
+                continue;
+            };
+            let q = qn.index();
+            let entitled = q != me_idx && i <= vector.entry(qn) && i > lp.applied[q];
+            if entitled && !(lp.dirty && lp.was_written(w)) {
+                let start = span.start + w * 4;
+                let end = (start + 4).min(data.len());
+                data[start..end].copy_from_slice(&master[start..end]);
+                walk.applied_words += 1;
+                if prev != Some(st) {
+                    walk.ts_runs += 1;
+                }
+                prev = Some(st);
+            } else {
+                prev = None;
+            }
+        }
+        walk
+    }
+
+    #[test]
+    fn miss_walk_matches_the_per_word_walk() {
+        const NPROCS: usize = 4;
+        // Three pages; the last is partial and ends in a two-byte word.
+        const LEN: usize = 2 * dsm_mem::PAGE_SIZE + 1002;
+        let nwords = LEN.div_ceil(4);
+        for seed in 1..=400u64 {
+            let mut rng = TestRng::new(seed);
+            let me = rng.below(NPROCS);
+            let mut vector = VectorClock::new(NPROCS);
+            let mut applied = vec![0u32; NPROCS];
+            for (q, mark) in applied.iter_mut().enumerate() {
+                let v = rng.below(6) as u32;
+                vector.set_entry(NodeId::new(q as u32), v);
+                *mark = rng.below(v as usize + 1) as u32;
+            }
+            // Stamps in runs: unpublished, own, and remote ones that are
+            // entitled or not, applied or not.
+            let mut stamp = vec![0u64; nwords];
+            let mut w = 0;
+            while w < nwords {
+                let end = (w + 1 + rng.below(40)).min(nwords);
+                let q = if rng.below(4) == 0 {
+                    me
+                } else {
+                    rng.below(NPROCS)
+                };
+                let st = match rng.below(5) {
+                    0 => 0,
+                    _ => pack_stamp(NodeId::new(q as u32), 1 + rng.below(7) as u32),
+                };
+                stamp[w..end].fill(st);
+                w = end;
+            }
+            let master = rng.bytes(LEN);
+            let data = rng.bytes(LEN);
+            let span = dsm_mem::page_range(rng.below(3), LEN);
+            let mut lp = LocalPage {
+                applied,
+                ..LocalPage::default()
+            };
+            let shape = rng.below(3);
+            if shape > 0 {
+                lp.dirty = true;
+                for _ in 0..rng.below(6) {
+                    let s = rng.below(WORDS_PER_PAGE);
+                    let e = (s + 1 + rng.below(30)).min(WORDS_PER_PAGE);
+                    lp.written_mut().set_range(s..e);
+                }
+            }
+            if shape == 2 {
+                lp.twin = Some(rng.bytes(span.len()));
+            }
+
+            let mut want = data.clone();
+            let want_walk =
+                reference_miss_walk(&stamp, &master, span.clone(), &mut want, &lp, &vector, me);
+            // The twin must receive what the page receives.
+            let want_twin = lp.twin.as_ref().map(|twin| {
+                let mut region = data.clone();
+                region[span.clone()].copy_from_slice(twin);
+                reference_miss_walk(&stamp, &master, span.clone(), &mut region, &lp, &vector, me);
+                region[span.clone()].to_vec()
+            });
+            let mut got = data.clone();
+            let got_walk = apply_entitled(
+                &stamp,
+                &master,
+                span.clone(),
+                &mut got,
+                &mut lp,
+                &vector,
+                me,
+            );
+            assert_eq!(got_walk, want_walk, "seed {seed}");
+            assert!(got == want, "seed {seed}: page bytes differ");
+            assert_eq!(lp.twin, want_twin, "seed {seed}: twin bytes differ");
+        }
     }
 
     #[test]

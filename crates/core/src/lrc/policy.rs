@@ -23,14 +23,14 @@
 
 use std::sync::RwLock;
 
-use dsm_mem::{BlockGranularity, IntervalId, PageModeChange, RegionDesc};
+use dsm_mem::{BlockGranularity, PageModeChange, RegionDesc};
 use dsm_sim::{MsgKind, NodeId};
 
 use crate::config::{Collection, DsmConfig, Trapping};
 use crate::engine::{PublishRec, CTRL_MSG_BYTES};
 use crate::local::NodeLocal;
 
-use super::state::LrcRegionState;
+use super::state::{LrcRegionState, STAMP_WIRE_BYTES};
 
 /// Everything the ordering core knows about one access miss by the time the
 /// policy is asked to account its data movement.
@@ -242,8 +242,9 @@ impl DataPolicy for Homeless {
             (usize::from(primary_used) + extra).max(1)
         };
 
-        // Diff-mode traffic accounting: every pending diff of a stale source
-        // is transferred (the overlapping-diff effect for migratory data).
+        // Traffic accounting under diff collection: every pending diff of a
+        // stale source is transferred (the overlapping-diff effect for
+        // migratory data).
         let mut diff_bytes = 0usize;
         let mut diff_count = 0u64;
         let mut creation_words = 0u64;
@@ -284,7 +285,7 @@ impl DataPolicy for Homeless {
                 let scan = (m.nwords / gran_div) as u64;
                 local.stats.ts_blocks_scanned += scan;
                 local.clock.advance(cost.ts_scan(scan));
-                m.applied_words * 4 + m.ts_runs * (IntervalId::WIRE_SIZE + 6)
+                m.applied_words * 4 + m.ts_runs * (STAMP_WIRE_BYTES + 6)
             }
             Collection::Diffs => {
                 local.stats.diffs_applied += diff_count;

@@ -8,10 +8,19 @@
 
 use std::collections::VecDeque;
 
-use dsm_mem::{ClockDelta, FlatUpdate, PageSharing, VectorClock};
+use dsm_mem::{ClockDelta, PageSharing, VectorClock};
 use dsm_sim::NodeId;
 
 use crate::engine::PublishRec;
+
+/// Wire size of an LRC `(processor, interval)` timestamp: "each of the
+/// timestamps consists of a processor identifier and an interval index"
+/// (Section 5.3); charged as 2 + 4 bytes.
+pub(crate) const STAMP_WIRE_BYTES: usize = 6;
+
+/// Wire size of a write notice: region id, page index and the interval that
+/// modified the page.
+pub(crate) const NOTICE_WIRE_BYTES: usize = 4 + 4 + STAMP_WIRE_BYTES;
 
 /// Packs an LRC `(node, interval)` timestamp into a `u64` (0 = never written).
 pub(crate) fn pack_stamp(node: NodeId, interval: u32) -> u64 {
@@ -82,19 +91,6 @@ pub(crate) struct LrcPageState {
     pub evicted_latest: Vec<u32>,
     /// Ring of recent per-interval publish records for traffic accounting.
     pub diffs: VecDeque<PublishRec>,
-    /// Version of this page's block stamps: bumped every time a publish
-    /// writes new stamps for the page, so consumers can tell whether a
-    /// cached flattening of the stamp array is still current.
-    pub stamp_ver: u64,
-    /// Flattened-diff snapshot of the page: the per-block stamps run-length
-    /// encoded into maximal same-stamp runs, as of version `snap_ver`.
-    /// Built lazily at the first access miss after a publish and reused (no
-    /// rebuild, no per-consumer copy) by every later miss on the page until
-    /// the next publish — the apply loop walks these runs instead of every
-    /// block.  `snap_ver != stamp_ver` marks the snapshot stale.
-    pub snap: FlatUpdate,
-    /// The `stamp_ver` the snapshot was built at (`u64::MAX` = never built).
-    pub snap_ver: u64,
     /// Sharing-statistics accumulator: publish/miss/diff-byte counts per
     /// observation window plus run totals.  Every LRC-family policy records
     /// into it (the totals feed [`TrafficReport`](dsm_sim::TrafficReport)
@@ -113,9 +109,6 @@ impl LrcPageState {
             head_clock: VectorClock::new(nprocs),
             evicted_latest: vec![0; nprocs],
             diffs: VecDeque::new(),
-            stamp_ver: 0,
-            snap: FlatUpdate::new(),
-            snap_ver: u64::MAX,
             sharing: PageSharing::new(nprocs),
         }
     }

@@ -36,7 +36,46 @@
 use crate::wire::{
     decode_flat_update, decode_vclock, encode_flat_update, encode_vclock, MAX_WIRE_MSG,
 };
-use crate::{changed_word_runs, FlatRun, FlatUpdate, VectorClock};
+use crate::{changed_word_runs, VectorClock};
+
+/// One run of a [`FlatUpdate`]: `len` consecutive word blocks from `start`,
+/// all carrying `stamp`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlatRun {
+    /// First block index of the run.
+    pub start: usize,
+    /// Number of consecutive blocks in the run.
+    pub len: usize,
+    /// The stamp every block of the run carries.
+    pub stamp: u64,
+}
+
+/// A checkpoint image's run table: the stamped word runs of one region's
+/// delta, in increasing block order.  It carries no bytes; the image's
+/// payload holds each run's words back to back.
+///
+/// ```
+/// use dsm_mem::{FlatRun, FlatUpdate};
+///
+/// let table = FlatUpdate::from_runs(vec![FlatRun { start: 2, len: 3, stamp: 1 }]);
+/// assert_eq!(table.runs()[0].start + table.runs()[0].len, 5);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FlatUpdate {
+    runs: Vec<FlatRun>,
+}
+
+impl FlatUpdate {
+    /// A run table over `runs`, which must be in increasing block order.
+    pub fn from_runs(runs: Vec<FlatRun>) -> Self {
+        FlatUpdate { runs }
+    }
+
+    /// The runs, in increasing block order.
+    pub fn runs(&self) -> &[FlatRun] {
+        &self.runs
+    }
+}
 
 /// One region's contribution to a checkpoint image: the word runs that
 /// changed since the node's previous checkpoint, plus their bytes.
@@ -74,7 +113,7 @@ impl CkptRegion {
             payload.extend_from_slice(&cur[r.start * 4..(r.start + r.len) * 4]);
         }
         CkptRegion {
-            update: FlatUpdate::from_wire_runs(runs),
+            update: FlatUpdate::from_runs(runs),
             payload,
         }
     }
@@ -337,7 +376,7 @@ mod tests {
     fn empty_delta_is_compact() {
         let data = vec![7u8; 64];
         let r = CkptRegion::delta(&data, &data, 1);
-        assert!(r.update.is_empty());
+        assert!(r.update.runs().is_empty());
         assert_eq!(r.words(), 0);
     }
 

@@ -1,11 +1,10 @@
-//! Virtual-memory pages and software protection state.
+//! Virtual-memory page arithmetic.
 //!
-//! The paper's implementations use `mprotect` and `SIGSEGV` to write-protect
-//! shared pages; here the same state machine is kept in a *software* page
-//! table that the typed accessors in `dsm-core` consult on every access, with
-//! the fault and protection-change costs charged through the cost model.
-
-use std::fmt;
+//! The paper's implementations use `mprotect` and `SIGSEGV` to trap accesses
+//! to shared pages.  Nothing here protects memory: the engines in `dsm-core`
+//! keep the state those faults would act on (twins, dirty bits, applied
+//! intervals) per page, and charge each fault and protection change through
+//! the cost model.  This module only maps byte offsets to pages.
 
 /// Size of a virtual-memory page, matching the DECstation's 4 KiB pages.
 pub const PAGE_SIZE: usize = 4096;
@@ -73,49 +72,6 @@ pub fn pages_in(len: usize) -> usize {
     len.div_ceil(PAGE_SIZE)
 }
 
-/// Access rights of a page in a node's (software) page table.
-///
-/// The transitions mirror what the real implementations do with `mprotect`:
-///
-/// * LRC invalidate protocol: a write notice drops the page to
-///   [`Protection::None`]; the access miss upgrades it to read (after the
-///   diffs are applied) or read-write.
-/// * Twinning write trapping: after the twin is discarded the page is
-///   downgraded to [`Protection::Read`] so the next write faults and creates a
-///   fresh twin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum Protection {
-    /// No access: any read or write faults (an invalid page under LRC).
-    None,
-    /// Read-only: reads proceed, writes fault (write-protected for twinning).
-    Read,
-    /// Full access: neither reads nor writes fault.
-    #[default]
-    ReadWrite,
-}
-
-impl Protection {
-    /// True if a read access is allowed without a fault.
-    pub fn allows_read(self) -> bool {
-        !matches!(self, Protection::None)
-    }
-
-    /// True if a write access is allowed without a fault.
-    pub fn allows_write(self) -> bool {
-        matches!(self, Protection::ReadWrite)
-    }
-}
-
-impl fmt::Display for Protection {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Protection::None => f.write_str("---"),
-            Protection::Read => f.write_str("r--"),
-            Protection::ReadWrite => f.write_str("rw-"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,27 +90,5 @@ mod tests {
         assert_eq!(page_range(0, 100), 0..100);
         assert_eq!(page_range(1, 100), 100..100);
         assert_eq!(page_range(2, 3 * PAGE_SIZE), 2 * PAGE_SIZE..3 * PAGE_SIZE);
-    }
-
-    #[test]
-    fn protection_semantics() {
-        assert!(!Protection::None.allows_read());
-        assert!(!Protection::None.allows_write());
-        assert!(Protection::Read.allows_read());
-        assert!(!Protection::Read.allows_write());
-        assert!(Protection::ReadWrite.allows_read());
-        assert!(Protection::ReadWrite.allows_write());
-    }
-
-    #[test]
-    fn protection_display() {
-        assert_eq!(Protection::None.to_string(), "---");
-        assert_eq!(Protection::Read.to_string(), "r--");
-        assert_eq!(Protection::ReadWrite.to_string(), "rw-");
-    }
-
-    #[test]
-    fn default_protection_is_read_write() {
-        assert_eq!(Protection::default(), Protection::ReadWrite);
     }
 }

@@ -135,7 +135,7 @@ fn decode_vclock_from(r: &mut Reader<'_>) -> Option<VectorClock> {
     Some(clock)
 }
 
-/// Appends the wire encoding of a flattened update snapshot to `out`.
+/// Appends the wire encoding of a run table to `out`.
 pub fn encode_flat_update(update: &FlatUpdate, out: &mut Vec<u8>) {
     put_u32(out, update.runs().len() as u32);
     for run in update.runs() {
@@ -145,7 +145,7 @@ pub fn encode_flat_update(update: &FlatUpdate, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes a flattened update snapshot; returns it and the bytes consumed.
+/// Decodes a run table; returns it and the bytes consumed.
 pub fn decode_flat_update(buf: &[u8]) -> Option<(FlatUpdate, usize)> {
     let mut r = Reader::new(buf);
     let nruns = r.u32()? as usize;
@@ -159,7 +159,7 @@ pub fn decode_flat_update(buf: &[u8]) -> Option<(FlatUpdate, usize)> {
         let stamp = r.u64()?;
         runs.push(FlatRun { start, len, stamp });
     }
-    Some((FlatUpdate::from_wire_runs(runs), r.at))
+    Some((FlatUpdate::from_runs(runs), r.at))
 }
 
 /// One replicated publish, as a replica applies it: the bytes one publish
@@ -660,10 +660,26 @@ mod tests {
         assert_eq!(used, buf.len());
     }
 
+    /// The run table of a stamp array: its same-stamp runs, without the
+    /// never-published (stamp 0) ones.
+    fn published_runs(stamps: &[u64]) -> FlatUpdate {
+        let mut runs = Vec::new();
+        crate::same_stamp_runs(stamps, 0..stamps.len(), |start, end, stamp| {
+            if stamp != 0 {
+                runs.push(FlatRun {
+                    start,
+                    len: end - start,
+                    stamp,
+                });
+            }
+        });
+        FlatUpdate::from_runs(runs)
+    }
+
     #[test]
     fn flat_update_round_trip() {
-        let mut u = FlatUpdate::new();
-        u.rebuild_from_stamps(&[0, 7, 7, 9, 0, 9]);
+        let u = published_runs(&[0, 7, 7, 9, 0, 9]);
+        assert_eq!(u.runs().len(), 3);
         let mut buf = Vec::new();
         encode_flat_update(&u, &mut buf);
         let (back, used) = decode_flat_update(&buf).expect("decodes");
@@ -693,8 +709,7 @@ mod tests {
                     *s = 1 + xorshift(&mut seed) % 5;
                 }
             }
-            let mut u = FlatUpdate::new();
-            u.rebuild_from_stamps(&stamps);
+            let u = published_runs(&stamps);
             let mut buf = Vec::new();
             encode_flat_update(&u, &mut buf);
             let (back, used) = decode_flat_update(&buf).expect("round trip");

@@ -7,133 +7,12 @@
 
 use dsm_mem::testutil::TestRng as Rng;
 use dsm_mem::{
-    page_of, pages_in, wire, BitSet, BlockGranularity, BufferPool, Diff, FlatUpdate, MemRange,
+    page_of, pages_in, same_stamp_runs, wire, BitSet, BufferPool, FlatRun, FlatUpdate, MemRange,
     RegionId, VectorClock, PAGE_SIZE,
 };
 use dsm_sim::NodeId;
 
 const CASES: u64 = 64;
-
-/// Diffs built from explicit dirty blocks (compiler instrumentation) always
-/// cover at least the blocks a value comparison would find.
-#[test]
-fn instrumented_diff_covers_value_diff() {
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed + 1);
-        let len = rng.in_range(32, 256);
-        let twin = rng.bytes(len);
-        let mut current = twin.clone();
-        let mut dirty_blocks = Vec::new();
-        for _ in 0..rng.below(32) {
-            let p = rng.below(len);
-            current[p] = rng.byte();
-            dirty_blocks.push(p / 4);
-        }
-        // `from_blocks` consumes the indices streaming (no per-call scratch),
-        // so they must arrive in scan order, as a dirty-bit walk yields them.
-        dirty_blocks.sort_unstable();
-        let by_value = Diff::from_compare(&twin, &current, 0, BlockGranularity::Word);
-        let by_bits = Diff::from_blocks(&current, 0, dirty_blocks, BlockGranularity::Word);
-        assert!(
-            by_bits.modified_blocks() >= by_value.modified_blocks(),
-            "seed {seed}"
-        );
-        let mut rebuilt = twin.clone();
-        by_bits.apply(&mut rebuilt);
-        assert_eq!(rebuilt, current, "seed {seed}");
-    }
-}
-
-/// The word-chunked `from_compare` is byte-identical to the retained naive
-/// block-compare reference, across both granularities, random lengths
-/// (including tails not divisible by 8) and random twin/current pairs.
-#[test]
-fn chunked_compare_is_byte_identical_to_reference() {
-    for seed in 0..CASES * 4 {
-        let mut rng = Rng::new(seed + 4000);
-        // Lengths deliberately straddle the 8-byte chunk boundary shapes.
-        let len = rng.in_range(1, 300);
-        let twin = rng.bytes(len);
-        let mut current = twin.clone();
-        // A mix of single-byte flips and short dirty spans.
-        for _ in 0..rng.below(24) {
-            let p = rng.below(len);
-            if rng.bool() {
-                current[p] = rng.byte();
-            } else {
-                let run_end = (p + rng.in_range(1, 16)).min(len);
-                for b in &mut current[p..run_end] {
-                    *b = rng.byte();
-                }
-            }
-        }
-        let base = rng.below(8192);
-        for gran in [BlockGranularity::Word, BlockGranularity::DoubleWord] {
-            let fast = Diff::from_compare(&twin, &current, base, gran);
-            let slow = Diff::from_compare_reference(&twin, &current, base, gran);
-            assert_eq!(fast, slow, "seed {seed} len {len} gran {gran}");
-            assert_eq!(fast.encoded_size(), slow.encoded_size(), "seed {seed}");
-            assert_eq!(
-                fast.modified_blocks(),
-                slow.modified_blocks(),
-                "seed {seed}"
-            );
-            // Applying either reproduces `current` from the twin.
-            let mut rebuilt = vec![0u8; base + len];
-            rebuilt[base..].copy_from_slice(&twin);
-            fast.apply(&mut rebuilt);
-            assert_eq!(&rebuilt[base..], &current[..], "seed {seed}");
-        }
-    }
-}
-
-/// Diffs built from a bitset's runs equal diffs built from its indices, and
-/// pooled buffers round-trip through the twin-copy shape.
-#[test]
-fn bit_run_diffs_match_index_diffs() {
-    let mut pool = BufferPool::new();
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed + 5000);
-        let len = rng.in_range(16, 512);
-        let nblocks = BlockGranularity::Word.blocks_in(len);
-        let current = rng.bytes(len);
-        let mut bits = BitSet::new(nblocks);
-        for _ in 0..rng.below(16) {
-            bits.set(rng.below(nblocks));
-        }
-        let by_runs = Diff::from_block_runs(&current, 0, bits.iter_runs(), BlockGranularity::Word);
-        let by_index = Diff::from_blocks(&current, 0, bits.iter_set(), BlockGranularity::Word);
-        assert_eq!(by_runs, by_index, "seed {seed}");
-        // A pooled twin copy is byte-identical to a fresh allocation.
-        let twin = pool.take_copy(&current);
-        assert_eq!(twin, current, "seed {seed}");
-        pool.put(twin);
-    }
-    // After the warm-up take, every later copy reused a pooled buffer.
-    assert_eq!(pool.allocated(), 1);
-}
-
-/// The encoded size of a diff is at least its payload and grows with the
-/// number of runs.
-#[test]
-fn diff_encoded_size_bounds() {
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed + 1000);
-        let len = rng.in_range(64, 512);
-        let twin = rng.bytes(len);
-        let mut current = twin.clone();
-        for _ in 0..rng.below(64) {
-            let p = rng.below(len);
-            current[p] ^= 0xff;
-        }
-        let d = Diff::from_compare(&twin, &current, 0, BlockGranularity::Word);
-        assert!(d.encoded_size() >= d.modified_bytes(), "seed {seed}");
-        assert!(
-            d.encoded_size() <= d.modified_bytes() + 8 * d.runs().len(),
-            "seed {seed}"
-        );
-    }
-}
 
 /// BitSet set/clear/count behave like a reference `Vec<bool>`.
 #[test]
@@ -168,8 +47,8 @@ fn bitset_matches_reference() {
     }
 }
 
-/// The wire codec round-trips flattened update snapshots, including empty
-/// ones and ones whose stamp pattern covers every block.
+/// The wire codec round-trips run tables, including empty ones and ones
+/// whose stamp pattern covers every block.
 #[test]
 fn wire_flat_update_round_trips() {
     for seed in 0..CASES * 2 {
@@ -182,8 +61,17 @@ fn wire_flat_update_round_trips() {
                 _ => rng.below(4) as u64, // mixed runs and gaps
             })
             .collect();
-        let mut u = FlatUpdate::new();
-        u.rebuild_from_stamps(&stamps);
+        let mut runs = Vec::new();
+        same_stamp_runs(&stamps, 0..nblocks, |start, end, stamp| {
+            if stamp != 0 {
+                runs.push(FlatRun {
+                    start,
+                    len: end - start,
+                    stamp,
+                });
+            }
+        });
+        let u = FlatUpdate::from_runs(runs);
         let mut buf = Vec::new();
         wire::encode_flat_update(&u, &mut buf);
         let (back, used) = wire::decode_flat_update(&buf).expect("well-formed encoding");

@@ -33,6 +33,7 @@ fn sweep(kind: ImplKind) {
             RunOpts {
                 transport: TransportKind::Simulated,
                 fault: FaultPlan::KillAt { node, barrier },
+                ..RunOpts::default()
             },
         );
         assert!(

@@ -5,63 +5,8 @@
 
 use dsm_core::{BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode};
 use dsm_mem::testutil::TestRng as Rng;
-use dsm_mem::{Diff, UpdateMerge, VectorClock};
+use dsm_mem::VectorClock;
 use dsm_sim::NodeId;
-
-/// Applying a diff built from (twin, current) to a copy of the twin always
-/// reconstructs `current`, at either granularity.
-#[test]
-fn diff_roundtrip() {
-    for seed in 0..32 {
-        let mut rng = Rng::new(seed + 1);
-        let len = rng.in_range(64, 512);
-        let twin = rng.bytes(len);
-        let mut current = twin.clone();
-        for _ in 0..rng.below(64) {
-            let p = rng.below(len);
-            current[p] = rng.byte();
-        }
-        let gran = if seed % 2 == 0 {
-            BlockGranularity::DoubleWord
-        } else {
-            BlockGranularity::Word
-        };
-        let diff = Diff::from_compare(&twin, &current, 0, gran);
-        let mut rebuilt = twin.clone();
-        diff.apply(&mut rebuilt);
-        assert_eq!(rebuilt, current, "seed {seed}");
-    }
-}
-
-/// Folding a chain of diffs through `UpdateMerge` produces the same final
-/// bytes as applying the diffs in order (timestamp collection and diff
-/// collection are content-equivalent).
-#[test]
-fn merge_equals_sequential_application() {
-    for seed in 0..32 {
-        let mut rng = Rng::new(seed + 100);
-        let len = rng.in_range(64, 256);
-        let base = rng.bytes(len);
-        let mut by_diffs = base.clone();
-        let mut merge = UpdateMerge::new(BlockGranularity::Word);
-        let mut current = base.clone();
-        let steps = rng.in_range(1, 6);
-        for stamp in 0..steps {
-            let prev = current.clone();
-            for _ in 0..rng.in_range(1, 16) {
-                let p = rng.below(len);
-                current[p] = rng.byte();
-            }
-            let diff = Diff::from_compare(&prev, &current, 0, BlockGranularity::Word);
-            diff.apply(&mut by_diffs);
-            merge.add(stamp as u64 + 1, &diff);
-        }
-        let mut by_merge = base.clone();
-        merge.apply_to(&mut by_merge);
-        assert_eq!(by_diffs, current, "seed {seed}");
-        assert_eq!(by_merge, current, "seed {seed}");
-    }
-}
 
 /// Vector clocks form a join-semilattice: merge is idempotent, commutative,
 /// and dominates both inputs.

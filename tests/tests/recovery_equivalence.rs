@@ -34,6 +34,7 @@ fn assert_equivalent(kind: ImplKind, nprocs: usize, fault: FaultPlan) {
         RunOpts {
             transport: TransportKind::Simulated,
             fault,
+            ..RunOpts::default()
         },
     );
     assert!(base.verified, "{kind}/{nprocs}p: uncrashed run failed");
@@ -119,6 +120,7 @@ fn checkpoint_images_and_rollback_notices_survive_the_channel_transport() {
                 node: 2,
                 barrier: MID_RUN,
             },
+            ..RunOpts::default()
         },
     );
     assert!(report.verified);
@@ -142,6 +144,7 @@ fn checkpoint_images_and_rollback_notices_survive_the_socket_transport() {
                 node: 0,
                 barrier: MID_RUN,
             },
+            ..RunOpts::default()
         },
     );
     assert!(report.verified);
