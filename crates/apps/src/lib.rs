@@ -14,11 +14,12 @@
 //! The suite is written against the typed API of `dsm-core` —
 //! `SharedArray<T>`/`Binding<T>` handles, RAII lock guards
 //! (`ctx.lock`/`ctx.lock_if`, whose conditional form carries the EC-only
-//! annotations), and typed element/span accessors — with the raw
-//! `acquire`/`release` escape hatch where a program holds a dynamic set of
-//! locks at once (3D-FFT's transpose chunks, SOR's boundary read locks).
-//! `tests/tests/typed_api_equivalence.rs` pins that this surface costs
-//! nothing: reports are byte-identical to the pre-redesign raw-API programs.
+//! annotations), lock sets (`ctx.lock_set`) where a program holds a dynamic
+//! set of locks at once (3D-FFT's transpose chunks, SOR's boundary read
+//! locks, Quicksort's rebound queue-entry lock), and typed element/span
+//! accessors.  `tests/tests/typed_api_equivalence.rs` pins that this
+//! surface costs nothing: reports are byte-identical to the pre-redesign
+//! raw-API programs.
 //!
 //! The [`runner`] module provides a uniform entry point used by the benchmark
 //! harness and the integration tests.

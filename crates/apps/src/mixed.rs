@@ -189,15 +189,14 @@ pub fn run(kind: ImplKind, nprocs: usize, p: &MixedParams) -> (RunResult, bool) 
         for _ in 0..p.iterations {
             for turn in 0..n {
                 if turn == me {
-                    ctx.acquire(lock, LockMode::Exclusive);
+                    let mut g = ctx.lock(lock, LockMode::Exclusive);
                     for pg in 0..p.pages {
-                        ctx.read_into(mig, pg * WPP, &mut page);
+                        g.read_into(mig, pg * WPP, &mut page);
                         for v in page.iter_mut() {
                             *v = v.wrapping_add(me as u32 + 1);
                         }
-                        ctx.write_from(mig, pg * WPP, &page);
+                        g.write_from(mig, pg * WPP, &page);
                     }
-                    ctx.release(lock);
                 }
                 ctx.barrier(bar);
             }

@@ -212,10 +212,11 @@ pub fn run_opts(
             };
 
             // The entry lock stays held across the queue-lock critical
-            // sections below (and is released/rebound/reacquired mid-task),
-            // so it uses the raw acquire/release escape hatch.
+            // sections below (and is released, rebound and reacquired
+            // mid-task), so it lives in a lock set for the whole task.
+            let mut entry = ctx.lock_set();
             if ec {
-                ctx.acquire(entry_lock(slot), LockMode::Exclusive);
+                entry.acquire(entry_lock(slot), LockMode::Exclusive);
             }
 
             // Keep splitting the larger partition until it is small enough.
@@ -224,8 +225,8 @@ pub fn run_opts(
                 // buffer (one read and one write of each element, page-batched
                 // through the span API).
                 let mut buf = vec![0i32; len];
-                ctx.read_into(array, start, &mut buf);
-                ctx.compute(Work::ops(len as u64 * p.work_partition));
+                entry.read_into(array, start, &mut buf);
+                entry.compute(Work::ops(len as u64 * p.work_partition));
                 let pivot = buf[len / 2];
                 let mut lower: Vec<i32> = Vec::with_capacity(len);
                 let mut upper: Vec<i32> = Vec::with_capacity(len);
@@ -243,7 +244,7 @@ pub fn run_opts(
                 buf.extend_from_slice(&lower);
                 buf.extend(std::iter::repeat(pivot).take(equal));
                 buf.extend_from_slice(&upper);
-                ctx.write_from(array, start, &buf);
+                entry.write_from(array, start, &buf);
                 let split = lower.len() + equal / 2 + 1;
                 let split = split.clamp(1, len - 1);
                 // Smaller partition goes to the queue, larger stays with us.
@@ -256,14 +257,14 @@ pub fn run_opts(
                 if ec {
                     // Publish the writes made so far and narrow the binding
                     // of our entry lock to the partition we keep.
-                    ctx.release(entry_lock(slot));
-                    ctx.rebind(entry_lock(slot), [array.range(large_start, large_len)]);
-                    ctx.acquire(entry_lock(slot), LockMode::Exclusive);
+                    entry.release(entry_lock(slot));
+                    entry.rebind(entry_lock(slot), [array.range(large_start, large_len)]);
+                    entry.acquire(entry_lock(slot), LockMode::Exclusive);
                 }
 
                 // Enqueue the smaller partition.
                 {
-                    let mut q = ctx.lock(queue.lock(), LockMode::Exclusive);
+                    let mut q = entry.lock(queue.lock(), LockMode::Exclusive);
                     let tail = q.get(queue, Q_TAIL) as usize;
                     let new_slot = tail % capacity;
                     q.set(queue, Q_ENTRIES + new_slot * 2, small_start as u32);
@@ -282,8 +283,8 @@ pub fn run_opts(
 
             // Leaf: bubblesort the remaining partition in a local buffer.
             let mut buf = vec![0i32; len];
-            ctx.read_into(array, start, &mut buf);
-            ctx.compute(Work::ops(bubble_work(len, &p)));
+            entry.read_into(array, start, &mut buf);
+            entry.compute(Work::ops(bubble_work(len, &p)));
             for i in 0..buf.len() {
                 for j in 0..buf.len().saturating_sub(1 + i) {
                     if buf[j] > buf[j + 1] {
@@ -291,10 +292,8 @@ pub fn run_opts(
                     }
                 }
             }
-            ctx.write_from(array, start, &buf);
-            if ec {
-                ctx.release(entry_lock(slot));
-            }
+            entry.write_from(array, start, &buf);
+            drop(entry);
 
             // Mark the task done.
             ctx.lock(queue.lock(), LockMode::Exclusive)

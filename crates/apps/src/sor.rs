@@ -215,17 +215,16 @@ pub fn run_opts(
 
         for _ in 0..p.iterations {
             for colour in 0..2usize {
-                // EC: read-only locks on the boundary half-rows we read.
-                // Two independent locks are held across the whole row loop,
-                // so this uses the raw acquire/release escape hatch rather
-                // than nested guards.
+                // EC: read-only locks on the boundary half-rows we read,
+                // both held across the whole row loop in one lock set.
+                let mut bounds = ctx.lock_set();
                 if ec {
                     let read_colour = 1 - colour;
                     if lo > 1 {
-                        ctx.acquire(row_lock(lo - 1, read_colour), LockMode::ReadOnly);
+                        bounds.acquire(row_lock(lo - 1, read_colour), LockMode::ReadOnly);
                     }
                     if hi < tr - 1 {
-                        ctx.acquire(row_lock(hi, read_colour), LockMode::ReadOnly);
+                        bounds.acquire(row_lock(hi, read_colour), LockMode::ReadOnly);
                     }
                 }
                 for i in lo..hi {
@@ -233,7 +232,7 @@ pub fn run_opts(
                     // EC: exclusive lock on the half-row we update (SOR+
                     // only shares the boundary rows); released when the
                     // guard drops at the end of the row.
-                    let mut row = ctx.lock_if(
+                    let mut row = bounds.lock_if(
                         ec && (!plus || boundary_row),
                         row_lock(i, colour),
                         LockMode::Exclusive,
@@ -292,27 +291,19 @@ pub fn run_opts(
                         }
                     }
                 }
-                if ec {
-                    let read_colour = 1 - colour;
-                    if lo > 1 {
-                        ctx.release(row_lock(lo - 1, read_colour));
-                    }
-                    if hi < tr - 1 {
-                        ctx.release(row_lock(hi, read_colour));
-                    }
-                }
+                drop(bounds);
                 ctx.barrier(barrier);
             }
         }
         // SOR+ publishes nothing for interior rows; copy the final band into
-        // the shared region so the result can be verified uniformly.  The
-        // whole band's locks are held at once, so this also stays on the raw
-        // acquire/release escape hatch.
+        // the shared region so the result can be verified uniformly, holding
+        // the whole band's locks at once in one lock set.
         if plus {
+            let mut band = ctx.lock_set();
             if ec {
                 for i in lo..hi {
-                    ctx.acquire(row_lock(i, 0), LockMode::Exclusive);
-                    ctx.acquire(row_lock(i, 1), LockMode::Exclusive);
+                    band.acquire(row_lock(i, 0), LockMode::Exclusive);
+                    band.acquire(row_lock(i, 1), LockMode::Exclusive);
                 }
             }
             for i in lo..hi {
@@ -322,15 +313,10 @@ pub fn run_opts(
                     let first_j = if (colour + i) % 2 == 1 { 1 } else { 2 };
                     let m = (tc - 1).saturating_sub(first_j).div_ceil(2);
                     let start = p.idx(i, first_j);
-                    ctx.write_from(matrix, start, &private[start..start + m]);
+                    band.write_from(matrix, start, &private[start..start + m]);
                 }
             }
-            if ec {
-                for i in lo..hi {
-                    ctx.release(row_lock(i, 0));
-                    ctx.release(row_lock(i, 1));
-                }
-            }
+            drop(band);
             ctx.barrier(barrier);
         }
         ctx.barrier(barrier);

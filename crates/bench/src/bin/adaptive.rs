@@ -128,11 +128,12 @@ fn main() {
         &cells,
     );
 
-    // The verdict the adaptive policy is judged on: its best implementation
-    // must move fewer total bytes than *every* static policy.  Only
-    // meaningful when `--impls` left both sides represented and the run had
-    // more than one processor (alone, nothing communicates and every policy
-    // ties at zero traffic).
+    // The verdict the adaptive policy is judged on: whether its best
+    // implementation moves fewer total bytes than *every* static policy
+    // (`adaptive_determinism` asserts it at 4 processors).  Only meaningful
+    // when `--impls` left both sides represented and the run had more than
+    // one processor (alone, nothing communicates and every policy ties at
+    // zero traffic).
     let statics: Vec<&Row> = rows
         .iter()
         .filter(|r| r.kind.model() != Model::Adaptive)
@@ -173,11 +174,6 @@ fn main() {
             margin_pct,
             beats_all,
             host_lat.json_fields("host_run_"),
-        );
-        assert!(
-            beats_all,
-            "{} moved {} bytes but static {} moved {}",
-            a.kind, a.bytes, best_static.kind, best_static.bytes,
         );
     }
 }

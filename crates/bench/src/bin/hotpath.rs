@@ -189,7 +189,7 @@ fn measure_epoch(
         let mut dsm = Dsm::new(DsmConfig::with_procs(kind, nprocs)).expect("valid config");
         let region = dsm.alloc_array::<u32>("hot", ELEMS, BlockGranularity::Word);
         dsm.init_array(region, |i| i as u32);
-        dsm.bind(LockId::new(0), [region.region().whole()]);
+        dsm.bind(LockId::new(0), [region.whole()]);
         let per = ELEMS / nprocs;
         let lat_mx = std::sync::Mutex::new(dsm_bench::LatencyHistogram::new());
         let start = Instant::now();

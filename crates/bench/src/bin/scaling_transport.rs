@@ -55,7 +55,7 @@ fn epoch_run(
     let mut dsm = Dsm::new(cfg).expect("valid config");
     let region = dsm.alloc_array::<u32>("wire-hot", ELEMS, BlockGranularity::Word);
     dsm.init_array(region, |i| i as u32);
-    dsm.bind(LockId::new(0), [region.region().whole()]);
+    dsm.bind(LockId::new(0), [region.whole()]);
     let per = (ELEMS / nprocs).max(1);
     let start = Instant::now();
     let result = dsm.run(|ctx| {

@@ -1,12 +1,13 @@
-//! The typed shared-data API: `SharedArray<T>` handles, RAII lock guards,
-//! scoped array views, and first-class EC bindings.
+//! The typed shared-data API: `SharedArray<T>` handles, RAII lock guards
+//! for one lock or a dynamic set of them, scoped array views, and
+//! first-class EC bindings.
 //!
-//! This layer is pure ergonomics over the raw [`ProcessContext`] accessors —
-//! every typed operation lowers onto exactly one raw call (`read`, `write`,
-//! `read_slice`, `write_slice`, `acquire`, `release`, ...), so the simulated
-//! costs, statistics and traffic of a typed program are **byte-identical** to
-//! its raw-API equivalent (`tests/tests/typed_api_equivalence.rs` pins this
-//! against goldens blessed before the layer existed).
+//! This is the crate's only public surface for shared data and locks.  Its
+//! operations charge exactly what the `Region`-based accessors it replaced
+//! charged, so the simulated costs, statistics and traffic of a typed
+//! program are **byte-identical** to the original raw program
+//! (`tests/tests/typed_api_equivalence.rs` pins this against goldens
+//! blessed from the raw programs before the typed layer existed).
 //!
 //! The paper's central programmability finding is that entry consistency
 //! makes the programmer associate data with synchronization objects while
@@ -15,51 +16,36 @@
 //! turbofish calls and scattered `bind` invocations:
 //!
 //! * [`SharedArray<T>`] / [`SharedScalar<T>`] carry their element type, so
-//!   access sites infer `T` from the handle instead of spelling
-//!   `read::<f64>(region, i)`.
+//!   access sites ([`ProcessContext::get`], [`ProcessContext::set`], ...)
+//!   infer `T` from the handle.
 //! * [`LockGuard`]s from [`ProcessContext::lock`] release on drop and gate
 //!   mutable views on the acquisition mode — a read-only EC lock cannot hand
 //!   out an [`ArrayViewMut`].
+//! * A [`LockSet`] from [`ProcessContext::lock_set`] holds a dynamic set of
+//!   locks at once (3D-FFT's per-(owner, reader) chunk locks, SOR's
+//!   boundary read locks), releases any of them early, and releases the
+//!   rest in reverse acquisition order on drop.
 //! * [`Binding<T>`] from [`Dsm::alloc_bound`] constructs the lock→data
 //!   association of Section 3 in one place (a no-op under LRC, so the same
 //!   setup code serves every model).
 //! * [`ArrayView`] / [`ArrayViewMut`] bulk operations lower onto the
-//!   allocation-free span hot path ([`ProcessContext::read_slice`] /
-//!   [`ProcessContext::write_slice`]).
-//!
-//! The raw `Region`-based accessors remain available as the documented
-//! low-level escape hatch — programs with dynamic lock sets (e.g. 3D-FFT's
-//! per-(owner, reader) chunk locks) interleave raw `acquire`/`release` with
-//! typed data access freely, and equivalence suites use the raw API to pin
-//! byte-identity across the two surfaces.
+//!   allocation-free span hot path ([`ProcessContext::read_into`] /
+//!   [`ProcessContext::write_from`]).
 
 use std::fmt;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 
-use dsm_mem::{BlockGranularity, MemRange};
+use dsm_mem::{BlockGranularity, MemRange, RegionId};
 
 use crate::context::ProcessContext;
 use crate::ids::{LockId, LockMode};
-use crate::runtime::{Dsm, Region, RunResult};
+use crate::runtime::{Dsm, RunResult};
 use crate::scalar::Scalar;
 
 // ---------------------------------------------------------------------------
 // Typed handles
 // ---------------------------------------------------------------------------
-
-/// `Debug` body shared by the typed handles (they differ only in the struct
-/// name and all delegate to the inner region).
-macro_rules! fmt_debug_handle {
-    ($name:literal) => {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.debug_struct($name)
-                .field("region", &self.region())
-                .field("elem", &std::any::type_name::<T>())
-                .finish()
-        }
-    };
-}
 
 /// Typed handle to a shared region holding elements of type `T`.
 ///
@@ -83,64 +69,52 @@ macro_rules! fmt_debug_handle {
 /// # Ok::<(), dsm_core::DsmError>(())
 /// ```
 pub struct SharedArray<T: Scalar> {
-    region: Region,
+    id: RegionId,
+    len: usize,
+    granularity: BlockGranularity,
     _elem: PhantomData<fn() -> T>,
 }
 
 impl<T: Scalar> SharedArray<T> {
-    /// Types a raw region handle as an array of `T`.
-    ///
-    /// This is the escape-hatch constructor for code that allocated with the
-    /// raw [`Dsm::alloc`]; [`Dsm::alloc_array`] is the normal way to obtain a
-    /// typed handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region's byte length is not a multiple of `T`'s size.
-    pub fn from_region(region: Region) -> Self {
-        assert!(
-            region.len() % T::SIZE == 0,
-            "region of {} bytes does not hold whole elements of {} bytes",
-            region.len(),
-            T::SIZE
-        );
+    pub(crate) fn new(id: RegionId, len: usize, granularity: BlockGranularity) -> Self {
         SharedArray {
-            region,
+            id,
+            len,
+            granularity,
             _elem: PhantomData,
         }
     }
 
-    /// The underlying raw region handle (the escape hatch back to the
-    /// untyped API).
-    pub fn region(&self) -> Region {
-        self.region
+    /// The index of the array's region in the run's per-region tables.
+    pub(crate) fn ridx(&self) -> usize {
+        self.id.index()
     }
 
     /// Number of elements the array holds.
     pub fn len(&self) -> usize {
-        self.region.len() / T::SIZE
+        self.len
     }
 
     /// True if the array holds no elements.
     pub fn is_empty(&self) -> bool {
-        self.region.len() == 0
+        self.len == 0
     }
 
     /// The block granularity writes are trapped at under compiler
     /// instrumentation.
     pub fn granularity(&self) -> BlockGranularity {
-        self.region.granularity()
+        self.granularity
     }
 
     /// A [`MemRange`] covering elements `start..start + count`, for binding
     /// part of the array to an EC lock ([`Dsm::bind`]).
     pub fn range(&self, start: usize, count: usize) -> MemRange {
-        self.region.range_of::<T>(start, count)
+        MemRange::new(self.id, start * T::SIZE, count * T::SIZE)
     }
 
     /// A [`MemRange`] covering the whole array.
     pub fn whole(&self) -> MemRange {
-        self.region.whole()
+        self.range(0, self.len)
     }
 }
 
@@ -153,18 +127,18 @@ impl<T: Scalar> Copy for SharedArray<T> {}
 
 impl<T: Scalar> PartialEq for SharedArray<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.region == other.region
+        (self.id, self.len, self.granularity) == (other.id, other.len, other.granularity)
     }
 }
 impl<T: Scalar> Eq for SharedArray<T> {}
 
 impl<T: Scalar> fmt::Debug for SharedArray<T> {
-    fmt_debug_handle!("SharedArray");
-}
-
-impl<T: Scalar> From<SharedArray<T>> for Region {
-    fn from(arr: SharedArray<T>) -> Region {
-        arr.region
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SharedArray")
+            .field("region", &self.id)
+            .field("len", &self.len)
+            .field("elem", &std::any::type_name::<T>())
+            .finish()
     }
 }
 
@@ -186,11 +160,6 @@ impl<T: Scalar> SharedScalar<T> {
     pub fn array(&self) -> SharedArray<T> {
         self.array
     }
-
-    /// The underlying raw region handle.
-    pub fn region(&self) -> Region {
-        self.array.region()
-    }
 }
 
 impl<T: Scalar> Clone for SharedScalar<T> {
@@ -208,7 +177,12 @@ impl<T: Scalar> PartialEq for SharedScalar<T> {
 impl<T: Scalar> Eq for SharedScalar<T> {}
 
 impl<T: Scalar> fmt::Debug for SharedScalar<T> {
-    fmt_debug_handle!("SharedScalar");
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SharedScalar")
+            .field("region", &self.array.id)
+            .field("elem", &std::any::type_name::<T>())
+            .finish()
+    }
 }
 
 impl<T: Scalar> From<SharedScalar<T>> for SharedArray<T> {
@@ -284,10 +258,11 @@ impl<T: Scalar> From<Binding<T>> for SharedArray<T> {
 /// holds a read-only lock, mirroring EC's rule that only an exclusive holder
 /// may modify bound data.
 ///
-/// Releasing charges exactly what a raw [`ProcessContext::release`] charges,
-/// at the point the guard drops; use [`LockGuard::unlock`] to release at a
-/// precise program point (or immediately, for EC's read-lock "pulse" that
-/// fetches bound data: `ctx.lock(l, LockMode::ReadOnly).unlock()`).
+/// The lock is released, with the release's charges, at the point the guard
+/// drops; use [`LockGuard::unlock`] to release at a precise program point (or
+/// immediately, for EC's read-lock "pulse" that fetches bound data:
+/// `ctx.lock(l, LockMode::ReadOnly).unlock()`).  A program that holds a set
+/// of locks whose size is known only at run time uses a [`LockSet`].
 #[must_use = "the lock is released when the guard drops; an unused guard releases immediately"]
 pub struct LockGuard<'c, 'a> {
     ctx: &'c mut ProcessContext<'a>,
@@ -376,6 +351,127 @@ impl fmt::Debug for LockGuard<'_, '_> {
     }
 }
 
+/// RAII guard over a dynamic set of locks, opened empty with
+/// [`ProcessContext::lock_set`].
+///
+/// Some EC programs hold a set of locks whose size is known only at run
+/// time: 3D-FFT takes one chunk lock per reader, SOR+ a whole band of row
+/// locks, and Quicksort releases, rebinds and re-acquires its queue-entry
+/// lock mid-task.  Nested [`LockGuard`]s cannot express that.
+/// [`acquire`](LockSet::acquire) adds a lock to the set,
+/// [`release`](LockSet::release) releases one early, and dropping the set
+/// releases the rest in reverse acquisition order.  Like a guard, the set
+/// mutably borrows the context and dereferences to it, so data access —
+/// and any nested guard or set — flows through it.
+///
+/// The set keeps no list of its own: its locks are the entries the node's
+/// held-lock list gained after the set was opened, so acquiring through a
+/// set allocates nothing once that list has grown to its working size.
+///
+/// ```
+/// use dsm_core::{BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode};
+///
+/// let mut dsm = Dsm::new(DsmConfig::with_procs(ImplKind::ec_time(), 2))?;
+/// let data = dsm.alloc_array::<u32>("data", 8, BlockGranularity::Word);
+/// for l in 0..4 {
+///     dsm.bind(LockId::new(l), [data.range(2 * l as usize, 2)]);
+/// }
+/// let result = dsm.run(|ctx| {
+///     if ctx.node() == 0 {
+///         let mut set = ctx.lock_set();
+///         for l in 0..4 {
+///             set.acquire(LockId::new(l), LockMode::Exclusive);
+///         }
+///         for i in 0..8 {
+///             set.set(data, i, 10 * i as u32);
+///         }
+///     } // the set releases locks 3, 2, 1 and 0 here
+///     ctx.barrier(BarrierId::new(0));
+/// });
+/// assert_eq!(result.final_at(data, 7), 70);
+/// # Ok::<(), dsm_core::DsmError>(())
+/// ```
+///
+/// Locks are taken only through a guard or a set; the context has no public
+/// acquire or release:
+///
+/// ```compile_fail,E0624
+/// use dsm_core::{Dsm, DsmConfig, ImplKind, LockId};
+///
+/// let dsm = Dsm::new(DsmConfig::with_procs(ImplKind::ec_time(), 1))?;
+/// dsm.run(|ctx| ctx.release(LockId::new(0)));
+/// # Ok::<(), dsm_core::DsmError>(())
+/// ```
+#[must_use = "the set releases its locks when it drops; an unused set holds nothing"]
+pub struct LockSet<'c, 'a> {
+    ctx: &'c mut ProcessContext<'a>,
+    /// Length of the node's held-lock list when the set was opened.  The
+    /// set's locks are the entries after it, in acquisition order: a nested
+    /// guard or set borrows this one, so its own entries are gone again
+    /// whenever this set is used.
+    base: usize,
+}
+
+impl LockSet<'_, '_> {
+    /// Acquires `lock` in `mode` and adds it to the set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this processor already holds the lock, or if a read-only
+    /// acquire is attempted under LRC (which provides only exclusive locks,
+    /// as in the paper).
+    pub fn acquire(&mut self, lock: LockId, mode: LockMode) {
+        self.ctx.acquire(lock, mode);
+    }
+
+    /// Releases `lock` now, before the set drops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set does not hold the lock.
+    pub fn release(&mut self, lock: LockId) {
+        assert!(
+            !matches!(self.ctx.local.held_index(lock), Some(pos) if pos < self.base),
+            "lock {lock} was not acquired through this lock set"
+        );
+        self.ctx.release(lock);
+    }
+}
+
+impl<'a> Deref for LockSet<'_, 'a> {
+    type Target = ProcessContext<'a>;
+
+    fn deref(&self) -> &ProcessContext<'a> {
+        self.ctx
+    }
+}
+
+impl<'a> DerefMut for LockSet<'_, 'a> {
+    fn deref_mut(&mut self) -> &mut ProcessContext<'a> {
+        self.ctx
+    }
+}
+
+impl Drop for LockSet<'_, '_> {
+    fn drop(&mut self) {
+        // The set's locks are the held list's tail: release it from the end.
+        for _ in self.base..self.ctx.local.held.len() {
+            if let Some(&(id, _)) = self.ctx.local.held.last() {
+                self.ctx.release(LockId::new(id));
+            }
+        }
+    }
+}
+
+impl fmt::Debug for LockSet<'_, '_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let held = self.ctx.local.held.get(self.base..).unwrap_or_default();
+        f.debug_list()
+            .entries(held.iter().map(|(id, h)| (LockId::new(*id), h.mode)))
+            .finish()
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Scoped typed views
 // ---------------------------------------------------------------------------
@@ -385,7 +481,7 @@ impl fmt::Debug for LockGuard<'_, '_> {
 ///
 /// Bulk operations ([`ArrayView::read_into`], [`ArrayView::to_vec`]) lower
 /// onto the allocation-free span hot path
-/// ([`ProcessContext::read_slice`]) — per-page freshness validation instead
+/// ([`ProcessContext::read_into`]) — per-page freshness validation instead
 /// of per-word — with costs identical to the element-wise loop.
 #[derive(Debug)]
 pub struct ArrayView<'c, 'a, T: Scalar> {
@@ -433,7 +529,7 @@ impl<T: Scalar> ArrayView<'_, '_, T> {
 /// through an exclusive lock).
 ///
 /// Bulk writes ([`ArrayViewMut::write`], [`ArrayViewMut::fill_from`]) lower onto
-/// the span hot path ([`ProcessContext::write_slice`]): the write trap runs
+/// the span hot path ([`ProcessContext::write_from`]): the write trap runs
 /// once per page instead of once per word, with identical simulated costs.
 #[derive(Debug)]
 pub struct ArrayViewMut<'c, 'a, T: Scalar> {
@@ -496,66 +592,12 @@ impl<T: Scalar> ArrayViewMut<'_, '_, T> {
 }
 
 // ---------------------------------------------------------------------------
-// ProcessContext: typed accessors and guards
+// ProcessContext: scalar accessors, guards and views
 // ---------------------------------------------------------------------------
 
-/// Typed shared-data accessors.  Each method lowers onto exactly one raw
-/// accessor with the element type inferred from the handle; costs and
-/// statistics are identical to the raw call.
+/// Scalar accessors, lock guards and views (the element and span accessors
+/// they build on live beside the lock bodies in `context.rs`).
 impl<'a> ProcessContext<'a> {
-    /// Reads element `idx` of a typed array
-    /// (lowers onto [`read`](ProcessContext::read)).
-    pub fn get<T: Scalar>(&mut self, arr: impl Into<SharedArray<T>>, idx: usize) -> T {
-        self.read::<T>(arr.into().region(), idx)
-    }
-
-    /// Writes element `idx` of a typed array
-    /// (lowers onto [`write`](ProcessContext::write)).
-    pub fn set<T: Scalar>(&mut self, arr: impl Into<SharedArray<T>>, idx: usize, value: T) {
-        self.write::<T>(arr.into().region(), idx, value);
-    }
-
-    /// Applies `f` to element `idx` of a typed array
-    /// (lowers onto [`update`](ProcessContext::update)).
-    pub fn modify<T: Scalar>(
-        &mut self,
-        arr: impl Into<SharedArray<T>>,
-        idx: usize,
-        f: impl FnOnce(T) -> T,
-    ) {
-        self.update::<T>(arr.into().region(), idx, f);
-    }
-
-    /// Reads `out.len()` consecutive elements starting at element `start`
-    /// (lowers onto the span hot path, [`read_slice`](ProcessContext::read_slice)).
-    pub fn read_into<T: Scalar>(
-        &mut self,
-        arr: impl Into<SharedArray<T>>,
-        start: usize,
-        out: &mut [T],
-    ) {
-        self.read_slice::<T>(arr.into().region(), start, out);
-    }
-
-    /// Writes `values.len()` consecutive elements starting at element `start`
-    /// (lowers onto the span hot path, [`write_slice`](ProcessContext::write_slice)).
-    pub fn write_from<T: Scalar>(
-        &mut self,
-        arr: impl Into<SharedArray<T>>,
-        start: usize,
-        values: &[T],
-    ) {
-        self.write_slice::<T>(arr.into().region(), start, values);
-    }
-
-    /// Reads the most recently published value of element `idx` without any
-    /// consistency action or cost (lowers onto
-    /// [`poll`](ProcessContext::poll); see that method's caveats — never use
-    /// it for data the algorithm consumes).
-    pub fn peek<T: Scalar>(&mut self, arr: impl Into<SharedArray<T>>, idx: usize) -> T {
-        self.poll::<T>(arr.into().region(), idx)
-    }
-
     /// Reads a shared scalar.
     pub fn load<T: Scalar>(&mut self, scalar: SharedScalar<T>) -> T {
         self.get(scalar.array(), 0)
@@ -572,12 +614,24 @@ impl<'a> ProcessContext<'a> {
     }
 
     /// Acquires `lock` in `mode` and returns an RAII guard that releases it
-    /// when dropped (lowers onto [`acquire`](ProcessContext::acquire) /
-    /// [`release`](ProcessContext::release) with identical costs).
+    /// when dropped.
+    ///
+    /// Under EC the acquire makes the data bound to the lock consistent (the
+    /// update protocol piggybacks the modifications on the grant message)
+    /// and the release publishes what an exclusive holder modified; under
+    /// LRC the acquire merges the releaser's vector and receives write
+    /// notices that invalidate stale pages, and the release ends the
+    /// current interval.
     ///
     /// The guard dereferences to the context, so data access while the lock
     /// is held flows through it; a nested `guard.lock(..)` borrows the outer
     /// guard, making out-of-order release a borrow error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this processor already holds the lock, or if a read-only
+    /// acquire is attempted under LRC (which provides only exclusive locks,
+    /// as in the paper).
     pub fn lock(&mut self, lock: LockId, mode: LockMode) -> LockGuard<'_, 'a> {
         self.acquire(lock, mode);
         LockGuard {
@@ -602,6 +656,15 @@ impl<'a> ProcessContext<'a> {
             ctx: self,
             lock: cond.then_some(lock),
             mode,
+        }
+    }
+
+    /// Opens an empty [`LockSet`], a guard for a set of locks whose size is
+    /// known only at run time.
+    pub fn lock_set(&mut self) -> LockSet<'_, 'a> {
+        LockSet {
+            base: self.local.held.len(),
+            ctx: self,
         }
     }
 
@@ -631,7 +694,7 @@ impl<'a> ProcessContext<'a> {
 // Dsm: typed allocation
 // ---------------------------------------------------------------------------
 
-/// Typed allocation.
+/// Scalar and bound allocation.
 impl Dsm {
     /// Allocates a shared scalar of type `T`, zero-initialised.
     pub fn alloc_scalar<T: Scalar>(
@@ -658,43 +721,14 @@ impl Dsm {
         Binding::new(lock, array)
     }
 
-    /// Initialises a typed array with values produced by `f` (called with
-    /// each element index).  Like [`Dsm::init_region`], initial data is
-    /// distributed before the run and charged no communication cost.
-    pub fn init_array<T: Scalar>(
-        &mut self,
-        arr: impl Into<SharedArray<T>>,
-        f: impl Fn(usize) -> T,
-    ) {
-        self.init_region::<T>(arr.into().region(), f);
-    }
-
     /// Initialises a shared scalar.
     pub fn init_scalar<T: Scalar>(&mut self, scalar: SharedScalar<T>, value: T) {
-        self.init_region::<T>(scalar.region(), move |_| value);
+        self.init_array(scalar, move |_| value);
     }
 }
 
-// ---------------------------------------------------------------------------
-// RunResult: typed finals
-// ---------------------------------------------------------------------------
-
-/// Typed access to the final published contents.
+/// Scalar finals.
 impl RunResult {
-    /// Reads element `idx` of the final contents of a typed array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of bounds.
-    pub fn final_at<T: Scalar>(&self, arr: impl Into<SharedArray<T>>, idx: usize) -> T {
-        self.read_final::<T>(arr.into().region(), idx)
-    }
-
-    /// Copies the final contents of a typed array out as a vector.
-    pub fn final_array<T: Scalar>(&self, arr: impl Into<SharedArray<T>>) -> Vec<T> {
-        self.final_vec::<T>(arr.into().region())
-    }
-
     /// Reads the final value of a shared scalar.
     pub fn final_scalar<T: Scalar>(&self, scalar: SharedScalar<T>) -> T {
         self.final_at(scalar.array(), 0)
@@ -717,29 +751,10 @@ mod tests {
         let a = d.alloc_array::<f64>("m", 100, BlockGranularity::DoubleWord);
         assert_eq!(a.len(), 100);
         assert!(!a.is_empty());
-        assert_eq!(a.region().len(), 800);
         assert_eq!(a.granularity(), BlockGranularity::DoubleWord);
         let r = a.range(10, 5);
         assert_eq!((r.start, r.len), (80, 40));
         assert_eq!(a.whole().len, 800);
-        assert_eq!(Region::from(a), a.region());
-    }
-
-    #[test]
-    fn from_region_roundtrips() {
-        let mut d = dsm(ImplKind::lrc_diff(), 1);
-        let raw = d.alloc("raw", 64, BlockGranularity::Word);
-        let typed = SharedArray::<u32>::from_region(raw);
-        assert_eq!(typed.len(), 16);
-        assert_eq!(typed.region(), raw);
-    }
-
-    #[test]
-    #[should_panic(expected = "whole elements")]
-    fn from_region_rejects_partial_elements() {
-        let mut d = dsm(ImplKind::lrc_diff(), 1);
-        let raw = d.alloc("raw", 6, BlockGranularity::Word);
-        let _ = SharedArray::<u32>::from_region(raw);
     }
 
     #[test]
@@ -755,12 +770,10 @@ mod tests {
             ctx.read_into(a, 6, &mut buf);
             assert_eq!(buf, [6, 71, 8, 9]);
             ctx.write_from(a, 0, &[100, 101]);
-            // peek reads the *published* master copy: local writes are not
-            // published until the release/barrier, so it still sees the
+            // peek reads the raw *published* master copy: local writes are
+            // not published until the release/barrier, so it still sees the
             // initial value.
             assert_eq!(ctx.peek(a, 1), 1);
-            // Raw escape hatch agrees with the typed surface.
-            assert_eq!(ctx.read::<u32>(a.region(), 7), 71);
             ctx.barrier(BarrierId::new(0));
         });
         assert_eq!(result.final_at(a, 0), 100);
@@ -784,25 +797,25 @@ mod tests {
     }
 
     #[test]
-    fn guards_release_on_drop_with_raw_costs() {
-        // A guard-based program and a raw program must produce identical
-        // traffic (the guard is sugar, not semantics).  The nodes take the
-        // lock in turn, one per barrier episode: the traffic depends on which
-        // node is granted the lock first, so a race for it would make the
-        // two runs differ by schedule alone.
-        let run = |guards: bool| {
+    fn lock_set_and_lock_guard_charge_identically() {
+        // A lock held through a set and through a guard is the same holding:
+        // same contents, traffic, statistics and simulated time.  The nodes
+        // take the lock in turn, one per barrier episode: the traffic depends
+        // on which node is granted the lock first, so a race for it would
+        // make the two runs differ by schedule alone.
+        let run = |set: bool| {
             let mut d = dsm(ImplKind::lrc_diff(), 2);
             let a = d.alloc_array::<u32>("a", 16, BlockGranularity::Word);
             let result = d.run(|ctx| {
                 for turn in 0..ctx.nprocs() {
                     if ctx.node() == turn {
-                        if guards {
+                        if set {
+                            let mut s = ctx.lock_set();
+                            s.acquire(LockId::new(0), LockMode::Exclusive);
+                            s.modify(a, 0, |v: u32| v + 1);
+                        } else {
                             let mut g = ctx.lock(LockId::new(0), LockMode::Exclusive);
                             g.modify(a, 0, |v: u32| v + 1);
-                        } else {
-                            ctx.acquire(LockId::new(0), LockMode::Exclusive);
-                            ctx.update::<u32>(a.region(), 0, |v| v + 1);
-                            ctx.release(LockId::new(0));
                         }
                     }
                     ctx.barrier(BarrierId::new(0));
@@ -810,14 +823,112 @@ mod tests {
             });
             (
                 result.final_at(a, 0),
+                result.time,
                 result.traffic.messages,
                 result.traffic.bytes,
                 result.traffic.lock_transfers,
+                result.stats,
             )
         };
         assert_eq!(run(true), run(false));
     }
 
+    #[test]
+    fn lock_set_releases_early_and_the_rest_in_reverse_on_drop() {
+        let mut d = dsm(ImplKind::ec_time(), 1);
+        let a = d.alloc_array::<u32>("a", 4, BlockGranularity::Word);
+        for l in 0..4 {
+            d.bind(LockId::new(l), [a.range(l as usize, 1)]);
+        }
+        let result = d.run(|ctx| {
+            let mut set = ctx.lock_set();
+            for l in 0..3 {
+                set.acquire(LockId::new(l), LockMode::Exclusive);
+                set.set(a, l as usize, l + 1);
+            }
+            {
+                // A nested guard borrows the set and is gone before the set
+                // is used again.
+                let mut inner = set.lock(LockId::new(3), LockMode::Exclusive);
+                inner.set(a, 3, 4);
+            }
+            set.release(LockId::new(1));
+            assert_eq!(
+                format!("{set:?}"),
+                "[(LockId(0), Exclusive), (LockId(2), Exclusive)]"
+            );
+            drop(set);
+            // Each release advances the clock, so a lock's free time orders
+            // the releases: 1 went early, then 2 before 0.
+            let free = |ctx: &ProcessContext<'_>, l: usize| {
+                crate::sync::lock(&ctx.global.sync.lock_slot(l).sync).free_time
+            };
+            assert!(free(ctx, 1) < free(ctx, 2) && free(ctx, 2) < free(ctx, 0));
+            // Every lock is free again: re-acquiring one that is still held
+            // would panic.
+            let mut again = ctx.lock_set();
+            for l in 0..4 {
+                again.acquire(LockId::new(l), LockMode::Exclusive);
+            }
+        });
+        assert_eq!(result.final_array(a), [1, 2, 3, 4]);
+        assert_eq!(result.traffic.lock_acquires, 8);
+    }
+
+    #[test]
+    // The worker's panic message ("was not acquired through this lock set")
+    // is replaced by the runtime's join message when it propagates.
+    #[should_panic(expected = "worker thread panicked")]
+    fn lock_set_refuses_to_release_an_outer_guards_lock() {
+        let d = dsm(ImplKind::lrc_diff(), 1);
+        d.run(|ctx| {
+            let mut outer = ctx.lock(LockId::new(0), LockMode::Exclusive);
+            let mut set = outer.lock_set();
+            set.release(LockId::new(0));
+        });
+    }
+
+    /// Two locks, each bound to half of page 0 plus a page of its own (6 KiB,
+    /// over the 4 KiB small-object limit, so both are page-twinned), held
+    /// together; one word is written in each half of the shared page, and
+    /// the first lock is released first (`first_out`) or last.  Returns the
+    /// final words of both halves.
+    fn page_shared_release(kind: ImplKind, first_out: bool) -> (u32, u32) {
+        const HALF: usize = dsm_mem::PAGE_SIZE / 8;
+        let mut d = dsm(kind, 1);
+        let a = d.alloc_array::<u32>("a", 3 * 2 * HALF, BlockGranularity::Word);
+        let (la, lb) = (LockId::new(0), LockId::new(1));
+        d.bind(la, [a.range(0, HALF), a.range(2 * HALF, 2 * HALF)]);
+        d.bind(lb, [a.range(HALF, HALF), a.range(4 * HALF, 2 * HALF)]);
+        let result = d.run(|ctx| {
+            let mut set = ctx.lock_set();
+            set.acquire(la, LockMode::Exclusive);
+            set.acquire(lb, LockMode::Exclusive);
+            set.set(a, 0, 7);
+            set.set(a, HALF, 9);
+            if first_out {
+                set.release(la);
+            }
+        });
+        (result.final_at(a, 0), result.final_at(a, HALF))
+    }
+
+    #[test]
+    fn ec_page_shared_bindings_publish_in_either_release_order() {
+        // A page two held locks armed keeps its twin until the last of them
+        // releases; releasing the first-armed lock first once handed the
+        // twin back to the pool, and the second release then published
+        // nothing for the page.
+        for kind in ImplKind::ec_all() {
+            for first_out in [true, false] {
+                assert_eq!(
+                    page_shared_release(kind, first_out),
+                    (7, 9),
+                    "{kind}, first-acquired lock released first: {first_out}"
+                );
+            }
+        }
+    }
     #[test]
     fn lock_if_false_holds_and_charges_nothing() {
         let mut d = dsm(ImplKind::lrc_diff(), 1);

@@ -9,12 +9,13 @@
 use dsm_mem::{MemRange, VectorClock, PAGE_SIZE};
 use dsm_sim::{CostModel, MsgKind, SimTime, Work};
 
+use crate::api::SharedArray;
 use crate::config::DsmConfig;
 use crate::engine::CTRL_MSG_BYTES;
 use crate::ids::{BarrierId, LockId, LockMode};
 use crate::local::{HeldLock, NodeLocal};
 use crate::recovery::{self, UndoRec};
-use crate::runtime::{Region, RunGlobal};
+use crate::runtime::RunGlobal;
 use crate::scalar::Scalar;
 use crate::sync;
 
@@ -77,18 +78,19 @@ impl<'a> ProcessContext<'a> {
         self.local.clock.advance(t);
     }
 
-    fn check_bounds(&self, region: Region, offset: usize, size: usize) {
-        let len = self.global.regions[region.id().index()].len;
+    fn check_bounds(&self, ridx: usize, offset: usize, size: usize) {
+        let desc = &self.global.regions[ridx];
         // `checked_add`: an adversarial index near `usize::MAX` must fail the
         // bounds check, not wrap around it.
         assert!(
-            offset.checked_add(size).is_some_and(|end| end <= len),
-            "shared access at byte {offset}..{offset}+{size} is outside region {} of {len} bytes",
-            self.global.regions[region.id().index()].name
+            offset.checked_add(size).is_some_and(|end| end <= desc.len),
+            "shared access at byte {offset}..{offset}+{size} is outside region {} of {} bytes",
+            desc.name,
+            desc.len
         );
     }
 
-    /// Reads element `idx` of type `T` from a shared region.
+    /// Reads element `idx` of a typed array.
     ///
     /// Under LRC this may take an access miss (the page is invalid because a
     /// write notice arrived for it), in which case the modifications are
@@ -97,18 +99,18 @@ impl<'a> ProcessContext<'a> {
     /// # Panics
     ///
     /// Panics if the access is out of bounds.
-    pub fn read<T: Scalar>(&mut self, region: Region, idx: usize) -> T {
+    pub fn get<T: Scalar>(&mut self, arr: impl Into<SharedArray<T>>, idx: usize) -> T {
+        let ridx = arr.into().ridx();
         let off = idx.saturating_mul(T::SIZE);
-        self.check_bounds(region, off, T::SIZE);
+        self.check_bounds(ridx, off, T::SIZE);
         if recovery::skipping(&self.local) {
             // Replay of an already-checkpointed epoch: serve the restored
             // local copy with no cost, statistic or freshness action.
-            let data = &self.local.regions[region.id().index()].data;
+            let data = &self.local.regions[ridx].data;
             return T::read_le(&data[off..off + T::SIZE]);
         }
         self.local.stats.shared_accesses += 1;
         self.local.clock.advance(self.cost().shared_access(1));
-        let ridx = region.id().index();
         self.global
             .engine
             .ensure_read_fresh(&mut self.local, ridx, off / PAGE_SIZE);
@@ -116,7 +118,7 @@ impl<'a> ProcessContext<'a> {
         T::read_le(&data[off..off + T::SIZE])
     }
 
-    /// Writes element `idx` of type `T` to a shared region.
+    /// Writes element `idx` of a typed array.
     ///
     /// The write is trapped according to the configured mechanism: a software
     /// dirty bit is set (compiler instrumentation) or a twin is created on the
@@ -125,9 +127,10 @@ impl<'a> ProcessContext<'a> {
     /// # Panics
     ///
     /// Panics if the access is out of bounds.
-    pub fn write<T: Scalar>(&mut self, region: Region, idx: usize, value: T) {
+    pub fn set<T: Scalar>(&mut self, arr: impl Into<SharedArray<T>>, idx: usize, value: T) {
+        let ridx = arr.into().ridx();
         let off = idx.saturating_mul(T::SIZE);
-        self.check_bounds(region, off, T::SIZE);
+        self.check_bounds(ridx, off, T::SIZE);
         if recovery::skipping(&self.local) {
             // Replay: the restored copy already holds this epoch's outcome
             // (it was checkpointed later); writing would clobber newer data.
@@ -135,7 +138,6 @@ impl<'a> ProcessContext<'a> {
         }
         self.local.stats.shared_accesses += 1;
         self.local.clock.advance(self.cost().shared_access(1));
-        let ridx = region.id().index();
         self.global
             .engine
             .trap_write(&mut self.local, ridx, off, T::SIZE);
@@ -143,11 +145,24 @@ impl<'a> ProcessContext<'a> {
         value.write_le(&mut data[off..off + T::SIZE]);
     }
 
-    /// Reads `out.len()` consecutive elements of type `T` starting at element
-    /// `start` from a shared region.
+    /// Applies `f` to element `idx` of a typed array: a [`get`](Self::get)
+    /// followed by a [`set`](Self::set).
+    pub fn modify<T: Scalar>(
+        &mut self,
+        arr: impl Into<SharedArray<T>>,
+        idx: usize,
+        f: impl FnOnce(T) -> T,
+    ) {
+        let arr = arr.into();
+        let v = self.get(arr, idx);
+        self.set(arr, idx, f(v));
+    }
+
+    /// Reads `out.len()` consecutive elements of a typed array starting at
+    /// element `start`.
     ///
-    /// Semantically identical to calling [`read`](ProcessContext::read) once
-    /// per element — the simulated cost, statistics and any access misses are
+    /// Semantically identical to calling [`get`](Self::get) once per
+    /// element — the simulated cost, statistics and any access misses are
     /// exactly those of the element-wise loop — but the bounds check,
     /// per-page freshness validation and engine dispatch run once per *page*
     /// instead of once per word, which is what makes this the preferred form
@@ -156,15 +171,21 @@ impl<'a> ProcessContext<'a> {
     /// # Panics
     ///
     /// Panics if the span is out of bounds.
-    pub fn read_slice<T: Scalar>(&mut self, region: Region, start: usize, out: &mut [T]) {
+    pub fn read_into<T: Scalar>(
+        &mut self,
+        arr: impl Into<SharedArray<T>>,
+        start: usize,
+        out: &mut [T],
+    ) {
         if out.is_empty() {
             return;
         }
+        let ridx = arr.into().ridx();
         let off = start.saturating_mul(T::SIZE);
         let len = out.len() * T::SIZE;
-        self.check_bounds(region, off, len);
+        self.check_bounds(ridx, off, len);
         if recovery::skipping(&self.local) {
-            let data = &self.local.regions[region.id().index()].data;
+            let data = &self.local.regions[ridx].data;
             T::read_slice_le(&data[off..off + len], out);
             return;
         }
@@ -172,7 +193,6 @@ impl<'a> ProcessContext<'a> {
         self.local
             .clock
             .advance(self.cost().shared_access(out.len() as u64));
-        let ridx = region.id().index();
         dsm_mem::for_each_page(off, len, |page, _| {
             self.global
                 .engine
@@ -182,25 +202,30 @@ impl<'a> ProcessContext<'a> {
         T::read_slice_le(&data[off..off + len], out);
     }
 
-    /// Writes `values.len()` consecutive elements of type `T` starting at
-    /// element `start` of a shared region.
+    /// Writes `values.len()` consecutive elements of a typed array starting
+    /// at element `start`.
     ///
-    /// Semantically identical to calling [`write`](ProcessContext::write)
-    /// once per element — same simulated cost, statistics, dirty bits and
-    /// twin creation — but the write trap runs once per *page* of the span
-    /// (via the engine's bulk `trap_write_span` hook) instead of once per
-    /// word.
+    /// Semantically identical to calling [`set`](Self::set) once per
+    /// element — same simulated cost, statistics, dirty bits and twin
+    /// creation — but the write trap runs once per *page* of the span (via
+    /// the engine's bulk `trap_write_span` hook) instead of once per word.
     ///
     /// # Panics
     ///
     /// Panics if the span is out of bounds.
-    pub fn write_slice<T: Scalar>(&mut self, region: Region, start: usize, values: &[T]) {
+    pub fn write_from<T: Scalar>(
+        &mut self,
+        arr: impl Into<SharedArray<T>>,
+        start: usize,
+        values: &[T],
+    ) {
         if values.is_empty() {
             return;
         }
+        let ridx = arr.into().ridx();
         let off = start.saturating_mul(T::SIZE);
         let len = values.len() * T::SIZE;
-        self.check_bounds(region, off, len);
+        self.check_bounds(ridx, off, len);
         if recovery::skipping(&self.local) {
             return;
         }
@@ -208,7 +233,6 @@ impl<'a> ProcessContext<'a> {
         self.local
             .clock
             .advance(self.cost().shared_access(values.len() as u64));
-        let ridx = region.id().index();
         self.global
             .engine
             .trap_write_span(&mut self.local, ridx, off, len, values.len());
@@ -216,14 +240,8 @@ impl<'a> ProcessContext<'a> {
         T::write_slice_le(values, &mut data[off..off + len]);
     }
 
-    /// Read-modify-write convenience: applies `f` to the current value.
-    pub fn update<T: Scalar>(&mut self, region: Region, idx: usize, f: impl FnOnce(T) -> T) {
-        let v = self.read::<T>(region, idx);
-        self.write(region, idx, f(v));
-    }
-
-    /// Reads the most recently *published* value of an element without any
-    /// consistency action, message, or simulated cost.
+    /// Reads the most recently *published* value of element `idx` without
+    /// any consistency action, message, or simulated cost.
     ///
     /// This is a simulation-only convenience used by applications that poll a
     /// flag or queue state while idle (e.g. Quicksort's task queue): in a real
@@ -231,34 +249,27 @@ impl<'a> ProcessContext<'a> {
     /// full protocol acquire per poll iteration would let host-scheduling
     /// noise leak into the simulated clock.  Never use it for data the
     /// algorithm actually consumes — follow it with a proper
-    /// [`acquire`](ProcessContext::acquire)/[`read`](ProcessContext::read).
+    /// [`lock`](Self::lock) and [`get`](Self::get).
     ///
     /// # Panics
     ///
     /// Panics if the access is out of bounds.
-    pub fn poll<T: Scalar>(&mut self, region: Region, idx: usize) -> T {
+    pub fn peek<T: Scalar>(&mut self, arr: impl Into<SharedArray<T>>, idx: usize) -> T {
+        let ridx = arr.into().ridx();
         let off = idx.saturating_mul(T::SIZE);
-        self.check_bounds(region, off, T::SIZE);
+        self.check_bounds(ridx, off, T::SIZE);
         let mut buf = [0u8; 16];
         self.global
             .engine
-            .read_master(region.id().index(), off, &mut buf[..T::SIZE]);
+            .read_master(ridx, off, &mut buf[..T::SIZE]);
         T::read_le(&buf[..T::SIZE])
     }
 
-    /// Acquires a lock.
-    ///
-    /// Under EC the acquire makes the data bound to the lock consistent (the
-    /// update protocol piggybacks the modifications on the grant message);
-    /// under LRC it merges the releaser's vector and receives write notices
-    /// that invalidate stale pages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lock is already held by this processor, or if a
-    /// read-only acquire is attempted under LRC (which provides only
-    /// exclusive locks, as in the paper).
-    pub fn acquire(&mut self, lock: LockId, mode: LockMode) {
+    /// The acquire beneath [`lock`](Self::lock), [`lock_if`](Self::lock_if)
+    /// and [`LockSet::acquire`](crate::LockSet::acquire), whose docs give
+    /// its semantics and panics.  The holding is appended to
+    /// [`NodeLocal::held`].
+    pub(crate) fn acquire(&mut self, lock: LockId, mode: LockMode) {
         if recovery::skipping(&self.local) {
             return;
         }
@@ -364,17 +375,16 @@ impl<'a> ProcessContext<'a> {
         self.local.held.push((lock.0, held));
     }
 
-    /// Releases a lock previously acquired with [`ProcessContext::acquire`].
-    ///
-    /// Under EC an exclusive release publishes the modifications made to the
-    /// bound data (to be shipped to the next acquirer); under LRC a release
-    /// ends the current interval and creates write notices for the pages
-    /// modified in it.
+    /// The release beneath dropping a [`LockGuard`](crate::LockGuard) or a
+    /// [`LockSet`](crate::LockSet), and beneath
+    /// [`LockSet::release`](crate::LockSet::release).  Under EC an exclusive
+    /// release publishes the modifications made to the bound data; under LRC
+    /// it ends the current interval.
     ///
     /// # Panics
     ///
     /// Panics if the lock is not held.
-    pub fn release(&mut self, lock: LockId) {
+    pub(crate) fn release(&mut self, lock: LockId) {
         if recovery::skipping(&self.local) {
             return;
         }
@@ -387,7 +397,9 @@ impl<'a> ProcessContext<'a> {
         self.local
             .clock
             .advance(self.global.cfg.cost.lock_overhead());
-        let (_, mut held) = self.local.held.swap_remove(pos);
+        // `remove`, not `swap_remove`: the held list stays in acquisition
+        // order, which a `LockSet` relies on to release in reverse.
+        let (_, mut held) = self.local.held.remove(pos);
         // Publish before the lock becomes available so the next acquirer's
         // grant sees everything this holding modified.
         self.global

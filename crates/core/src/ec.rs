@@ -433,18 +433,21 @@ impl ProtocolEngine for EcEngine {
             held.small_twins = Some(twins);
         } else {
             // Large object: write-protect its pages; the first write to each
-            // page faults and creates a per-page twin.
+            // page faults and creates a per-page twin.  Every holding counts
+            // itself on each page it covers, so a page that several held
+            // locks armed keeps its twin until the last of them releases;
+            // only the first arming pays the `mprotect`.
             let mut mprotects = 0u64;
             for range in bound {
                 let ridx = range.region.index();
                 for page in range.pages() {
                     let lp = &mut local.regions[ridx].pages[page];
-                    if !lp.armed {
-                        lp.armed = true;
+                    if lp.armed == 0 {
                         lp.twin = None;
-                        held.armed_pages.push((ridx, page));
                         mprotects += 1;
                     }
+                    lp.armed += 1;
+                    held.armed_pages.push((ridx, page));
                 }
             }
             local.clock.advance(cost.mprotect().times(mprotects));
@@ -600,9 +603,11 @@ impl ProtocolEngine for EcEngine {
             Trapping::Twinning => {
                 for &(ridx, page) in &held.armed_pages {
                     let lp = &mut local.regions[ridx].pages[page];
-                    lp.armed = false;
-                    if let Some(twin) = lp.twin.take() {
-                        local.pool.put(twin);
+                    lp.armed -= 1;
+                    if lp.armed == 0 {
+                        if let Some(twin) = lp.twin.take() {
+                            local.pool.put(twin);
+                        }
                     }
                 }
                 if let Some(buf) = held.small_twins.take() {
@@ -714,7 +719,8 @@ impl ProtocolEngine for EcEngine {
             }
             Trapping::Twinning => {
                 dsm_mem::for_each_page(off, len, |page, _| {
-                    let needs_twin = region.pages[page].armed && region.pages[page].twin.is_none();
+                    let needs_twin =
+                        region.pages[page].armed > 0 && region.pages[page].twin.is_none();
                     if needs_twin {
                         let span = dsm_mem::page_range(page, region_len);
                         let words = span.len().div_ceil(4) as u64;

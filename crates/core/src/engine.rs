@@ -116,7 +116,7 @@ pub(crate) trait ProtocolEngine: Send + Sync + std::fmt::Debug {
         self.trap_write_span(local, ridx, off, size, 1);
     }
 
-    /// Bulk write trap behind [`write_slice`](crate::ProcessContext::write_slice):
+    /// Bulk write trap behind [`write_from`](crate::ProcessContext::write_from):
     /// traps `count` contiguous scalar writes covering bytes `off..off + len`
     /// of region `ridx` in one call.
     ///
@@ -136,7 +136,7 @@ pub(crate) trait ProtocolEngine: Send + Sync + std::fmt::Debug {
     );
 
     /// Reads the most recently published bytes at `off` into `out` without
-    /// any consistency action or cost (the [`poll`](crate::ProcessContext::poll)
+    /// any consistency action or cost (the [`peek`](crate::ProcessContext::peek)
     /// fast path).
     fn read_master(&self, ridx: usize, off: usize, out: &mut [u8]);
 

@@ -98,11 +98,12 @@
 //! additionally bind their shared data to locks — in one step with
 //! [`Dsm::alloc_bound`], or piecewise with [`Dsm::bind`] /
 //! [`ProcessContext::rebind`] — and take RAII [`LockGuard`]s
-//! ([`ProcessContext::lock`]), using read-only locks
-//! ([`LockMode::ReadOnly`]) where LRC programs rely on barriers alone.  See
-//! the [`api`-layer types](SharedArray) for the full typed surface; the raw
-//! `Region`-based accessors on [`ProcessContext`] remain the documented
-//! low-level escape hatch.
+//! ([`ProcessContext::lock`]), or a [`LockSet`] ([`ProcessContext::lock_set`])
+//! where they hold a set of locks whose size is known only at run time,
+//! using read-only locks ([`LockMode::ReadOnly`]) where LRC programs rely on
+//! barriers alone.  The typed handles, guards and views (see
+//! [`SharedArray`]) are the crate's whole shared-data surface: locks are
+//! taken and released only through a guard or a set.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -123,13 +124,13 @@ mod scalar;
 mod sync;
 mod transport;
 
-pub use api::{ArrayView, ArrayViewMut, Binding, LockGuard, SharedArray, SharedScalar};
+pub use api::{ArrayView, ArrayViewMut, Binding, LockGuard, LockSet, SharedArray, SharedScalar};
 pub use config::{Collection, DsmConfig, ImplKind, Model, Trapping};
 pub use context::ProcessContext;
 pub use error::DsmError;
 pub use ids::{BarrierId, LockId, LockMode};
 pub use recovery::{FaultPlan, RecoveryReport};
-pub use runtime::{Dsm, Region, RunResult};
+pub use runtime::{Dsm, RunResult};
 pub use scalar::Scalar;
 pub use transport::{serve_transport_peer, TransportKind, TransportReport};
 

@@ -25,10 +25,12 @@ pub(crate) struct LocalPage {
     /// True if the page has been modified since the start of the current
     /// interval (LRC) and is awaiting publication.
     pub dirty: bool,
-    /// True if the page is write-protected so that the next write takes a
-    /// simulated protection fault and creates a twin (twinning trapping for
-    /// LRC pages and large EC objects).
-    pub armed: bool,
+    /// EC large-object twinning: the number of exclusive holdings that armed
+    /// (write-protected) this page.  While it is non-zero the next write to
+    /// the page takes a simulated protection fault and creates a twin, and
+    /// the twin lives until the last of those holdings releases: two held
+    /// locks whose bindings share the page both compare against it.
+    pub armed: u32,
     /// LRC: per-processor interval index whose modifications to this page
     /// have been applied to the local copy.
     pub applied: Vec<u32>,
@@ -138,8 +140,10 @@ pub(crate) struct NodeLocal {
     /// freshness on every access (LRC).
     pub epoch: u64,
     /// Locks currently held by this node, keyed by lock id and searched
-    /// linearly: a node holds a handful of locks at once (SOR+'s final band,
-    /// the largest case, holds two per row of its band).
+    /// linearly from the most recent: a node holds a handful of locks at
+    /// once (SOR+'s final band, the largest case, holds two per row of its
+    /// band).  Kept in acquisition order — a [`LockSet`](crate::LockSet)'s
+    /// locks are the tail it added, released from the end.
     pub held: Vec<(u32, HeldLock)>,
     /// Pages dirtied during the current interval, awaiting publication at the
     /// next release or barrier (LRC).
@@ -219,7 +223,7 @@ impl NodeLocal {
     /// The position of `lock` in [`held`](NodeLocal::held), if this node
     /// holds it.
     pub fn held_index(&self, lock: LockId) -> Option<usize> {
-        self.held.iter().position(|(id, _)| *id == lock.0)
+        self.held.iter().rposition(|(id, _)| *id == lock.0)
     }
 
     /// Appends an undo record for a crash-epoch mutation to shared state,

@@ -399,7 +399,7 @@ pub(crate) fn restore(local: &mut NodeLocal, cost: &CostModel, undo_applied: usi
                 w.clear_all();
             }
             p.dirty = false;
-            p.armed = false;
+            p.armed = 0;
             p.applied.copy_from_slice(&pc.applied);
             p.checked_epoch = pc.checked_epoch;
             p.checked_gen = pc.checked_gen;

@@ -15,58 +15,6 @@ use crate::scalar::Scalar;
 use crate::sync::SyncTables;
 use crate::transport::{build_transport, TransportReport, WireEndpoint};
 
-/// Handle to a shared-memory region.
-///
-/// Regions are allocated on the [`Dsm`] before the parallel section starts
-/// (mirroring Midway/TreadMarks programs, which allocate shared data up
-/// front), and accessed from worker code through the typed accessors on
-/// [`ProcessContext`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Region {
-    id: RegionId,
-    len: usize,
-    granularity: BlockGranularity,
-}
-
-impl Region {
-    /// The region's identifier.
-    pub fn id(&self) -> RegionId {
-        self.id
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the region is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of elements of type `T` the region holds.
-    pub fn elems<T: Scalar>(&self) -> usize {
-        self.len / T::SIZE
-    }
-
-    /// The block granularity writes to this region are trapped at under
-    /// compiler instrumentation.
-    pub fn granularity(&self) -> BlockGranularity {
-        self.granularity
-    }
-
-    /// A [`MemRange`] covering elements `start..start + count` of type `T`
-    /// (used to bind data to EC locks).
-    pub fn range_of<T: Scalar>(&self, start: usize, count: usize) -> MemRange {
-        MemRange::new(self.id, start * T::SIZE, count * T::SIZE)
-    }
-
-    /// A [`MemRange`] covering the whole region.
-    pub fn whole(&self) -> MemRange {
-        MemRange::new(self.id, 0, self.len)
-    }
-}
-
 /// Result of one DSM run: simulated execution time, per-node times, traffic
 /// statistics, and the final contents of every shared region.
 #[derive(Debug)]
@@ -103,33 +51,29 @@ impl RunResult {
         self.time.as_secs_f64()
     }
 
-    /// Final contents of a region (the published master copy).
+    /// Reads element `idx` of the final contents of a typed array (the
+    /// published master copy).
     ///
     /// For LRC runs the application must end with a barrier (all the paper's
     /// applications do) so that every node's last interval has been published.
-    pub fn region_bytes(&self, region: Region) -> &[u8] {
-        &self.region_data[region.id().index()]
-    }
-
-    /// Reads element `idx` of type `T` from the final contents of `region`.
     ///
     /// # Panics
     ///
     /// Panics if the index is out of bounds.
-    pub fn read_final<T: Scalar>(&self, region: Region, idx: usize) -> T {
-        let bytes = self.region_bytes(region);
+    pub fn final_at<T: Scalar>(&self, arr: impl Into<SharedArray<T>>, idx: usize) -> T {
+        let bytes = &self.region_data[arr.into().ridx()];
         let off = idx * T::SIZE;
         T::read_le(&bytes[off..off + T::SIZE])
     }
 
-    /// Copies the final contents of `region` out as a typed vector, decoding
+    /// Copies the final contents of a typed array out as a vector, decoding
     /// whole chunks at a time ([`Scalar::read_slice_le`]) rather than
     /// element by element.
-    pub fn final_vec<T: Scalar>(&self, region: Region) -> Vec<T> {
-        let bytes = self.region_bytes(region);
-        let elems = region.elems::<T>();
-        let mut out = vec![T::default(); elems];
-        T::read_slice_le(&bytes[..elems * T::SIZE], &mut out);
+    pub fn final_array<T: Scalar>(&self, arr: impl Into<SharedArray<T>>) -> Vec<T> {
+        let arr = arr.into();
+        let bytes = &self.region_data[arr.ridx()];
+        let mut out = vec![T::default(); arr.len()];
+        T::read_slice_le(&bytes[..out.len() * T::SIZE], &mut out);
         out
     }
 }
@@ -155,7 +99,7 @@ impl std::fmt::Debug for RunGlobal {
 
 /// The software distributed shared memory system.
 ///
-/// A `Dsm` is configured with one of the nine implementations of the
+/// A `Dsm` is configured with one of the twelve implementations of the
 /// protocol family ([`ImplKind`](crate::ImplKind)), populated with shared
 /// regions, lock bindings (for EC) and initial data, and then executes an
 /// SPMD worker closure on every simulated processor.
@@ -214,64 +158,41 @@ impl Dsm {
         &self.cfg
     }
 
-    /// Allocates a shared region of `len` bytes, zero-initialised.
-    pub fn alloc(
-        &mut self,
-        name: impl Into<String>,
-        len: usize,
-        granularity: BlockGranularity,
-    ) -> Region {
-        let id = RegionId::new(self.regions.len() as u32);
-        self.regions
-            .push(RegionDesc::new(id, name, len, granularity));
-        self.init.push(vec![0; len]);
-        Region {
-            id,
-            len,
-            granularity,
-        }
-    }
-
-    /// Allocates a shared region holding `count` elements of type `T` and
-    /// returns a typed [`SharedArray`] handle (use [`Dsm::alloc`] for an
-    /// untyped [`Region`]).
+    /// Allocates a zero-initialised shared region holding `count` elements
+    /// of type `T` and returns its typed [`SharedArray`] handle.
     pub fn alloc_array<T: Scalar>(
         &mut self,
         name: impl Into<String>,
         count: usize,
         granularity: BlockGranularity,
     ) -> SharedArray<T> {
-        SharedArray::from_region(self.alloc(name, count * T::SIZE, granularity))
+        let id = RegionId::new(self.regions.len() as u32);
+        let len = count * T::SIZE;
+        self.regions
+            .push(RegionDesc::new(id, name, len, granularity));
+        self.init.push(vec![0; len]);
+        SharedArray::new(id, count, granularity)
     }
 
-    /// Initialises element `idx..` of `region` with values produced by `f`
-    /// (called with each element index).  Initial data is distributed to all
-    /// nodes before the run starts and is not charged any communication cost,
-    /// mirroring the paper's practice of excluding input distribution from
-    /// the timed section.
+    /// Initialises a typed array with values produced by `f` (called with
+    /// each element index).  Initial data is distributed to all nodes before
+    /// the run starts and is not charged any communication cost, mirroring
+    /// the paper's practice of excluding input distribution from the timed
+    /// section.
     ///
     /// # Panics
     ///
-    /// Panics if the region does not belong to this DSM.
-    pub fn init_region<T: Scalar>(&mut self, region: Region, f: impl Fn(usize) -> T) {
-        let buf = &mut self.init[region.id().index()];
-        for i in 0..region.elems::<T>() {
+    /// Panics if the array does not belong to this DSM.
+    pub fn init_array<T: Scalar>(
+        &mut self,
+        arr: impl Into<SharedArray<T>>,
+        f: impl Fn(usize) -> T,
+    ) {
+        let arr = arr.into();
+        let buf = &mut self.init[arr.ridx()];
+        for i in 0..arr.len() {
             f(i).write_le(&mut buf[i * T::SIZE..(i + 1) * T::SIZE]);
         }
-    }
-
-    /// Initialises a region from raw bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is longer than the region.
-    pub fn init_bytes(&mut self, region: Region, bytes: &[u8]) {
-        let buf = &mut self.init[region.id().index()];
-        assert!(
-            bytes.len() <= buf.len(),
-            "initialisation data larger than region"
-        );
-        buf[..bytes.len()].copy_from_slice(bytes);
     }
 
     /// Binds shared data to a lock (EC only; ignored under LRC so that the
@@ -414,40 +335,26 @@ mod tests {
 
     #[test]
     fn region_handles_and_ranges() {
+        // Each allocation is its own region; ranges are in bytes of it.
         let mut dsm = Dsm::new(DsmConfig::with_procs(ImplKind::ec_time(), 2)).unwrap();
-        let r = dsm
-            .alloc_array::<f64>("m", 100, BlockGranularity::DoubleWord)
-            .region();
-        assert_eq!(r.len(), 800);
-        assert_eq!(r.elems::<f64>(), 100);
-        assert!(!r.is_empty());
-        let range = r.range_of::<f64>(10, 5);
-        assert_eq!(range.start, 80);
-        assert_eq!(range.len, 40);
-        assert_eq!(r.whole().len, 800);
+        let a = dsm.alloc_array::<f64>("m", 100, BlockGranularity::DoubleWord);
+        let b = dsm.alloc_array::<u32>("n", 3, BlockGranularity::Word);
+        assert_eq!(a.range(10, 5), MemRange::new(RegionId::new(0), 80, 40));
+        assert_eq!(a.whole(), MemRange::new(RegionId::new(0), 0, 800));
+        assert_eq!(b.whole(), MemRange::new(RegionId::new(1), 0, 12));
     }
 
     #[test]
     fn init_region_fills_typed_values() {
         let mut dsm = Dsm::new(DsmConfig::with_procs(ImplKind::lrc_diff(), 1)).unwrap();
-        let r = dsm
-            .alloc_array::<u32>("a", 8, BlockGranularity::Word)
-            .region();
-        dsm.init_region::<u32>(r, |i| i as u32 * 10);
+        let a = dsm.alloc_array::<u32>("a", 8, BlockGranularity::Word);
+        dsm.init_array(a, |i| i as u32 * 10);
         let result = dsm.run(|ctx| {
-            assert_eq!(ctx.read::<u32>(r, 3), 30);
+            assert_eq!(ctx.get(a, 3), 30);
             ctx.barrier(crate::BarrierId::new(0));
         });
-        assert_eq!(result.read_final::<u32>(r, 7), 70);
-        assert_eq!(result.final_vec::<u32>(r).len(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "larger than region")]
-    fn oversized_init_panics() {
-        let mut dsm = Dsm::new(DsmConfig::with_procs(ImplKind::lrc_diff(), 1)).unwrap();
-        let r = dsm.alloc("a", 4, BlockGranularity::Word);
-        dsm.init_bytes(r, &[0u8; 8]);
+        assert_eq!(result.final_at(a, 7), 70);
+        assert_eq!(result.final_array(a).len(), 8);
     }
 
     #[test]
@@ -460,16 +367,14 @@ mod tests {
     #[test]
     fn sharing_report_reaches_the_run_result() {
         let mut dsm = Dsm::new(DsmConfig::with_procs(ImplKind::lrc_diff(), 2)).unwrap();
-        let r = dsm
-            .alloc_array::<u32>("shared", 4, BlockGranularity::Word)
-            .region();
+        let a = dsm.alloc_array::<u32>("shared", 4, BlockGranularity::Word);
         let result = dsm.run(|ctx| {
             if ctx.node() == 0 {
-                ctx.update::<u32>(r, 0, |v| v + 1);
+                ctx.modify(a, 0, |v| v + 1);
             }
             ctx.barrier(crate::BarrierId::new(0));
             if ctx.node() == 1 {
-                assert_eq!(ctx.read::<u32>(r, 0), 1);
+                assert_eq!(ctx.get(a, 0), 1);
             }
             ctx.barrier(crate::BarrierId::new(1));
         });
@@ -490,16 +395,13 @@ mod tests {
     #[test]
     fn lock_transfers_are_aggregated_from_the_sharded_table() {
         let mut dsm = Dsm::new(DsmConfig::with_procs(ImplKind::lrc_diff(), 2)).unwrap();
-        let r = dsm
-            .alloc_array::<u32>("c", 1, BlockGranularity::Word)
-            .region();
+        let a = dsm.alloc_array::<u32>("c", 1, BlockGranularity::Word);
         let result = dsm.run(|ctx| {
-            ctx.acquire(LockId::new(0), crate::LockMode::Exclusive);
-            ctx.update::<u32>(r, 0, |v| v + 1);
-            ctx.release(LockId::new(0));
+            ctx.lock(LockId::new(0), crate::LockMode::Exclusive)
+                .modify(a, 0, |v| v + 1);
             ctx.barrier(crate::BarrierId::new(0));
         });
-        assert_eq!(result.read_final::<u32>(r, 0), 2);
+        assert_eq!(result.final_at(a, 0), 2);
         // Each node takes ownership once: two transfers in total.
         assert_eq!(result.traffic.lock_transfers, 2);
     }

@@ -5,7 +5,7 @@
 /// The DSM stores shared regions as byte arrays (as a real DSM does); this
 /// trait provides the little-endian encode/decode used by the typed accessors
 /// on [`ProcessContext`](crate::ProcessContext) and
-/// [`Dsm::init_region`](crate::Dsm::init_region).
+/// [`Dsm::init_array`](crate::Dsm::init_array).
 pub trait Scalar: Copy + Default + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// Size of the scalar in bytes.
     const SIZE: usize;
@@ -22,7 +22,7 @@ pub trait Scalar: Copy + Default + PartialEq + std::fmt::Debug + Send + Sync + '
     /// Semantically an element-wise [`read_le`](Scalar::read_le) loop, but
     /// walking both sides in exact chunks so the compiler drops the per
     /// element bounds checks and vectorises the copy — the bulk form the
-    /// span accessors and [`RunResult::final_vec`](crate::RunResult::final_vec)
+    /// span accessors and [`RunResult::final_array`](crate::RunResult::final_array)
     /// lower onto.
     ///
     /// # Panics

@@ -36,7 +36,7 @@ pub fn page_range(page: usize, region_len: usize) -> std::ops::Range<usize> {
 
 /// Calls `f(page, byte_range)` for every page overlapping the byte span
 /// `off..off + len`, with each range clamped to the span — the page-batched
-/// walk behind the span access APIs (`read_slice`/`write_slice`), which trap
+/// walk behind the span access APIs (`read_into`/`write_from`), which trap
 /// and validate once per page instead of once per word.
 ///
 /// ```

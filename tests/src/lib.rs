@@ -8,8 +8,7 @@
 //! (re)generated by running the golden tests with `DSM_BLESS_GOLDEN=1`.
 
 use dsm_core::{
-    BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode, Region, RunResult,
-    SharedArray,
+    BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode, RunResult, SharedArray,
 };
 use dsm_sim::{MsgKind, NodeStats};
 
@@ -43,12 +42,12 @@ fn trace_dsm(kind: ImplKind, nprocs: usize) -> (Dsm, SharedArray<u32>, SharedArr
 }
 
 /// Runs the seeded equivalence trace under `kind` with `nprocs` processors and
-/// returns the run result plus the region handles (for content hashing).
+/// returns the run result plus the array handles (for content hashing).
 ///
-/// This version is deliberately written against the **raw** `Region` API (the
-/// documented escape hatch); [`golden_trace_typed`] is the same program
-/// through the typed `SharedArray`/`LockGuard` surface, and the two must
-/// produce byte-identical reports.
+/// The program is written against the typed API — `SharedArray<u32>`
+/// handles, RAII [`dsm_core::LockGuard`]s and typed element/span accessors —
+/// and reproduces, byte for byte, the goldens blessed from its raw-API
+/// original before the typed layer existed.
 ///
 /// The trace is *deterministic at any supported processor count* — a
 /// divisor of the per-page word count no larger than the page count of
@@ -62,62 +61,7 @@ fn trace_dsm(kind: ImplKind, nprocs: usize) -> (Dsm, SharedArray<u32>, SharedArr
 /// Under those conditions every counter in the report is a pure function of
 /// the program, which is what makes byte-identical golden comparisons
 /// meaningful.
-pub fn golden_trace(kind: ImplKind, nprocs: usize) -> (RunResult, [Region; 2]) {
-    let (dsm, a, b) = trace_dsm(kind, nprocs);
-    let (a, b) = (a.region(), b.region());
-
-    let result = dsm.run(|ctx| {
-        let me = ctx.node();
-        let n = ctx.nprocs();
-        let my_lock = LockId::new(me as u32);
-        let mut span = vec![0u32; 64];
-        let mut buf = vec![0u32; WORDS_PER_PAGE];
-        let mut sink = 0u64;
-        for phase in 0..4u32 {
-            // Interval 1: scattered writes to this node's own page of A.
-            ctx.acquire(my_lock, LockMode::Exclusive);
-            let base = me * WORDS_PER_PAGE;
-            for k in 0..(32 + phase as usize * 7) {
-                let idx = base + (k * 13 + phase as usize * 29) % WORDS_PER_PAGE;
-                let val = (phase * 100_000 + me as u32 * 1_000 + k as u32) ^ 0x5a5a;
-                ctx.write::<u32>(a, idx, val);
-            }
-            for (k, slot) in span.iter_mut().enumerate() {
-                *slot = phase * 7 + me as u32 + k as u32;
-            }
-            ctx.write_slice::<u32>(a, base + 256 + phase as usize * 16, &span);
-            ctx.release(my_lock);
-            ctx.barrier(BarrierId::new(0));
-
-            // Interval 2: this node's quarter of the falsely shared page B.
-            let quarter = WORDS_PER_PAGE / n;
-            ctx.acquire(my_lock, LockMode::Exclusive);
-            for k in 0..quarter / 2 {
-                ctx.write::<u32>(b, me * quarter + k, phase * 31 + me as u32 * 17 + k as u32);
-            }
-            ctx.release(my_lock);
-            ctx.barrier(BarrierId::new(1));
-
-            // Read phase: every node sweeps both regions (missing on every
-            // page other nodes published).
-            for w in 0..TRACE_PAGES * WORDS_PER_PAGE {
-                sink = sink.wrapping_add(ctx.read::<u32>(a, w) as u64);
-            }
-            ctx.read_slice::<u32>(b, 0, &mut buf);
-            sink = sink.wrapping_add(buf[me] as u64);
-            ctx.barrier(BarrierId::new(2));
-        }
-        assert!(sink != u64::MAX, "keep the reads live");
-    });
-    (result, [a, b])
-}
-
-/// The exact program of [`golden_trace`], written against the typed API:
-/// `SharedArray<u32>` handles, RAII [`dsm_core::LockGuard`]s, and typed
-/// element/span accessors.  Every typed operation lowers onto the raw call
-/// the raw version makes, in the same order, so the two reports must be
-/// byte-identical for every implementation and processor count.
-pub fn golden_trace_typed(kind: ImplKind, nprocs: usize) -> (RunResult, [Region; 2]) {
+pub fn golden_trace(kind: ImplKind, nprocs: usize) -> (RunResult, [SharedArray<u32>; 2]) {
     let (dsm, a, b) = trace_dsm(kind, nprocs);
 
     let result = dsm.run(|ctx| {
@@ -165,7 +109,7 @@ pub fn golden_trace_typed(kind: ImplKind, nprocs: usize) -> (RunResult, [Region;
         }
         assert!(sink != u64::MAX, "keep the reads live");
     });
-    (result, [a.region(), b.region()])
+    (result, [a, b])
 }
 
 /// FNV-1a over a byte slice: a stable, dependency-free content fingerprint.
@@ -221,19 +165,28 @@ pub fn canon_node_stats(out: &mut String, idx: usize, s: &NodeStats) {
 }
 
 /// Canonical serialization of one golden-trace run: a header, a content
-/// fingerprint per region, the aggregate `TrafficReport`, and the per-node
-/// statistics in node-id order.
-pub fn canon_run(kind: ImplKind, nprocs: usize, result: &RunResult, regions: &[Region]) -> String {
+/// fingerprint per array (over its little-endian bytes), the aggregate
+/// `TrafficReport`, and the per-node statistics in node-id order.
+pub fn canon_run(
+    kind: ImplKind,
+    nprocs: usize,
+    result: &RunResult,
+    arrays: &[SharedArray<u32>],
+) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     writeln!(out, "impl={} procs={}", kind.name(), nprocs).unwrap();
-    for (i, r) in regions.iter().enumerate() {
-        let bytes = result.region_bytes(*r);
+    for (i, &arr) in arrays.iter().enumerate() {
+        let bytes: Vec<u8> = result
+            .final_array(arr)
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
         writeln!(
             out,
             "region {i}: len={} fnv={:016x}",
             bytes.len(),
-            fnv1a(bytes)
+            fnv1a(&bytes)
         )
         .unwrap();
     }

@@ -119,3 +119,43 @@ fn sharing_statistics_are_policy_independent_until_migration() {
     };
     assert_eq!(rows(&lrc), rows(&hlrc));
 }
+
+/// The adaptive policy's headline result: on the mixed workload at 4
+/// processors, its best implementation moves fewer simulated bytes than
+/// every static LRC and HLRC policy.  The workload is deterministic, so the
+/// winner, the runner-up and the margin between them are pinned exactly;
+/// a change that moves them moved a simulated byte and must say why.
+#[test]
+fn adaptive_moves_fewer_bytes_than_every_static_policy() {
+    let cases = [(MixedParams::tiny(), 288), (MixedParams::small(), 3_264)];
+    for (p, margin) in cases {
+        let bytes = |kind: ImplKind| {
+            let (result, ok) = mixed::run(kind, 4, &p);
+            assert!(ok, "{kind}: mixed contents mismatch at 4 procs");
+            (kind, result.traffic.bytes)
+        };
+        let statics: Vec<(ImplKind, u64)> = ImplKind::lrc_all()
+            .into_iter()
+            .chain(ImplKind::hlrc_all())
+            .map(bytes)
+            .collect();
+        let adaptive = ImplKind::adaptive_all()
+            .into_iter()
+            .map(bytes)
+            .min_by_key(|&(_, b)| b)
+            .expect("three adaptive implementations");
+        let best_static = *statics
+            .iter()
+            .min_by_key(|&&(_, b)| b)
+            .expect("six static implementations");
+        assert!(
+            statics.iter().all(|&(_, b)| adaptive.1 < b),
+            "{p:?}: {adaptive:?} does not undercut every static policy: {statics:?}"
+        );
+        assert_eq!(
+            (adaptive.0, best_static.0, best_static.1 - adaptive.1),
+            (ImplKind::adaptive_time(), ImplKind::lrc_time(), margin),
+            "{p:?}: winner, runner-up and margin in bytes"
+        );
+    }
+}

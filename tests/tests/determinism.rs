@@ -38,8 +38,8 @@ fn trace_reports_are_identical_across_runs() {
     for kind in lrc_family() {
         let mut first: Option<String> = None;
         for run in 0..3 {
-            let (result, regions) = golden_trace(kind, 4);
-            let found = canon_run(kind, 4, &result, &regions);
+            let (result, arrays) = golden_trace(kind, 4);
+            let found = canon_run(kind, 4, &result, &arrays);
             match &first {
                 None => first = Some(found),
                 Some(want) => assert_eq!(

@@ -32,8 +32,8 @@ fn homeless_lrc_matches_pre_refactor_golden_trace() {
             ImplKind::lrc_time(),
             ImplKind::lrc_diff(),
         ] {
-            let (result, regions) = golden_trace(kind, nprocs);
-            found.push_str(&canon_run(kind, nprocs, &result, &regions));
+            let (result, arrays) = golden_trace(kind, nprocs);
+            found.push_str(&canon_run(kind, nprocs, &result, &arrays));
         }
         check_golden(&format!("homeless_lrc_trace_p{nprocs}.txt"), &found);
     }
@@ -146,11 +146,11 @@ fn false_sharing_run(kind: ImplKind) -> RunResult {
         let me = ctx.node();
         let quarter = 1024 / ctx.nprocs();
         for phase in 0..4u32 {
-            ctx.acquire(LockId::new(me as u32), LockMode::Exclusive);
+            let mut g = ctx.lock(LockId::new(me as u32), LockMode::Exclusive);
             for k in 0..quarter {
-                ctx.set(region, me * quarter + k, phase * 100 + me as u32 + k as u32);
+                g.set(region, me * quarter + k, phase * 100 + me as u32 + k as u32);
             }
-            ctx.release(LockId::new(me as u32));
+            drop(g);
             ctx.barrier(BarrierId::new(0));
             let mut sum = 0u64;
             for i in 0..1024 {

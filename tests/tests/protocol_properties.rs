@@ -83,12 +83,11 @@ fn random_bsp_program_is_model_independent() {
                         // the program is race-free for both models.
                         let base = me * elems / ctx.nprocs();
                         let quarter = elems / ctx.nprocs();
-                        ctx.acquire(LockId::new(me as u32), LockMode::Exclusive);
+                        let mut g = ctx.lock(LockId::new(me as u32), LockMode::Exclusive);
                         for k in 0..len {
                             let idx = base + (start + k) % quarter;
-                            ctx.set(region, idx, val.wrapping_add(k as u32));
+                            g.set(region, idx, val.wrapping_add(k as u32));
                         }
-                        ctx.release(LockId::new(me as u32));
                     }
                     ctx.barrier(BarrierId::new(0));
                 }

@@ -83,13 +83,12 @@ fn contended_multilock_workload() {
                 // offset each round so ownership migrates constantly.
                 for step in 0..NLOCKS {
                     let l = (me + round + step) % NLOCKS;
-                    ctx.acquire(LockId::new(l as u32), LockMode::Exclusive);
+                    let mut g = ctx.lock(LockId::new(l as u32), LockMode::Exclusive);
                     for s in 0..SLOTS_PER_LOCK {
                         let idx = l * SLOTS_PER_LOCK + s;
                         let bump = (me * 31 + round * 7 + s) as u32 + 1;
-                        ctx.modify(region, idx, |v: u32| v.wrapping_add(bump));
+                        g.modify(region, idx, |v: u32| v.wrapping_add(bump));
                     }
-                    ctx.release(LockId::new(l as u32));
                 }
                 ctx.barrier(BarrierId::new(0));
             }
@@ -159,9 +158,8 @@ fn many_locks_many_processors() {
                 x ^= x >> 7;
                 x ^= x << 17;
                 let l = (x % NLOCKS as u64) as usize;
-                ctx.acquire(lock_of(l), LockMode::Exclusive);
-                ctx.modify(counters, l, |v: u32| v + 1);
-                ctx.release(lock_of(l));
+                ctx.lock(lock_of(l), LockMode::Exclusive)
+                    .modify(counters, l, |v: u32| v + 1);
             }
             ctx.barrier(BarrierId::new(0));
         });
@@ -209,15 +207,14 @@ fn hot_lock_mixed_modes() {
         let me = ctx.node();
         for i in 0..ACQUIRES_PER_PROC {
             if (me + i) % WRITE_EVERY == 0 {
-                ctx.acquire(hot, LockMode::Exclusive);
-                let next = ctx.get(pair, 0) + 1;
-                ctx.set(pair, 0, next);
-                ctx.set(pair, 1, next);
-                ctx.release(hot);
+                let mut g = ctx.lock(hot, LockMode::Exclusive);
+                let next = g.get(pair, 0) + 1;
+                g.set(pair, 0, next);
+                g.set(pair, 1, next);
             } else {
-                ctx.acquire(hot, LockMode::ReadOnly);
-                let (a, b) = (ctx.get(pair, 0), ctx.get(pair, 1));
-                ctx.release(hot);
+                let mut g = ctx.lock(hot, LockMode::ReadOnly);
+                let (a, b) = (g.get(pair, 0), g.get(pair, 1));
+                g.unlock();
                 assert_eq!(a, b, "node {me} read a torn pair");
             }
         }
@@ -254,18 +251,17 @@ fn read_only_fan_out() {
 
     let result = dsm.run(|ctx| {
         if ctx.node() == 0 {
-            ctx.acquire(LockId::new(0), LockMode::Exclusive);
+            let mut g = ctx.lock(LockId::new(0), LockMode::Exclusive);
             for i in 0..64 {
-                ctx.set(data, i, 1000 + i as u32);
+                g.set(data, i, 1000 + i as u32);
             }
-            ctx.release(LockId::new(0));
         }
         ctx.barrier(BarrierId::new(0));
         // Everyone (including the writer) reads under a read-only lock.
-        ctx.acquire(LockId::new(0), LockMode::ReadOnly);
-        let me = ctx.node();
-        assert_eq!(ctx.get(data, me), 1000 + me as u32);
-        ctx.release(LockId::new(0));
+        let mut g = ctx.lock(LockId::new(0), LockMode::ReadOnly);
+        let me = g.node();
+        assert_eq!(g.get(data, me), 1000 + me as u32);
+        drop(g);
         ctx.barrier(BarrierId::new(1));
     });
     assert_eq!(result.final_at(data, 63), 1063);

@@ -1,5 +1,5 @@
-//! Span-API equivalence: `read_slice`/`write_slice` must be observationally
-//! identical to element-wise `read`/`write` — same final region contents,
+//! Span-API equivalence: `read_into`/`write_from` must be observationally
+//! identical to element-wise `get`/`set` — same final region contents,
 //! same traffic report, same per-node statistics counters — under every
 //! implementation (EC/LRC × twinning/instrumentation × collection).
 //!
@@ -117,20 +117,20 @@ fn run_trace(kind: ImplKind, nprocs: usize, phases: &[Phase], slices: bool) -> R
         let mut buf = vec![0u32; ELEMS];
         let mut checksum = 0u64;
         for phase in phases {
-            ctx.acquire(own, LockMode::Exclusive);
+            let mut g = ctx.lock(own, LockMode::Exclusive);
             for op in &phase.writes[me] {
                 for (k, slot) in buf[..op.len].iter_mut().enumerate() {
                     *slot = value(op.seed, k);
                 }
                 if slices {
-                    ctx.write_from(data, op.start, &buf[..op.len]);
+                    g.write_from(data, op.start, &buf[..op.len]);
                 } else {
                     for (k, &v) in buf[..op.len].iter().enumerate() {
-                        ctx.set(data, op.start + k, v);
+                        g.set(data, op.start + k, v);
                     }
                 }
             }
-            ctx.release(own);
+            drop(g);
             ctx.barrier(barrier);
             for op in &phase.reads[me] {
                 if slices {
@@ -149,9 +149,8 @@ fn run_trace(kind: ImplKind, nprocs: usize, phases: &[Phase], slices: bool) -> R
         // Publishing the checksum makes "the reads saw the same bytes" part
         // of the final-contents comparison.
         let sum_lock = LockId::new((ctx.nprocs() + me) as u32);
-        ctx.acquire(sum_lock, LockMode::Exclusive);
-        ctx.set(sums, me * PAGE_ELEMS, checksum as u32);
-        ctx.release(sum_lock);
+        ctx.lock(sum_lock, LockMode::Exclusive)
+            .set(sums, me * PAGE_ELEMS, checksum as u32);
         ctx.barrier(barrier);
     })
 }
@@ -188,7 +187,7 @@ fn span_apis_produce_identical_region_contents() {
             for kind in ImplKind::all() {
                 let run = |slices| {
                     let result = run_trace(kind, nprocs, &phases, slices);
-                    // Region handles are per-`Dsm`; rebuild them for reading.
+                    // Array handles are per-`Dsm`; rebuild them for reading.
                     let mut probe = Dsm::new(DsmConfig::with_procs(kind, nprocs)).unwrap();
                     let data = probe.alloc_array::<u32>("span-data", ELEMS, BlockGranularity::Word);
                     let sums = probe.alloc_array::<u32>(

@@ -14,7 +14,10 @@
 //! The implementations run one after another inside the one test, because
 //! the counter is process-wide and tests run on parallel threads.  Under EC
 //! the region is bound to the lock and spans four pages, so every acquire
-//! arms those pages (the large-object path).
+//! arms those pages (the large-object path).  One more EC-time case splits
+//! the region between two locks whose bindings share a page and holds both
+//! through one `LockSet`, so the shared page is armed twice and its twin
+//! outlives the first release.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,9 +61,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Warm-up epochs: enough to fill the publish-history and diff rings
-/// (`diff_ring` = 64), the twin pool, and the first 1024-entry reservation
-/// of the interval log.
+/// Warm-up epochs: enough to fill the publish-history and diff rings (64
+/// records each), the twin pool, and the first 1024-entry reservation of
+/// the interval log.
 const WARMUP: usize = 1200;
 /// Armed window: stays well inside the interval log's second reservation
 /// (next growth at epoch 2048+).
@@ -68,24 +71,38 @@ const WINDOW: usize = 256;
 
 #[test]
 fn steady_state_epochs_allocate_nothing() {
-    let allocs: Vec<(&str, u64)> = ["LRC-diff", "EC-time", "EC-diff"]
-        .into_iter()
-        .map(|name| (name, window_allocations(name)))
-        .collect();
+    let allocs: Vec<(&str, bool, u64)> = [
+        ("LRC-diff", false),
+        ("EC-time", false),
+        ("EC-diff", false),
+        ("EC-time", true),
+    ]
+    .into_iter()
+    .map(|(name, lock_set)| (name, lock_set, window_allocations(name, lock_set)))
+    .collect();
     assert!(
-        allocs.iter().all(|&(_, n)| n == 0),
+        allocs.iter().all(|&(_, _, n)| n == 0),
         "a steady-state write/release/acquire epoch must not allocate: {allocs:?}"
     );
 }
 
 /// Allocations during the armed window of `WINDOW` epochs under `impl_name`.
-fn window_allocations(impl_name: &str) -> u64 {
+/// With `lock_set`, two locks split the region (bound ranges of 6 and 10 KiB
+/// that share its second page), each epoch holds both through one
+/// `LockSet`, and the first-acquired lock is released first.
+fn window_allocations(impl_name: &str, lock_set: bool) -> u64 {
     let kind = ImplKind::from_name(impl_name).expect("known impl");
     let mut dsm = Dsm::new(DsmConfig::with_procs(kind, 1)).expect("valid config");
     // Four pages of shared u32s, all rewritten every epoch.
     let elems = 4 * 1024;
     let region = dsm.alloc_array::<u32>("hot", elems, BlockGranularity::Word);
-    dsm.bind(LockId::new(0), [region.whole()]);
+    if lock_set {
+        let split = elems * 3 / 8;
+        dsm.bind(LockId::new(0), [region.range(0, split)]);
+        dsm.bind(LockId::new(1), [region.range(split, elems - split)]);
+    } else {
+        dsm.bind(LockId::new(0), [region.whole()]);
+    }
     ALLOCS.store(0, Ordering::SeqCst);
 
     dsm.run(|ctx| {
@@ -99,9 +116,17 @@ fn window_allocations(impl_name: &str) -> u64 {
             for (i, v) in values.iter_mut().enumerate() {
                 *v = (epoch + i) as u32;
             }
-            let mut g = ctx.lock(LockId::new(0), LockMode::Exclusive);
-            g.write_from(region, 0, &values);
-            drop(g);
+            if lock_set {
+                let mut set = ctx.lock_set();
+                set.acquire(LockId::new(0), LockMode::Exclusive);
+                set.acquire(LockId::new(1), LockMode::Exclusive);
+                set.write_from(region, 0, &values);
+                set.release(LockId::new(0));
+            } else {
+                let mut g = ctx.lock(LockId::new(0), LockMode::Exclusive);
+                g.write_from(region, 0, &values);
+                drop(g);
+            }
         }
         ARMED.store(false, Ordering::SeqCst);
     });
