@@ -262,7 +262,7 @@ mod tests {
         let names: Vec<&str> = r.sharing.iter().map(|s| s.region.as_str()).collect();
         assert_eq!(names, ["mx-false", "mx-own", "mx-mig"]);
         assert!(r.sharing.iter().all(|s| s.publishes > 0));
-        assert_eq!(r.traffic.sharing.max_region_writers, 2);
+        assert_eq!(r.sharing.iter().map(|s| s.distinct_writers).max(), Some(2));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! for SOR under EC-ci, 5% for SOR+, 2% for Water, and none elsewhere).
 
 use dsm_apps::{run_app_opts, App, RunOpts, Scale};
-use dsm_bench::{print_table, secs, HarnessOpts};
+use dsm_bench::{check, print_table, secs, HarnessOpts};
 use dsm_core::ImplKind;
 
 fn run_at(app: App, nprocs: usize, scale: Scale, naive: bool) -> (String, String) {
@@ -12,6 +12,7 @@ fn run_at(app: App, nprocs: usize, scale: Scale, naive: bool) -> (String, String
         ..RunOpts::default()
     };
     let r = run_app_opts(app, ImplKind::ec_ci(), nprocs, scale, opts);
+    check(&r);
     (
         secs(r.time),
         format!("{}", r.stats.total().instrumented_writes),

@@ -6,11 +6,15 @@
 //! applications dominated by small bound objects (Water, Barnes-Hut, IS).
 
 use dsm_apps::{run_app_opts, App, RunOpts, Scale};
-use dsm_bench::{print_table, secs, HarnessOpts};
+use dsm_bench::{check, print_table, secs, HarnessOpts};
 use dsm_core::ImplKind;
 
 fn row(app: App, nprocs: usize, scale: Scale) -> Vec<String> {
-    let run = |opts| run_app_opts(app, ImplKind::ec_time(), nprocs, scale, opts);
+    let run = |opts| {
+        let r = run_app_opts(app, ImplKind::ec_time(), nprocs, scale, opts);
+        check(&r);
+        r
+    };
     let eager = run(RunOpts::default());
     let faulting = run(RunOpts {
         ec_small_object_limit: 0,

@@ -9,16 +9,17 @@
 //! a deterministic mid-run crash) and reports the recovery economics: how
 //! many checkpoints were cut, their total encoded bytes, the simulated time
 //! spent capturing them, and the rollback's restore and lost-work
-//! latencies.  That the two runs are canonically equivalent — identical
-//! contents, traffic and per-node statistics — is pinned by the
-//! `recovery_equivalence` and `crash_matrix` tests of `dsm-tests`.
+//! latencies.  That the two runs verify, that the crash fires, and that
+//! they are canonically equivalent — identical contents, traffic and
+//! per-node statistics — is pinned by the `recovery_equivalence` and
+//! `crash_matrix` tests of `dsm-tests`.
 //! `BENCH_recovery.json` at the repo root records the trajectory across
 //! commits.
 //!
 //! Usage: `cargo run --release -p dsm-bench --bin recovery [-- --scale tiny|small|paper --procs N --impls NAME,...]`
 
 use dsm_apps::{run_app_opts, App, AppParams, AppReport, RunOpts, Scale};
-use dsm_bench::{print_json_header, print_table, secs, HarnessOpts};
+use dsm_bench::{check, print_json_header, print_table, secs, HarnessOpts};
 use dsm_core::{FaultPlan, ImplKind};
 
 /// One implementation's fault-free and crashed-and-recovered runs.
@@ -103,9 +104,8 @@ fn main() {
         );
         let host_post_ms = t1.elapsed().as_secs_f64() * 1e3;
 
-        assert!(pre.verified, "{kind}: fault-free run failed verification");
-        assert!(post.verified, "{kind}: recovered run failed verification");
-        assert_eq!(post.recovery.crashes, 1, "{kind}: the fault never fired");
+        check(&pre);
+        check(&post);
 
         row_json(scale_name, opts.nprocs, "pre", kind, &pre, host_pre_ms);
         row_json(scale_name, opts.nprocs, "post", kind, &post, host_post_ms);

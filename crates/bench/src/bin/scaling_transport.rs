@@ -1,9 +1,9 @@
-//! Scaling sweep of the transport backends: the same synthetic epoch
-//! workload as `hotpath`'s epoch benchmark (touch one element per page, then
-//! rewrite your slice under a bound lock, so every release publishes), driven
-//! over real OS threads (channel backend, 8 → 256 nodes) and real loopback
-//! sockets (socket backend, with the replica peers either in-process threads
-//! or separate child processes launched by this driver).
+//! Scaling sweep of the transport backends: a synthetic epoch workload
+//! (touch one element per page, then rewrite your slice under a bound lock,
+//! so every release publishes), driven over real OS threads (channel
+//! backend, 8 → 256 nodes) and real loopback sockets (socket backend, with
+//! the replica peers either in-process threads or separate child processes
+//! that this binary launches).
 //!
 //! Host wall-clock, publish rate and bytes-on-wire are emitted as one JSON
 //! object per line; `BENCH_transport.json` at the repo root records the
@@ -18,11 +18,11 @@
 //! sends saved), so metadata grows with what changed rather than with the
 //! node count.
 //!
-//! This binary parses its own arguments (`--scale tiny|small|paper`, default
-//! small, and `--impls NAME[,NAME...]`, which replaces the default
-//! LRC-diff/EC-time pair).  With `--peer` it instead becomes a replica peer
-//! process: it binds a loopback listener, prints the port on stdout and
-//! serves one session (this is the mode the driver launches as child
+//! It takes the shared `--scale` and `--impls` flags (`--impls` replaces the
+//! default LRC-diff/EC-time pair; `--procs` is accepted and ignored, because
+//! node count is the sweep axis).  With `--peer` it instead becomes a replica
+//! peer process: it binds a loopback listener, prints the port on stdout and
+//! serves one run's replication (the mode the sweep launches as child
 //! processes).
 
 use std::io::{BufRead, BufReader, Write};
@@ -36,7 +36,7 @@ use dsm_core::{
     TransportKind,
 };
 
-/// Elements (u32) in the shared region: 16 pages, as in `hotpath`.
+/// Elements (u32) in the shared region: 16 pages.
 const ELEMS: usize = 16 * 1024;
 
 /// Words per page of the region (u32 elements, 4 KiB pages).
@@ -147,48 +147,23 @@ fn run_peer() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--peer") {
+    if std::env::args().any(|a| a == "--peer") {
         run_peer();
         return;
     }
-    let mut scale = Scale::Small;
-    let mut impls: Option<Vec<ImplKind>> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" if i + 1 < args.len() => {
-                scale = match args[i + 1].as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "paper" => Scale::Paper,
-                    other => panic!("unknown scale '{other}' (use tiny|small|paper)"),
-                };
-                i += 2;
-            }
-            "--impls" if i + 1 < args.len() => {
-                let kinds: Vec<ImplKind> = args[i + 1]
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|name| ImplKind::from_name(name.trim()).unwrap_or_else(|e| panic!("{e}")))
-                    .collect();
-                assert!(!kinds.is_empty(), "--impls takes at least one name");
-                impls = Some(kinds);
-                i += 2;
-            }
-            other => panic!("unknown argument '{other}' (this bin takes --scale and --impls)"),
-        }
-    }
-    let (scale_name, iters, node_counts, peer_counts): (_, usize, &[usize], &[usize]) = match scale
-    {
-        Scale::Tiny => ("tiny", 3, &[8, 16], &[2]),
-        Scale::Small => ("small", 8, &[8, 16, 32, 64, 128, 256], &[2, 4, 8]),
-        Scale::Paper => ("paper", 16, &[8, 16, 32, 64, 128, 256], &[2, 4, 8]),
-    };
+    let opts = dsm_bench::HarnessOpts::from_args();
+    let (scale_name, iters, node_counts, peer_counts): (_, usize, &[usize], &[usize]) =
+        match opts.scale {
+            Scale::Tiny => ("tiny", 3, &[8, 16], &[2]),
+            Scale::Small => ("small", 8, &[8, 16, 32, 64, 128, 256], &[2, 4, 8]),
+            Scale::Paper => ("paper", 16, &[8, 16, 32, 64, 128, 256], &[2, 4, 8]),
+        };
     // `--impls` replaces the default pair outright (any implementation can
     // drive this synthetic workload, including the adaptive ones, whose
     // control frames then ride the measured wire).
-    let kinds = impls.unwrap_or_else(|| vec![ImplKind::lrc_diff(), ImplKind::ec_time()]);
+    let kinds = opts
+        .impls
+        .unwrap_or_else(|| vec![ImplKind::lrc_diff(), ImplKind::ec_time()]);
     dsm_bench::print_json_header(
         "scaling_transport",
         "synthetic publish epochs over real threads (channel) and loopback sockets",

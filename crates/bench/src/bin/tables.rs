@@ -4,7 +4,7 @@
 //! policy (Table 6).  Together they cover all twelve members of the family;
 //! `--impls` narrows the output to any subset, e.g. one family.
 
-use dsm_bench::{check, print_family_times, table_apps, HarnessOpts};
+use dsm_bench::{print_family_times, table_apps, HarnessOpts};
 use dsm_core::ImplKind;
 
 fn main() {
@@ -29,6 +29,6 @@ fn main() {
         ),
     ];
     for (title, family) in tables {
-        print_family_times(title, &family, &apps, &opts, check);
+        print_family_times(title, &family, &apps, &opts);
     }
 }

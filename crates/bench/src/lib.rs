@@ -11,24 +11,31 @@
 //! | `table3` | Table 3 — best EC vs best LRC vs best HLRC execution times (+ 1 proc.) |
 //! | `tables` | Tables 4–6 — per-combination execution times of the EC, LRC, HLRC and ALRC families |
 //! | `traffic` | Section 7.2 — message counts and megabytes per application |
-//! | `scaling` | host wall-clock vs simulated time at 8/16/32 processors (JSON) |
-//! | `adaptive` | beyond the paper — mixed-sharing workload, static vs adaptive policies (JSON) |
-//! | `kv` | beyond the paper — closed-loop sharded KV/cache tier, throughput + p50/p99/p999 (JSON) |
 //! | `water_restructured` | Section 7.2 — the restructured Water experiment |
 //! | `ablation_ci_opt` | Section 8.1 — the dirty-bit loop-splitting optimisation |
 //! | `ablation_small_objects` | Section 4.2 — eager small-object twins vs page faults |
+//! | `adaptive` | beyond the paper — mixed-sharing workload, static vs adaptive policies (JSON) |
+//! | `recovery` | beyond the paper — checkpoint, crash and rollback costs per family (JSON) |
+//! | `scaling_transport` | beyond the paper — publish epochs over 8–256 channel nodes and loopback socket peers (JSON) |
 //!
 //! All binaries accept `--scale tiny|small|paper` (default `small`) and
-//! `--procs N` (default 8).  The binaries that sweep implementations —
-//! `table3`, `tables`, `traffic`, `scaling`, `hotpath`, `adaptive`, the
-//! transport bins — also honor `--impls NAME[,NAME...]` (a comma-separated
-//! subset of the twelve implementation names, e.g.
-//! `--impls EC-time,HLRC-diff,ALRC-diff`; default: all); the parameter
-//! tables (`table1`, `table2`) and the fixed-pair experiments
+//! `--procs N` (default 8); `scaling_transport` accepts and ignores
+//! `--procs`, because node count is its sweep axis.  The binaries that sweep
+//! implementations — `table3`, `tables`, `traffic`, `adaptive`, `recovery`,
+//! `scaling_transport` — also honor `--impls NAME[,NAME...]` (a
+//! comma-separated subset of the twelve implementation names, e.g.
+//! `--impls EC-time,HLRC-diff,ALRC-diff`; default: all, or for
+//! `scaling_transport` the LRC-diff/EC-time pair); the parameter tables
+//! (`table1`, `table2`) and the fixed-pair experiments
 //! (`water_restructured`, the ablations) ignore it.
 //!
-//! The repository's end-to-end benchmark is a separate package, `perfbench`
-//! (see its README):
+//! The binaries only print.  A run whose output fails verification is
+//! reported as a `did not match` line on stderr ([`check`] prints it for the
+//! paper applications), which CI's bench-bin smoke fails on; the claims
+//! themselves are asserted by the `dsm-tests` suites.
+//!
+//! The repository's host-performance command is a separate package,
+//! `perfbench` (see its README):
 //! `cargo run --release --manifest-path perfbench/Cargo.toml -- --workload kv-read|kv-write|paper-apps --seed N --seconds S --trace 0|1`.
 //!
 //! The JSON-emitting binaries all start their output with the standard
@@ -38,10 +45,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod hist;
-
-pub use hist::LatencyHistogram;
 
 use dsm_apps::{run_app, App, AppReport, Scale};
 use dsm_core::ImplKind;
@@ -246,15 +249,8 @@ pub fn opt_col(report: Option<&AppReport>, f: impl Fn(&AppReport) -> String) -> 
 
 /// Prints one family table (tables 4, 5 and 6): one row per application, one
 /// execution-time column per implementation of the family that survived the
-/// `--impls` filter.  `check` is called on every report (the bins pass
-/// [`check`]; tests can pass a recording closure).
-pub fn print_family_times(
-    title: &str,
-    family: &[ImplKind],
-    apps: &[App],
-    opts: &HarnessOpts,
-    check: impl Fn(&AppReport),
-) {
+/// `--impls` filter, and [`check`]s every report.
+pub fn print_family_times(title: &str, family: &[ImplKind], apps: &[App], opts: &HarnessOpts) {
     let kinds = opts.filter(family);
     if kinds.is_empty() {
         println!("\n{title}: every implementation filtered out by --impls");

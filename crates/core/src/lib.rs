@@ -136,4 +136,4 @@ pub use transport::{serve_transport_peer, TransportKind, TransportReport};
 
 // Re-export the vocabulary types callers need to use the API.
 pub use dsm_mem::{BlockGranularity, MemRange, PageMode, PageModeChange};
-pub use dsm_sim::{CostModel, RegionSharing, SharingSummary, SimTime, Work};
+pub use dsm_sim::{CostModel, RegionSharing, SimTime, Work};

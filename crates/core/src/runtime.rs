@@ -297,13 +297,6 @@ impl Dsm {
         let mut traffic = stats.traffic();
         traffic.lock_transfers = global.sync.total_lock_transfers();
         let sharing = global.engine.sharing_report();
-        for r in &sharing {
-            traffic.sharing.publishes += r.publishes;
-            traffic.sharing.misses += r.misses;
-            traffic.sharing.diff_bytes += r.diff_bytes;
-            traffic.sharing.max_region_writers =
-                traffic.sharing.max_region_writers.max(r.distinct_writers);
-        }
         let mut recovery_report = RecoveryReport::default();
         for l in &locals {
             if let Some(r) = l.recovery.as_deref() {
@@ -382,10 +375,6 @@ mod tests {
         assert_eq!(result.sharing[0].region, "shared");
         assert!(result.sharing[0].publishes >= 1);
         assert!(result.sharing[0].distinct_writers >= 1);
-        assert_eq!(
-            result.traffic.sharing.publishes,
-            result.sharing[0].publishes
-        );
         assert!(
             result.migrations.is_empty(),
             "static policies never migrate"

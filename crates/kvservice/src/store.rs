@@ -243,7 +243,7 @@ impl KvStats {
 
     /// Folds another worker's stats into this one: counters add, and the
     /// per-shard get chains combine with XOR so the result is independent of
-    /// merge order.  The bench bins aggregate per-processor stats this way;
+    /// merge order.  perfbench aggregates per-processor stats this way;
     /// the equivalence suites compare per-worker chains instead of merging,
     /// because a chain's application order is only meaningful within one
     /// worker.

@@ -10,49 +10,7 @@
 //! distribution shape in property tests.
 
 use crate::store::KvOp;
-
-/// xorshift64* PRNG: 8 bytes of state, passes BigCrush's basic batteries,
-/// and — the property the suites actually rely on — identical output for
-/// identical seeds everywhere.  Zero seeds are remapped (the xorshift orbit
-/// of 0 is 0).
-#[derive(Debug, Clone)]
-pub struct XorShift64 {
-    state: u64,
-}
-
-impl XorShift64 {
-    /// Seeds the generator (any value; 0 is remapped to a fixed non-zero).
-    pub fn new(seed: u64) -> Self {
-        XorShift64 {
-            state: if seed == 0 {
-                0x9e37_79b9_7f4a_7c15
-            } else {
-                seed
-            },
-        }
-    }
-
-    /// Next 64 uniformly distributed bits.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    /// Uniform draw from `0..n` (n > 0) by 128-bit multiply, bias ≤ 2⁻⁶⁴.
-    pub fn below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        (((self.next_u64() as u128) * (n as u128)) >> 64) as u64
-    }
-
-    /// Uniform draw from `[0, 1)` with 53 bits of precision.
-    pub fn unit_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
+pub use dsm_mem::XorShift64;
 
 /// A key distribution over the id space `1..=keys` (ids are raw keys; the
 /// store's hash decorrelates them, so sampling ids *is* sampling slots).

@@ -278,41 +278,35 @@ impl CkptImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::TestRng;
     use dsm_sim::NodeId;
 
-    fn xorshift(state: &mut u64) -> u64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        *state
-    }
-
-    fn sample_image(seed: &mut u64) -> (CkptImage, Vec<Vec<u8>>, Vec<Vec<u8>>) {
-        let nregions = 1 + (xorshift(seed) % 3) as usize;
+    fn sample_image(rng: &mut TestRng) -> (CkptImage, Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        let nregions = rng.in_range(1, 4);
         let mut prevs = Vec::new();
         let mut curs = Vec::new();
         let mut image = CkptImage {
-            node: (xorshift(seed) % 8) as u32,
-            barriers: xorshift(seed) % 100,
-            epoch: xorshift(seed) % 100,
-            time_ns: xorshift(seed),
+            node: rng.below(8) as u32,
+            barriers: rng.below(100) as u64,
+            epoch: rng.below(100) as u64,
+            time_ns: rng.next_u64(),
             clock: {
                 let mut c = VectorClock::new(4);
                 for i in 0..4 {
-                    c.set_entry(NodeId::new(i), (xorshift(seed) % 50) as u32);
+                    c.set_entry(NodeId::new(i), rng.below(50) as u32);
                 }
                 c
             },
             regions: Vec::new(),
-            locks: (0..xorshift(seed) % 3).map(|i| i as u32).collect(),
+            locks: (0..rng.below(3) as u32).collect(),
         };
         for _ in 0..nregions {
-            let words = 4 + (xorshift(seed) % 64) as usize;
-            let prev: Vec<u8> = (0..words * 4).map(|_| xorshift(seed) as u8).collect();
+            let words = rng.in_range(4, 68);
+            let prev = rng.bytes(words * 4);
             let mut cur = prev.clone();
-            for _ in 0..xorshift(seed) % 20 {
-                let w = (xorshift(seed) as usize) % words;
-                cur[w * 4..w * 4 + 4].copy_from_slice(&(xorshift(seed) as u32).to_le_bytes());
+            for _ in 0..rng.below(20) {
+                let w = rng.below(words);
+                cur[w * 4..w * 4 + 4].copy_from_slice(&(rng.next_u64() as u32).to_le_bytes());
             }
             image
                 .regions
@@ -325,9 +319,9 @@ mod tests {
 
     #[test]
     fn image_round_trip_reconstructs_contents_seeded_property() {
-        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut rng = TestRng::new(0x2545_f491_4f6c_dd1d);
         for case in 0..128 {
-            let (image, prevs, curs) = sample_image(&mut seed);
+            let (image, prevs, curs) = sample_image(&mut rng);
             let mut buf = Vec::new();
             image.encode_into(&mut buf);
             assert_eq!(buf.len(), image.encoded_len(), "case {case}: length");
@@ -340,7 +334,7 @@ mod tests {
                 assert_eq!(target, curs[ridx], "case {case} region {ridx}");
             }
             // Every truncation of the image is rejected.
-            let cut = (xorshift(&mut seed) as usize) % buf.len();
+            let cut = rng.below(buf.len());
             assert!(
                 CkptImage::decode(&buf[..cut]).is_none(),
                 "case {case}: truncation at {cut} rejected"

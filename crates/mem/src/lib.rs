@@ -5,8 +5,9 @@
 //! bitsets for software dirty bits, the two word-run scans a write travels
 //! through (changed words against a twin, and runs of equal per-block
 //! **timestamps**), vector clocks and their compact encodings, twin buffer
-//! pools, page-sharing statistics, checkpoint images and the transport's
-//! wire codec.
+//! pools, page-sharing statistics, checkpoint images, the transport's
+//! wire codec, and the seeded generator ([`XorShift64`]) that workload
+//! traces and property tests draw from.
 //!
 //! The protocol logic that decides *when* these mechanisms are invoked lives
 //! in `dsm-core`; the applications that drive them live in `dsm-apps`.
@@ -53,6 +54,7 @@ mod granularity;
 mod page;
 mod pool;
 mod region;
+mod rng;
 mod sharing;
 #[doc(hidden)]
 pub mod testutil;
@@ -70,5 +72,6 @@ pub use granularity::BlockGranularity;
 pub use page::{for_each_page, page_of, page_range, pages_in, PAGE_SIZE};
 pub use pool::BufferPool;
 pub use region::{MemRange, RegionDesc, RegionId};
+pub use rng::XorShift64;
 pub use sharing::{PageMode, PageModeChange, PageSharing};
 pub use vclock::{ClockOrd, VectorClock};

@@ -1,34 +1,30 @@
 //! Deterministic pseudo-random generation for property-style tests.
 //!
 //! The build environment is offline (no `proptest`), so the workspace's
-//! property tests drive themselves with this seeded xorshift64* generator:
-//! every case is reproducible from its printed seed.  Test-only API — hidden
-//! from the documented surface and semver-exempt.
+//! property tests drive themselves with [`XorShift64`]: every case is
+//! reproducible from its printed seed.  Test-only API — hidden from the
+//! documented surface and semver-exempt.
 
-/// A seeded xorshift64* generator.
+use crate::XorShift64;
+
+/// [`XorShift64`] with the `usize`-sized helpers property tests draw with.
 #[derive(Debug, Clone)]
-pub struct TestRng(u64);
+pub struct TestRng(XorShift64);
 
 impl TestRng {
-    /// Creates a generator from a seed (zero is mapped to one; xorshift has
-    /// an all-zero fixed point).
+    /// Creates a generator from a seed ([`XorShift64::new`]'s seeding rule).
     pub fn new(seed: u64) -> Self {
-        TestRng(seed.max(1))
+        TestRng(XorShift64::new(seed))
     }
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        self.0.next_u64()
     }
 
     /// Value in `0..bound` (`bound > 0`).
     pub fn below(&mut self, bound: usize) -> usize {
-        (self.next_u64() % bound as u64) as usize
+        self.0.below(bound as u64) as usize
     }
 
     /// Value in `lo..hi`.
@@ -69,6 +65,11 @@ mod tests {
             let v = r.in_range(5, 9);
             assert!((5..9).contains(&v));
         }
-        assert_eq!(TestRng::new(0).0, 1, "zero seed must not be a fixed point");
+        let mut z = TestRng::new(0);
+        assert_ne!(
+            z.next_u64(),
+            z.next_u64(),
+            "zero seed must not be a fixed point"
+        );
     }
 }

@@ -635,6 +635,7 @@ pub fn read_msg(r: &mut impl Read, body: &mut Vec<u8>) -> io::Result<Option<Wire
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::TestRng;
 
     #[test]
     fn fnv_is_stable_and_length_sensitive() {
@@ -687,26 +688,17 @@ mod tests {
         assert_eq!(back.runs(), u.runs());
     }
 
-    /// Seeded xorshift64* — the same generator the `cclock` codec property
-    /// tests use, so failures reproduce byte-for-byte.
-    fn xorshift(state: &mut u64) -> u64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        *state
-    }
-
     #[test]
     fn flat_update_wire_round_trip_seeded_property() {
         // Checkpoint images serialize their per-region run tables through
         // this exact path, so it gets the full randomized treatment.
-        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rng = TestRng::new(0x9e37_79b9_7f4a_7c15);
         for case in 0..256 {
-            let nwords = 1 + (xorshift(&mut seed) % 96) as usize;
+            let nwords = rng.in_range(1, 97);
             let mut stamps = vec![0u64; nwords];
             for s in stamps.iter_mut() {
-                if xorshift(&mut seed) % 3 != 0 {
-                    *s = 1 + xorshift(&mut seed) % 5;
+                if rng.below(3) != 0 {
+                    *s = 1 + rng.below(5) as u64;
                 }
             }
             let u = published_runs(&stamps);
@@ -717,7 +709,7 @@ mod tests {
             assert_eq!(back.runs(), u.runs(), "case {case}: runs survive");
             // Any truncation that cuts into the run table is rejected.
             if !u.runs().is_empty() {
-                let cut = (xorshift(&mut seed) as usize) % (buf.len() - 4) + 4;
+                let cut = rng.in_range(4, buf.len());
                 assert!(
                     decode_flat_update(&buf[..cut]).is_none(),
                     "case {case}: truncation at {cut} rejected"

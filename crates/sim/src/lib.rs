@@ -43,5 +43,5 @@ pub use clock::{NodeClock, SimTime};
 pub use cost::CostModel;
 pub use msg::MsgKind;
 pub use node::NodeId;
-pub use stats::{ClusterStats, NodeStats, RegionSharing, SharingSummary, TrafficReport};
+pub use stats::{ClusterStats, NodeStats, RegionSharing, TrafficReport};
 pub use work::Work;

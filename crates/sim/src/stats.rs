@@ -178,29 +178,8 @@ impl ClusterStats {
             lock_acquires: t.lock_acquires,
             barriers: t.barriers,
             lock_transfers: 0,
-            sharing: SharingSummary::default(),
         }
     }
-}
-
-/// Cluster-wide roll-up of the per-page sharing statistics the adaptive data
-/// policy feeds on: how often pages were published and missed, how many diff
-/// bytes those publishes encoded, and the widest writer set any single region
-/// accumulated.  Like [`TrafficReport::lock_transfers`] this lives outside
-/// any node's [`NodeStats`] — the engine owns the per-page accumulators, so
-/// the runtime fills it in after the run; reports built directly from
-/// [`ClusterStats::traffic`] leave it zeroed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SharingSummary {
-    /// Page publishes recorded across all regions.
-    pub publishes: u64,
-    /// Access misses recorded against page sharing state.
-    pub misses: u64,
-    /// Encoded diff bytes across all publishes (unsuppressed sizes, so the
-    /// figure is comparable across data policies).
-    pub diff_bytes: u64,
-    /// The largest distinct-writer count any single region saw.
-    pub max_region_writers: u32,
 }
 
 /// Per-region aggregate of the page sharing statistics, for the bench bins'
@@ -248,11 +227,6 @@ pub struct TrafficReport {
     /// [`NodeStats`], so it is aggregated by the DSM runtime after the run;
     /// reports built directly from [`ClusterStats::traffic`] leave it zero.
     pub lock_transfers: u64,
-    /// Roll-up of the per-page sharing statistics (see [`SharingSummary`]);
-    /// filled in by the runtime, zero in reports built directly from
-    /// [`ClusterStats::traffic`].  Not part of the [`Display`](fmt::Display)
-    /// line, which older goldens fix byte-for-byte.
-    pub sharing: SharingSummary,
 }
 
 impl TrafficReport {

@@ -42,13 +42,25 @@ fn single_processor_runs_work_for_every_model() {
     }
 }
 
+/// SOR, IS and Water under one representative per protocol family, at 2 to
+/// 32 processors: every run verifies and communicates.
 #[test]
 fn more_processors_mean_more_traffic_not_less_correctness() {
-    for nprocs in [2usize, 4, 6] {
-        let report = run_app(App::IntegerSort, ImplKind::lrc_diff(), nprocs, Scale::Tiny);
-        assert!(report.verified);
-        if nprocs > 1 {
-            assert!(report.traffic.messages > 0);
+    for app in [App::Sor, App::IntegerSort, App::Water] {
+        for kind in [
+            ImplKind::ec_time(),
+            ImplKind::lrc_diff(),
+            ImplKind::hlrc_diff(),
+            ImplKind::adaptive_diff(),
+        ] {
+            for nprocs in [2usize, 4, 6, 8, 16, 32] {
+                let report = run_app(app, kind, nprocs, Scale::Tiny);
+                assert!(report.verified, "{app} under {kind} at {nprocs} procs");
+                assert!(
+                    report.traffic.messages > 0,
+                    "{app} under {kind} at {nprocs} procs sent nothing"
+                );
+            }
         }
     }
 }

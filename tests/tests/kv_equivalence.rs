@@ -19,6 +19,10 @@
 //! invariants racing cannot break: every surviving value is internally
 //! consistent, every cas resolved exactly one way, and the store never
 //! reports an impossible outcome.
+//!
+//! An accounting test runs the benchmark's store shape under all twelve
+//! implementations and checks that every op a worker issues is counted in
+//! its `KvStats` exactly once.
 
 use dsm_core::{BarrierId, Dsm, DsmConfig, ImplKind, TransportKind};
 use dsm_kvservice::workload::{gen_trace, KeySampler, MixSpec};
@@ -282,6 +286,88 @@ fn contended_cas_delete_interleavings_keep_invariants() {
                     "{kind}/{label}: key {key} seed out of window"
                 );
             }
+        }
+    }
+}
+
+/// Ops each processor issues in the accounting test.
+const ACCOUNTED_OPS: usize = 1024;
+
+/// Replays `ACCOUNTED_OPS` ops of `mix` per processor in `batch`-op critical
+/// sections against the benchmark's store shape (16 shards × 2048 slots,
+/// 4-word values; zipf(0.99) keys over half the slots, so puts never fill a
+/// shard), and asserts that the workers' stats count every op exactly once.
+fn check_accounting(
+    kind: ImplKind,
+    transport: TransportKind,
+    nprocs: usize,
+    mix: &MixSpec,
+    reads: ReadConsistency,
+    batch: usize,
+) {
+    let label = format!(
+        "{kind}/{}/{nprocs}p/{}/{reads:?} x{batch}",
+        transport.label(),
+        mix.name
+    );
+    let shape = KvConfig {
+        shard_bits: 4,
+        slot_bits: 11,
+        value_words: 4,
+        base_lock: 0,
+    };
+    let sampler = KeySampler::zipf((shape.capacity() / 2) as u64, 0.99);
+    let mut cfg = DsmConfig::with_procs(kind, nprocs);
+    cfg.transport = transport;
+    let mut dsm = Dsm::new(cfg).expect("valid config");
+    let store = KvStore::alloc(&mut dsm, kind.model(), shape);
+    let total = Mutex::new(0u64);
+    dsm.run(|ctx| {
+        let trace = gen_trace(ctx.node() as u64 + 1, ACCOUNTED_OPS, &sampler, mix);
+        let mut scratch = KvScratch::new(store.config());
+        let mut stats = KvStats::new(store.config().shards());
+        for chunk in trace.chunks(batch) {
+            store.apply_batch(ctx, chunk, reads, &mut scratch, &mut stats);
+        }
+        ctx.barrier(BarrierId::new(0));
+        *total.lock().unwrap() += stats.ops();
+    });
+    assert_eq!(
+        total.into_inner().unwrap(),
+        (ACCOUNTED_OPS * nprocs) as u64,
+        "{label}: ops lost or double-counted"
+    );
+}
+
+#[test]
+fn every_op_is_accounted_for_under_every_implementation() {
+    use ReadConsistency::{Local, Lock};
+    // The whole matrix: every mix, one op per locked critical section.
+    for kind in ImplKind::all() {
+        for mix in &MixSpec::ALL {
+            check_accounting(kind, TransportKind::Simulated, 4, mix, Lock, 1);
+        }
+    }
+    // The headline four across processor counts: batched local reads on the
+    // read-mostly mix, and per-op locked writes over the channel transport.
+    for kind in kinds() {
+        for nprocs in [1usize, 4, 8] {
+            check_accounting(
+                kind,
+                TransportKind::Simulated,
+                nprocs,
+                &MixSpec::ALL[0],
+                Local,
+                64,
+            );
+            check_accounting(
+                kind,
+                TransportKind::Channel,
+                nprocs,
+                &MixSpec::ALL[2],
+                Lock,
+                1,
+            );
         }
     }
 }

@@ -65,8 +65,8 @@ fn trace_prefixes_are_stable_across_lengths() {
 #[test]
 fn the_exact_head_of_a_known_trace_is_pinned() {
     // A golden prefix: if the PRNG, the sampler walk or the mix's draw
-    // order ever changes, every recorded BENCH_kv row silently changes
-    // meaning — make that loud instead.
+    // order ever changes, perfbench's KV traces silently change and its
+    // runs stop being comparable across commits — make that loud instead.
     let sampler = KeySampler::zipf(100, 0.99);
     let trace = gen_trace(12345, 4, &sampler, &MixSpec::ALL[1]);
     let mut rng = XorShift64::new(12345);

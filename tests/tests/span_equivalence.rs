@@ -1,7 +1,8 @@
 //! Span-API equivalence: `read_into`/`write_from` must be observationally
 //! identical to element-wise `get`/`set` — same final region contents,
-//! same traffic report, same per-node statistics counters — under every
-//! implementation (EC/LRC × twinning/instrumentation × collection).
+//! same traffic report, same per-node statistics counters, same page-sharing
+//! rows — under every implementation (EC/LRC × twinning/instrumentation ×
+//! collection).
 //!
 //! Deterministic xorshift-driven traces replace `proptest` (the build
 //! environment is offline); every case is reproducible from its printed
@@ -172,6 +173,10 @@ fn span_apis_match_element_wise_access_exactly() {
                 assert_eq!(
                     by_elem.traffic, by_span.traffic,
                     "{ctxt}: traffic report diverged"
+                );
+                assert_eq!(
+                    by_elem.sharing, by_span.sharing,
+                    "{ctxt}: page-sharing rows diverged"
                 );
             }
         }
