@@ -24,7 +24,7 @@ pub enum Model {
     /// miss fetches the whole page from the home in one round trip.
     Hlrc,
     /// Adaptive LRC: the [`Model::Lrc`] ordering layer under an online
-    /// per-page data-policy controller that migrates each page between
+    /// per-page placement controller that migrates each page between
     /// homeless diffing, home-based flush (home at the dominant writer) and
     /// single-writer pinning, driven by the page's observed sharing pattern.
     Adaptive,

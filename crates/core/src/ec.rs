@@ -139,12 +139,12 @@ pub(crate) struct EcEngine {
     regions: Vec<RegionDesc>,
     /// Published master copies, one `RwLock` per region.
     region_state: Vec<RwLock<EcRegionState>>,
-    /// Per-region monotonic publish generation, bumped (under the region's
-    /// write lock) whenever a release publishes modifications to the region.
+    /// Per-region publish sequence number of the transport frames, bumped
+    /// (under the region's write lock) once per release that publishes
+    /// modifications to the region.  Replicas apply a region's frames in
+    /// this order, so replaying them rebuilds the master copy byte for byte.
     /// EC needs no freshness checks — consistency travels with lock grants —
-    /// so this is bookkeeping symmetry with `LrcEngine`: it gives region
-    /// observers (debug output, future engines layered on the master copies)
-    /// the same cheap "has anything been published?" signal.
+    /// so, unlike `LrcEngine`'s, nothing else reads it.
     publish_gen: Vec<AtomicU64>,
     /// Per-lock metadata, one mutex per lock, created on demand.
     locks: SlotTable<Mutex<EcLockState>>,
@@ -463,7 +463,6 @@ impl ProtocolEngine for EcEngine {
         let cost = &self.cfg.cost;
         let trapping = self.cfg.kind.trapping();
         let collection = self.cfg.kind.collection();
-        let me = local.node;
 
         let mut meta = sync::lock(self.locks.get(lock.index()));
         if meta.bound.is_empty() {
@@ -632,7 +631,6 @@ impl ProtocolEngine for EcEngine {
             }
             meta.publishes.push_back(PublishRec {
                 stamp: seq,
-                node: me,
                 encoded_size: diff_size(col.changed_words, col.runs),
                 compare_words: col.compare_words,
                 creation_charged: collection == Collection::Timestamps

@@ -6,10 +6,9 @@
 //! model-specific action — what a grant carries, what a release publishes,
 //! what a barrier exchanges, how writes are trapped and how stale pages are
 //! refreshed — is a hook on this trait.  `EcEngine` (Midway-style entry
-//! consistency) and the layered LRC family (one ordering core specialised by
-//! a homeless or home-based data policy, see `lrc/`) are the
-//! implementations; [`build_engine`] is the *only* place the consistency
-//! model is matched on.
+//! consistency) and `LrcEngine` (every LRC family, told apart by a per-page
+//! placement table, see `lrc/`) are the implementations; [`build_engine`]
+//! picks between them.
 //!
 //! Engines are shared by every worker thread (`&self` receivers) and shard
 //! their own state internally — per-lock metadata behind per-slot mutexes and
@@ -24,7 +23,7 @@ use crate::config::{DsmConfig, Model};
 use crate::ec::EcEngine;
 use crate::ids::{LockId, LockMode};
 use crate::local::{HeldLock, NodeLocal};
-use crate::lrc::{AdaptiveLrcEngine, HomeBasedLrcEngine, HomelessLrcEngine};
+use crate::lrc::LrcEngine;
 
 /// Size of a small control message payload (lock request/forward, barrier
 /// bookkeeping) in bytes.
@@ -41,15 +40,13 @@ pub(crate) fn diff_size(words: usize, runs: usize) -> usize {
     words * 4 + runs * 8
 }
 
-/// One publish record: the modifications one release (EC) or one interval
-/// (LRC) made to a lock's bound data or to a page.  Retained in a bounded
-/// ring of [`DIFF_RING`] records for diff-collection traffic accounting.
+/// One EC publish record: the modifications one release made to a lock's
+/// bound data.  Retained in a bounded ring of [`DIFF_RING`] records per lock
+/// for diff-collection traffic accounting.
 #[derive(Debug, Clone)]
 pub(crate) struct PublishRec {
-    /// EC: global publish sequence number; LRC: interval index of the writer.
+    /// Global publish sequence number.
     pub stamp: u64,
-    /// The writer (LRC; unused for EC where the lock identifies the chain).
-    pub node: NodeId,
     /// Wire size of the run-length encoded diff for this publish (see
     /// [`diff_size`]).
     pub encoded_size: usize,
@@ -145,7 +142,7 @@ pub(crate) trait ProtocolEngine: Send + Sync + std::fmt::Debug {
 
     /// Commit-side barrier work, run exactly once per barrier episode by the
     /// last arriver while every other node is blocked in the rendezvous (the
-    /// adaptive policy migrates page modes here); returns the extra payload
+    /// `ALRC-*` controller migrates page modes here); returns the extra payload
     /// (in bytes) every departer's release message must carry.  No-op for
     /// engines without a barrier-time controller.
     fn barrier_commit(&self, _local: &mut NodeLocal) -> usize {
@@ -172,8 +169,9 @@ pub(crate) trait ProtocolEngine: Send + Sync + std::fmt::Debug {
     fn rollback_undo(&self, _node: NodeId, _undo: &[crate::recovery::UndoRec]) {}
 }
 
-/// Builds the engine for a run.  This is the single place the consistency
-/// model is dispatched on; everything downstream goes through the trait.
+/// Builds the engine for a run.  Everything downstream goes through the
+/// trait; the LRC families are told apart only when `LrcEngine` builds its
+/// placement table.
 pub(crate) fn build_engine(
     cfg: &DsmConfig,
     regions: &[RegionDesc],
@@ -181,9 +179,7 @@ pub(crate) fn build_engine(
 ) -> Box<dyn ProtocolEngine> {
     match cfg.kind.model() {
         Model::Ec => Box::new(EcEngine::new(cfg, regions, init)),
-        Model::Lrc => Box::new(HomelessLrcEngine::new(cfg, regions, init)),
-        Model::Hlrc => Box::new(HomeBasedLrcEngine::new(cfg, regions, init)),
-        Model::Adaptive => Box::new(AdaptiveLrcEngine::new(cfg, regions, init)),
+        Model::Lrc | Model::Hlrc | Model::Adaptive => Box::new(LrcEngine::new(cfg, regions, init)),
     }
 }
 

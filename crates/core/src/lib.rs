@@ -20,13 +20,15 @@
 //! All models plug into the runtime through an internal `ProtocolEngine`
 //! trait: the runtime owns the mechanics the models share (lock hand-off,
 //! barrier rendezvous, typed access) and calls model hooks for everything
-//! else (grant payloads, publishes, write trapping, access misses).  The two
-//! LRC models are one engine: a shared *ordering* core (intervals, vector
-//! clocks, write notices, freshness generations) parameterized by a
-//! *data policy* that decides where published data lives — homeless
-//! (TreadMarks: data moves lazily, from the writers, at the miss) or
-//! home-based (every page has a static home; releasers flush to it eagerly
-//! and a miss is one whole-page round trip).  All cluster-wide state is
+//! else (grant payloads, publishes, write trapping, access misses).  The
+//! three LRC models are one engine: one *ordering* core (intervals, vector
+//! clocks, write notices, freshness generations) plus a per-page *placement*
+//! table that says where each page's published data lives — homeless
+//! (TreadMarks: data moves lazily, from the writers, at the miss) or at a
+//! home (releasers flush to it eagerly and a miss is one whole-page round
+//! trip).  `LRC-*` keeps every page homeless, `HLRC-*` gives every page a
+//! static round-robin home, and `ALRC-*` moves pages between the modes as
+//! the run goes.  All cluster-wide state is
 //! **sharded** — each lock and barrier has its own slot, mutex and condition
 //! variable, and each region's published master copy sits behind its own
 //! reader/writer lock — so simulated processors synchronising on independent

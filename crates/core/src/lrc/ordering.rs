@@ -1,13 +1,13 @@
-//! The ordering core of the LRC protocol family, generic over a
-//! [`DataPolicy`].
+//! The one engine of the LRC protocol family.
 //!
 //! Execution is divided into intervals ended by releases and barrier
 //! arrivals.  At the end of an interval the modifications to every dirty page
 //! are recorded (a diff, or timestamped blocks) and announced through write
 //! notices; an acquire merges the releaser's vector and receives the notices;
-//! the data itself moves according to the policy — lazily at the access miss
-//! that follows the invalidation (homeless), or eagerly to the page's home at
-//! release with a one-node fetch at the miss (home-based).
+//! the data itself moves according to the page's mode in the [`Placement`]
+//! table — lazily at the access miss that follows the invalidation
+//! (homeless), or eagerly to the page's home at release with a one-node fetch
+//! at the miss (home, or the owner of a pinned page).
 //!
 //! State is sharded: each region's published pages sit behind their own
 //! `RwLock`, each node's interval-size log behind its own `RwLock` (one
@@ -23,13 +23,13 @@ use dsm_mem::{pages_in, same_stamp_runs, MemRange, PageModeChange, RegionDesc, V
 use dsm_sim::{NodeId, RegionSharing};
 
 use crate::config::{Collection, DsmConfig, Trapping};
-use crate::engine::{diff_size, ProtocolEngine, PublishRec, DIFF_RING};
+use crate::engine::{diff_size, ProtocolEngine, DIFF_RING};
 use crate::ids::{LockId, LockMode};
 use crate::local::{HeldLock, LocalPage, LocalRegion, NodeLocal};
 use crate::recovery::UndoRec;
 use crate::sync::{self, SlotTable};
 
-use super::policy::{DataPolicy, MissInfo};
+use super::placement::{MissInfo, Placement};
 use super::state::{
     pack_stamp, unpack_stamp, LrcLockState, LrcPageState, LrcRegionState, NOTICE_WIRE_BYTES,
 };
@@ -136,9 +136,10 @@ fn apply_entitled(
     walk
 }
 
-/// The lazy-release-consistency [`ProtocolEngine`], parameterized by the
-/// [`DataPolicy`] that decides where published data lives.
-pub(crate) struct LrcEngine<P: DataPolicy> {
+/// The lazy-release-consistency [`ProtocolEngine`] of every LRC family
+/// member: `LRC-*`, `HLRC-*` and `ALRC-*` differ only in their [`Placement`]
+/// table.
+pub(crate) struct LrcEngine {
     cfg: DsmConfig,
     regions: Vec<RegionDesc>,
     /// Published master copies and write-notice indexes, one `RwLock` per
@@ -157,21 +158,20 @@ pub(crate) struct LrcEngine<P: DataPolicy> {
     interval_pages: Vec<RwLock<Vec<u32>>>,
     /// Per-lock release vectors, one mutex per lock, created on demand.
     lock_state: SlotTable<Mutex<LrcLockState>>,
-    /// The data-movement policy.
-    policy: P,
+    /// Where each page's modifications live, and the `ALRC-*` controller.
+    placement: Placement,
 }
 
-impl<P: DataPolicy> std::fmt::Debug for LrcEngine<P> {
+impl std::fmt::Debug for LrcEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LrcEngine")
-            .field("policy", &self.policy.label())
             .field("regions", &self.regions.len())
             .field("locks", &self.lock_state.len())
             .finish()
     }
 }
 
-impl<P: DataPolicy> LrcEngine<P> {
+impl LrcEngine {
     /// Builds the engine for a run.
     pub fn new(cfg: &DsmConfig, regions: &[RegionDesc], init: &[Vec<u8>]) -> Self {
         let nprocs = cfg.nprocs;
@@ -199,7 +199,7 @@ impl<P: DataPolicy> LrcEngine<P> {
                     release_vec: VectorClock::new(nprocs),
                 })
             }),
-            policy: P::build(cfg, regions),
+            placement: Placement::new(cfg, regions),
         }
     }
 
@@ -224,8 +224,8 @@ impl<P: DataPolicy> LrcEngine<P> {
 
     /// Ends the current interval: for every page dirtied since the last
     /// release/barrier, record the modifications in the shared store,
-    /// register a write notice, and let the policy move the data (a no-op for
-    /// homeless LRC, an eager home flush for HLRC).
+    /// register a write notice, and account the data movement of the page's
+    /// mode (nothing for a homeless page, an eager flush for a homed one).
     fn publish_interval(&self, local: &mut NodeLocal) {
         if local.dirty_pages.is_empty() {
             return;
@@ -236,7 +236,7 @@ impl<P: DataPolicy> LrcEngine<P> {
         let me = local.node;
         let me_idx = me.index();
         let next_interval = local.vector.entry(me) + 1;
-        let total_region_pages: u64 = self.regions.iter().map(|d| d.num_pages() as u64).sum();
+        let total_region_pages: u64 = self.regions.iter().map(|d| pages_in(d.len) as u64).sum();
 
         // Swap in the spare list so the drained buffer keeps its capacity
         // for the next interval (taking it outright would surrender the
@@ -266,8 +266,8 @@ impl<P: DataPolicy> LrcEngine<P> {
             // costs and statistics are suppressed below.  Only accounting is
             // affected — master updates, stamps, history records and replica
             // frames are emitted regardless, so contents stay
-            // policy-independent.  (Always false for the static policies.)
-            let suppress = self.policy.suppress_publish(me, ridx, page);
+            // mode-independent.
+            let suppress = self.placement.pinned_to(me, ridx, page);
             let track = wire.is_some();
             let mut frame_runs = match wire.as_deref_mut() {
                 Some(w) => std::mem::take(&mut w.scratch_runs),
@@ -397,7 +397,7 @@ impl<P: DataPolicy> LrcEngine<P> {
                     );
                 }
                 let ps = &mut rs.pages[page];
-                // Sharing statistics for the adaptive controller, recorded
+                // Sharing statistics for the `ALRC-*` controller, recorded
                 // before the history append: the publish is *serial* if the
                 // page's previous record is already covered by our vector
                 // (the writers synchronized in between — migratory data), a
@@ -414,24 +414,14 @@ impl<P: DataPolicy> LrcEngine<P> {
                 // Append to the page's publish history as a delta-chain
                 // record (recycled buffers: steady-state publishes allocate
                 // nothing).
-                ps.push_pub(me, next_interval, &pub_clock, DIFF_RING);
-                let mut rec = PublishRec {
-                    stamp: next_interval as u64,
-                    node: me,
-                    encoded_size: if suppress { 0 } else { encoded_size },
-                    compare_words: if suppress { 0 } else { compare_words },
-                    creation_charged: suppress
-                        || collection == Collection::Timestamps
-                        || trapping == Trapping::Instrumentation,
-                };
+                let rec = ps.push_pub(me, next_interval, &pub_clock, DIFF_RING);
+                rec.encoded_size = if suppress { 0 } else { encoded_size };
+                rec.compare_words = if suppress { 0 } else { compare_words };
+                rec.creation_charged = suppress
+                    || collection == Collection::Timestamps
+                    || trapping == Trapping::Instrumentation;
                 if !suppress {
-                    self.policy
-                        .on_publish(&self.cfg, local, ridx, page, &mut rec);
-                }
-                let ps = &mut rs.pages[page];
-                ps.diffs.push_back(rec);
-                while ps.diffs.len() > DIFF_RING {
-                    ps.diffs.pop_front();
+                    self.placement.publish(&self.cfg, local, ridx, page, rec);
                 }
             }
 
@@ -636,7 +626,7 @@ impl<P: DataPolicy> LrcEngine<P> {
         };
 
         // Data movement: responders, reply sizes, collection costs and
-        // messages are the policy's concern.
+        // messages follow the page's mode.
         let miss = MissInfo {
             ridx,
             page,
@@ -646,24 +636,24 @@ impl<P: DataPolicy> LrcEngine<P> {
             ts_runs: walk.ts_runs,
             stale,
         };
-        self.policy.on_miss(&self.cfg, local, &mut rs, &miss);
+        self.placement.miss(&self.cfg, local, &mut rs, &miss);
     }
 
-    /// Test-only view of the configuration and region table (the policy
-    /// modules' unit tests build `NodeLocal`s against them).
+    /// Test-only view of the configuration and region table (the placement
+    /// module's unit tests build `NodeLocal`s against them).
     #[cfg(test)]
     pub(crate) fn parts(&self) -> (&DsmConfig, &[RegionDesc]) {
         (&self.cfg, &self.regions)
     }
 
-    /// Test-only access to the data policy.
+    /// Test-only access to the placement table.
     #[cfg(test)]
-    pub(crate) fn policy(&self) -> &P {
-        &self.policy
+    pub(crate) fn placement(&self) -> &Placement {
+        &self.placement
     }
 }
 
-impl<P: DataPolicy> ProtocolEngine for LrcEngine<P> {
+impl ProtocolEngine for LrcEngine {
     fn bind(&self, _lock: LockId, _ranges: Vec<MemRange>) {
         // LRC has no notion of binding; the call is accepted so the same
         // setup code can serve both models.
@@ -747,8 +737,8 @@ impl<P: DataPolicy> ProtocolEngine for LrcEngine<P> {
 
     /// Ensures the local copy of a page reflects every modification this node
     /// is entitled to see, taking an access miss (invalidate protocol) if it
-    /// does not.  The freshness decision and the apply walk are shared by
-    /// every policy; only the data-movement accounting of the miss differs.
+    /// does not.  The freshness decision and the apply walk are the same in
+    /// every page mode; only the data-movement accounting of the miss differs.
     fn ensure_read_fresh(&self, local: &mut NodeLocal, ridx: usize, page: usize) {
         let epoch = local.epoch;
         {
@@ -820,9 +810,9 @@ impl<P: DataPolicy> ProtocolEngine for LrcEngine<P> {
                 let copy = local.pool.take_copy(&region.data[span]);
                 region.pages[page].twin = Some(copy);
                 // A pinned page's owner writes without protocol work: the
-                // twin is still made (content mechanics are policy-free) but
+                // twin is still made (content mechanics are mode-free) but
                 // the fault's costs and statistics are suppressed.
-                if self.policy.charge_write_fault(me, ridx, page) {
+                if !self.placement.pinned_to(me, ridx, page) {
                     local.stats.write_faults += 1;
                     local.stats.twins_created += 1;
                     local.stats.twin_words += words;
@@ -855,18 +845,17 @@ impl<P: DataPolicy> ProtocolEngine for LrcEngine<P> {
     }
 
     fn barrier_commit(&self, local: &mut NodeLocal) -> usize {
-        self.policy
+        self.placement
             .barrier_commit(&self.cfg, &self.regions, &self.region_state, local)
     }
 
     fn migration_trace(&self) -> Vec<PageModeChange> {
-        self.policy.migration_trace()
+        self.placement.migration_trace()
     }
 
-    /// Per-region roll-up of the page sharing accumulators.  Shared by every
-    /// LRC-family engine: the statistics are recorded by the ordering core,
-    /// so the homeless and home-based engines report them too even though
-    /// only the adaptive policy acts on them.
+    /// Per-region roll-up of the page sharing accumulators.  Every LRC
+    /// family reports them — the ordering core records them — even though
+    /// only the `ALRC-*` controller acts on them.
     fn sharing_report(&self) -> Vec<RegionSharing> {
         self.regions
             .iter()
@@ -911,13 +900,13 @@ impl<P: DataPolicy> ProtocolEngine for LrcEngine<P> {
                     ridx,
                     page,
                     node,
-                    stamp,
+                    interval,
                 } => {
                     let mut rs = sync::write(&self.region_state[ridx]);
                     if let Some(d) = rs.pages[page]
-                        .diffs
+                        .history
                         .iter_mut()
-                        .find(|d| d.node == node && d.stamp == stamp)
+                        .find(|d| d.node == node && d.interval == interval)
                     {
                         d.creation_charged = false;
                     }
@@ -930,8 +919,6 @@ impl<P: DataPolicy> ProtocolEngine for LrcEngine<P> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::adaptive::Adaptive;
-    use super::super::policy::{HomeBased, Homeless};
     use super::*;
     use crate::config::ImplKind;
     use crate::local::WORDS_PER_PAGE;
@@ -939,7 +926,7 @@ mod tests {
     use dsm_mem::{BlockGranularity, RegionId};
     use dsm_sim::MsgKind;
 
-    fn engine<P: DataPolicy>(kind: ImplKind) -> LrcEngine<P> {
+    fn engine(kind: ImplKind) -> LrcEngine {
         let cfg = DsmConfig::with_procs(kind, 4);
         let regions = vec![RegionDesc::new(
             RegionId::new(0),
@@ -951,7 +938,7 @@ mod tests {
         LrcEngine::new(&cfg, &regions, &init)
     }
 
-    fn node<P: DataPolicy>(e: &LrcEngine<P>, idx: u32) -> NodeLocal {
+    fn node(e: &LrcEngine, idx: u32) -> NodeLocal {
         let regions = e.regions.clone();
         let init = vec![vec![0u8; 8192]];
         NodeLocal::new(NodeId::new(idx), e.cfg.nprocs, &regions, &init)
@@ -959,7 +946,7 @@ mod tests {
 
     #[test]
     fn notice_counting_over_sharded_interval_logs() {
-        let e = engine::<Homeless>(ImplKind::lrc_diff());
+        let e = engine(ImplKind::lrc_diff());
         *sync::write(&e.interval_pages[0]) = vec![2, 3, 1]; // node 0: intervals 1..=3
         *sync::write(&e.interval_pages[1]) = vec![5];
         let mut from = VectorClock::new(4);
@@ -975,20 +962,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "exclusive locks only")]
     fn read_only_acquire_is_rejected() {
-        let e = engine::<Homeless>(ImplKind::lrc_time());
+        let e = engine(ImplKind::lrc_time());
         e.validate_acquire(LockId::new(0), LockMode::ReadOnly);
     }
 
     #[test]
     #[should_panic(expected = "exclusive locks only")]
     fn read_only_acquire_is_rejected_under_hlrc() {
-        let e = engine::<HomeBased>(ImplKind::hlrc_time());
+        let e = engine(ImplKind::hlrc_time());
         e.validate_acquire(LockId::new(0), LockMode::ReadOnly);
     }
 
     #[test]
     fn instrumented_publish_walks_dirty_bit_runs() {
-        let e = engine::<Homeless>(ImplKind::lrc_ci());
+        let e = engine(ImplKind::lrc_ci());
         let mut local = node(&e, 0);
         // Two runs on page 0 (words 0..3 and word 100) and one on page 1.
         for word in [0usize, 1, 2, 100, 1024] {
@@ -1016,7 +1003,7 @@ mod tests {
 
     #[test]
     fn generation_fast_path_tracks_publishes_across_epochs() {
-        let e = engine::<Homeless>(ImplKind::lrc_diff());
+        let e = engine(ImplKind::lrc_diff());
         let mut reader = node(&e, 0);
         let mut writer = node(&e, 1);
 
@@ -1054,7 +1041,7 @@ mod tests {
 
     #[test]
     fn unentitled_publishes_do_not_flip_freshness_decisions() {
-        let e = engine::<Homeless>(ImplKind::lrc_diff());
+        let e = engine(ImplKind::lrc_diff());
         let mut reader = node(&e, 0);
         let mut writer = node(&e, 1);
 
@@ -1084,7 +1071,7 @@ mod tests {
 
     #[test]
     fn home_based_miss_is_one_round_trip_from_the_home() {
-        let e = engine::<HomeBased>(ImplKind::hlrc_diff());
+        let e = engine(ImplKind::hlrc_diff());
         // Page 0's round-robin home is node 0; use readers 2 (remote) and a
         // writer 1 so the flush and the fetch are both visible.
         let mut writer = node(&e, 1);
@@ -1124,8 +1111,8 @@ mod tests {
     /// interval must not publish the words the miss applied: only its own
     /// write leaves with its interval's stamp, so a later remote write to
     /// the applied word survives.
-    fn dirty_page_miss_case<P: DataPolicy>(kind: ImplKind) {
-        let e = engine::<P>(kind);
+    fn dirty_page_miss_case(kind: ImplKind) {
+        let e = engine(kind);
         let mut reader = node(&e, 0);
         let mut writer = node(&e, 1);
         // Trap first, then store: a twin must hold the pre-write bytes.
@@ -1160,14 +1147,10 @@ mod tests {
 
     #[test]
     fn dirty_page_miss_does_not_republish_applied_words() {
-        for kind in ImplKind::lrc_all() {
-            dirty_page_miss_case::<Homeless>(kind);
-        }
-        for kind in ImplKind::hlrc_all() {
-            dirty_page_miss_case::<HomeBased>(kind);
-        }
-        for kind in ImplKind::adaptive_all() {
-            dirty_page_miss_case::<Adaptive>(kind);
+        for kind in ImplKind::all() {
+            if kind.model() != crate::config::Model::Ec {
+                dirty_page_miss_case(kind);
+            }
         }
     }
 
@@ -1293,7 +1276,7 @@ mod tests {
 
     #[test]
     fn home_writer_flushes_nothing_to_itself() {
-        let e = engine::<HomeBased>(ImplKind::hlrc_diff());
+        let e = engine(ImplKind::hlrc_diff());
         // Page 0's home is node 0: its own publishes stay local.
         let mut home = node(&e, 0);
         e.trap_write(&mut home, 0, 0, 4);

@@ -1,17 +1,15 @@
 //! Shared (engine-side) state of the LRC protocol family: master copies,
-//! block stamps, per-page write-notice indexes and per-lock release vectors.
+//! block stamps, per-page publish history and per-lock release vectors.
 //!
-//! The state is policy-independent: both the homeless and the home-based
-//! [`DataPolicy`](super::policy::DataPolicy) operate on the same structures —
-//! a policy only changes *where data moves* (and what that movement costs),
-//! never what the ordering layer records.
+//! The state is placement-independent: every page mode operates on the same
+//! structures — a page's [`PageMode`](dsm_mem::PageMode) only changes *where
+//! data moves* (and what that movement costs), never what the ordering core
+//! records.
 
 use std::collections::VecDeque;
 
 use dsm_mem::{ClockDelta, PageSharing, VectorClock};
 use dsm_sim::NodeId;
-
-use crate::engine::PublishRec;
 
 /// Wire size of an LRC `(processor, interval)` timestamp: "each of the
 /// timestamps consists of a processor identifier and an interval index"
@@ -40,10 +38,11 @@ pub(crate) fn unpack_stamp(stamp: u64) -> Option<(NodeId, u32)> {
     }
 }
 
-/// One publish to a page: the writer, its interval, and the *delta* of its
-/// publish-time vector against the previous record's.  The bounded per-page
-/// history of these records is the simulation's stand-in for the write
-/// notices a real node would have received: freshness and responder
+/// One publish to a page: the writer, its interval, the *delta* of its
+/// publish-time vector against the previous record's, and the encoded diff's
+/// traffic accounting.  The bounded per-page history of these records is the
+/// simulation's stand-in for the write notices a real node would have
+/// received, and for the diffs its writers keep: freshness and responder
 /// decisions read only the records the faulting node's vector *entitles* it
 /// to, so a concurrent publish the node has not yet synchronized with can
 /// never change the outcome of its check.  (The raw `latest` high water
@@ -67,6 +66,14 @@ pub(crate) struct PagePub {
     /// as a delta from the previous retained record's vector — or from
     /// `base_clock` for the oldest retained record.
     pub delta: ClockDelta,
+    /// Wire size of the run-length encoded diff of this publish (see
+    /// [`diff_size`](crate::engine::diff_size)); 0 for a pinned owner's.
+    pub encoded_size: usize,
+    /// Words compared against the twin to build the diff (charged lazily to
+    /// the first requester under homeless diff collection).
+    pub compare_words: usize,
+    /// Whether the diff-creation cost has been charged yet.
+    pub creation_charged: bool,
 }
 
 /// Per-page lazy-release-consistency state.
@@ -75,7 +82,8 @@ pub(crate) struct LrcPageState {
     /// Per node: the latest interval in which that node published
     /// modifications to this page (0 = never).
     pub latest: Vec<u32>,
-    /// Ring of recent publishes to this page, oldest first (see [`PagePub`]).
+    /// Ring of recent publishes to this page, oldest first, at most
+    /// [`DIFF_RING`](crate::engine::DIFF_RING) long (see [`PagePub`]).
     pub history: VecDeque<PagePub>,
     /// Anchor of the history's delta chain: the publish-time vector of the
     /// most recently evicted record (all-zero while nothing has been
@@ -89,13 +97,11 @@ pub(crate) struct LrcPageState {
     /// `history` (0 = none).  Below this mark the engine conservatively
     /// assumes the page was touched.
     pub evicted_latest: Vec<u32>,
-    /// Ring of recent per-interval publish records for traffic accounting.
-    pub diffs: VecDeque<PublishRec>,
     /// Sharing-statistics accumulator: publish/miss/diff-byte counts per
-    /// observation window plus run totals.  Every LRC-family policy records
-    /// into it (the totals feed [`TrafficReport`](dsm_sim::TrafficReport)
-    /// sharing roll-ups); only the adaptive policy closes windows and acts
-    /// on them.  Recorded strictly under the region write lock.
+    /// observation window plus run totals.  Every LRC family records into
+    /// it (the totals feed [`TrafficReport`](dsm_sim::TrafficReport)
+    /// sharing roll-ups); only the `ALRC-*` controller closes windows and
+    /// acts on them.  Recorded strictly under the region write lock.
     pub sharing: PageSharing,
 }
 
@@ -108,13 +114,13 @@ impl LrcPageState {
             base_clock: VectorClock::new(nprocs),
             head_clock: VectorClock::new(nprocs),
             evicted_latest: vec![0; nprocs],
-            diffs: VecDeque::new(),
             sharing: PageSharing::new(nprocs),
         }
     }
 
     /// Appends a publish record for `node` ending `interval` with
-    /// publish-time vector `clock`, keeping at most `ring` records.
+    /// publish-time vector `clock`, keeping at most `ring` records, and
+    /// returns it for the caller to fill in the diff's accounting.
     ///
     /// The record stores only the delta against the current chain head; an
     /// evicted record's delta is folded into [`base_clock`] so the chain
@@ -122,7 +128,13 @@ impl LrcPageState {
     /// steady-state publishes allocate nothing.
     ///
     /// [`base_clock`]: LrcPageState::base_clock
-    pub fn push_pub(&mut self, node: NodeId, interval: u32, clock: &VectorClock, ring: usize) {
+    pub fn push_pub(
+        &mut self,
+        node: NodeId,
+        interval: u32,
+        clock: &VectorClock,
+        ring: usize,
+    ) -> &mut PagePub {
         let mut rec = if self.history.len() >= ring {
             let old = self.history.pop_front().expect("non-empty ring");
             let slot = &mut self.evicted_latest[old.node.index()];
@@ -135,6 +147,9 @@ impl LrcPageState {
                 node,
                 interval: 0,
                 delta: ClockDelta::new(),
+                encoded_size: 0,
+                compare_words: 0,
+                creation_charged: false,
             }
         };
         rec.node = node;
@@ -143,6 +158,7 @@ impl LrcPageState {
             .compute(self.head_clock.entries(), clock.entries());
         self.head_clock.copy_from(clock);
         self.history.push_back(rec);
+        self.history.back_mut().expect("just pushed")
     }
 
     /// The most recent publish to this page that `vector` entitles its owner

@@ -78,17 +78,17 @@ pub(crate) enum UndoRec {
         /// `PublishRec::stamp` of the charged record.
         stamp: u64,
     },
-    /// A homeless-LRC miss by the target charged another node's diff record
-    /// with its creation cost.
+    /// A homeless-LRC miss by the target charged another node's publish
+    /// record with its diff-creation cost.
     LrcDiffCharge {
         /// Region index.
         ridx: usize,
         /// Page index within the region.
         page: usize,
-        /// The node whose diff record was charged.
+        /// The node whose publish record was charged.
         node: NodeId,
-        /// Stamp of the charged diff record.
-        stamp: u64,
+        /// Interval of the charged publish record.
+        interval: u32,
     },
     /// The target recorded an access miss in a page's sharing accumulator.
     SharingMiss {

@@ -143,7 +143,10 @@ pub struct TransportReport {
 ///
 /// Both real backends feed a replica through the same two entry points:
 /// [`Replica::offer`] for each publish frame and [`Replica::take_oob`] for
-/// each out-of-band message.
+/// each out-of-band message.  Both refuse a message that cannot be valid with
+/// an `InvalidData` error: a socket peer returns it, while on the channel
+/// backend, whose messages never leave the process, it is an engine bug and
+/// panics.
 #[derive(Debug)]
 struct Replica {
     regions: Vec<Vec<u8>>,
@@ -175,46 +178,50 @@ impl Replica {
 
     /// Tallies one out-of-band message; the body is not applied.  A
     /// checkpoint image must at least decode — a replica is the
-    /// crash-recovery escrow, so a malformed image is a transport bug worth
-    /// failing on.
-    fn take_oob(&mut self, kind: WireMsgKind, body: &[u8]) {
-        if kind == WireMsgKind::Ckpt {
-            assert!(
-                dsm_mem::CkptImage::decode(body).is_some(),
-                "malformed checkpoint image reached a replica"
-            );
+    /// crash-recovery escrow, so a malformed image is refused.
+    fn take_oob(&mut self, kind: WireMsgKind, body: &[u8]) -> io::Result<()> {
+        if kind == WireMsgKind::Ckpt && dsm_mem::CkptImage::decode(body).is_none() {
+            return Err(bad("malformed checkpoint image reached a replica"));
         }
         self.oob.add(kind, body);
+        Ok(())
     }
 
     /// Takes every message waiting in a channel inbox, without blocking.
     fn drain_inbox(&mut self, inbox: &mpsc::Receiver<ChannelMsg>) {
         while let Ok(msg) = inbox.try_recv() {
             match msg {
-                ChannelMsg::Batch(frames) => frames.into_iter().for_each(|f| self.offer(f)),
-                ChannelMsg::Oob(kind, body) => self.take_oob(kind, &body),
+                ChannelMsg::Batch(frames) => {
+                    for f in frames {
+                        self.offer(f).expect(IN_PROCESS);
+                    }
+                }
+                ChannelMsg::Oob(kind, body) => self.take_oob(kind, &body).expect(IN_PROCESS),
             }
         }
     }
 
     /// Accepts a frame, applying it — and any unblocked successors — as soon
     /// as its region's sequence reaches it.  Uniquely-owned applied frames
-    /// donate their payload buffer back to the pool.
-    fn offer(&mut self, frame: Arc<WireFrame>) {
+    /// donate their payload buffer back to the pool.  A frame for an unknown
+    /// region, or with a run outside its region, is refused.
+    fn offer(&mut self, frame: Arc<WireFrame>) -> io::Result<()> {
         let r = frame.region as usize;
-        assert!(r < self.regions.len(), "frame for unknown region {r}");
+        if r >= self.regions.len() {
+            return Err(bad(format!("frame for unknown region {r}")));
+        }
         self.pending[r].insert(frame.seq, frame);
         while let Some(f) = self.pending[r].remove(&(self.applied_seq[r] + 1)) {
-            assert!(
-                f.apply(&mut self.regions[r]),
-                "frame run outside region {r}"
-            );
+            if !f.apply(&mut self.regions[r]) {
+                return Err(bad(format!("frame run outside region {r}")));
+            }
             self.applied_seq[r] += 1;
             self.frames_applied += 1;
             if let Ok(owned) = Arc::try_unwrap(f) {
                 self.pool.put(owned.payload);
             }
         }
+        Ok(())
     }
 
     /// Counts framed bytes (message headers included) received on node
@@ -240,6 +247,15 @@ impl Replica {
             oob: self.oob,
         }
     }
+}
+
+/// Why a channel replica may not refuse a message: its messages come from
+/// this process's engines, never from a wire.
+const IN_PROCESS: &str = "a channel replica refused an in-process message";
+
+/// An `InvalidData` error: bytes from a peer that no valid stream contains.
+fn bad(msg: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// One send into a channel-backend inbox: the in-process form of a
@@ -438,7 +454,7 @@ impl WireEndpoint {
                     peer.send(ChannelMsg::Oob(kind, Arc::clone(&body)))
                         .expect("peer inbox closed mid-run");
                 }
-                replica.take_oob(kind, &body);
+                replica.take_oob(kind, &body).expect(IN_PROCESS);
             }
             EndpointInner::Socket { conns, .. } => {
                 // Written directly to each stream; the open data batch (if
@@ -474,7 +490,7 @@ impl WireEndpoint {
                             .expect("peer inbox closed mid-run");
                     }
                     for f in pending.drain(..) {
-                        replica.offer(f);
+                        replica.offer(f).expect(IN_PROCESS);
                     }
                 }
                 // Absorb whatever peers have sent so far; the rest is
@@ -851,10 +867,11 @@ impl Transport for SocketTransport {
 ///
 /// Returns an error if a connection misbehaves (unknown role byte, corrupt
 /// message, unexpected disconnect) or a frame arrives for an unknown
-/// region's sequence that never completes.
+/// region's sequence that never completes.  Bytes that no valid stream
+/// contains — including a frame for an unknown region, a run outside its
+/// region and a checkpoint image that does not decode — are an
+/// [`io::ErrorKind::InvalidData`] error, never a panic.
 pub fn serve_transport_peer(listener: TcpListener) -> io::Result<()> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-
     // Accept the control connection (with its Init) and the node streams, in
     // whatever order they arrive.
     let mut control: Option<TcpStream> = None;
@@ -916,13 +933,13 @@ pub fn serve_transport_peer(listener: TcpListener) -> io::Result<()> {
                                     let frame = frames
                                         .next(&mut codec, &mut r.pool)
                                         .ok_or_else(|| bad("malformed frame in batch"))?;
-                                    r.offer(Arc::new(frame));
+                                    r.offer(Arc::new(frame))?;
                                 }
                                 if !frames.finished() {
                                     return Err(bad("trailing bytes after the last batch frame"));
                                 }
                             }
-                            kind if WireMsgKind::OOB.contains(&kind) => r.take_oob(kind, &body),
+                            kind if WireMsgKind::OOB.contains(&kind) => r.take_oob(kind, &body)?,
                             _ => return Err(bad("unexpected message on a node stream")),
                         }
                     }
@@ -969,12 +986,12 @@ mod tests {
         let init = vec![vec![0u8; 8], vec![0u8; 4]];
         let mut r = Replica::new(&init);
         // Region 0's seq 2 must wait for seq 1; region 1 is independent.
-        r.offer(frame(0, 2, 1, 22));
+        r.offer(frame(0, 2, 1, 22)).unwrap();
         assert_eq!(r.frames_applied, 0);
         assert!(!r.drained());
-        r.offer(frame(1, 1, 0, 9));
+        r.offer(frame(1, 1, 0, 9)).unwrap();
         assert_eq!(r.frames_applied, 1);
-        r.offer(frame(0, 1, 0, 11));
+        r.offer(frame(0, 1, 0, 11)).unwrap();
         assert_eq!(r.frames_applied, 3);
         assert!(r.drained());
         assert_eq!(r.regions[0][..2], [11, 22]);
@@ -993,16 +1010,80 @@ mod tests {
     fn replica_recycles_applied_payload_buffers() {
         let mut r = Replica::new(&[vec![0u8; 8]]);
         // Uniquely-owned frames donate their payloads back to the pool.
-        r.offer(frame(0, 1, 0, 1));
-        r.offer(frame(0, 2, 1, 2));
+        r.offer(frame(0, 1, 0, 1)).unwrap();
+        r.offer(frame(0, 2, 1, 2)).unwrap();
         assert_eq!(r.pool.idle(), 2);
     }
 
     #[test]
-    #[should_panic(expected = "outside region")]
     fn replica_rejects_out_of_range_runs() {
         let mut r = Replica::new(&[vec![0u8; 4]]);
-        r.offer(frame(0, 1, 100, 5));
+        let err = r.offer(frame(0, 1, 100, 5)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("outside region"), "{err}");
+    }
+
+    /// Serves a one-node replica peer over loopback, sends it `msg` (a whole
+    /// framed message) and `Fin` on the node stream, and returns what the
+    /// peer returned.
+    fn serve_one_message(msg: &[u8]) -> io::Result<()> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
+        let addr = listener.local_addr().expect("listener address");
+        let server = std::thread::spawn(move || serve_transport_peer(listener));
+        let mut init = Vec::new();
+        WireInit {
+            nprocs: 1,
+            regions: vec![vec![0u8; 8]],
+        }
+        .encode_into(&mut init);
+        let mut control = TcpStream::connect(addr).expect("connect control");
+        control.write_all(b"C").expect("send control role");
+        write_msg(&mut control, WireMsgKind::Init, &init).expect("send init");
+        let mut node = TcpStream::connect(addr).expect("connect node stream");
+        node.write_all(b"N").expect("send node role");
+        node.write_all(msg).expect("send message");
+        // The peer may already have hung up on a corrupt message.
+        let _ = write_msg(&mut node, WireMsgKind::Fin, &[]);
+        server.join().expect("the peer must return, not panic")
+    }
+
+    /// A one-frame batch message: `runs` of `data` for `region`, seq 1.
+    fn one_frame_batch(region: u32, runs: &[(u32, u32)], data: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        let f = FrameV2 {
+            region,
+            seq: 1,
+            clock: &[],
+            full: true,
+            runs,
+            data,
+        };
+        encode_frame_v2(&f, &mut CompactClock::new(), &mut frame);
+        let mut batch = Vec::new();
+        begin_batch(&mut batch);
+        put_varint(&mut batch, frame.len() as u64);
+        batch.extend_from_slice(&frame);
+        finish_batch(&mut batch, 1);
+        batch
+    }
+
+    #[test]
+    fn corrupt_node_streams_end_in_invalid_data() {
+        let valid = one_frame_batch(0, &[(0, 1)], &[7; 8]);
+        serve_one_message(&valid).expect("a valid frame is applied");
+        let mut ckpt = Vec::new();
+        write_msg(&mut ckpt, WireMsgKind::Ckpt, b"not an image").unwrap();
+        for (what, msg) in [
+            ("unknown region", one_frame_batch(5, &[(0, 1)], &[7; 8])),
+            (
+                "run past the region end",
+                one_frame_batch(0, &[(100, 1)], &[7; 101]),
+            ),
+            ("malformed checkpoint image", ckpt),
+        ] {
+            let err = serve_one_message(&msg).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
     }
 
     #[test]

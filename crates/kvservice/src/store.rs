@@ -52,11 +52,7 @@
 use dsm_core::{
     BlockGranularity, Dsm, LockId, LockMode, Model, ProcessContext, RunResult, SharedArray,
 };
-use dsm_mem::wire::fnv64_extend;
-
-/// FNV-1a 64-bit offset basis — the seed of every fingerprint chain here,
-/// matching [`dsm_mem::wire::fnv64`].
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+use dsm_mem::wire::{fnv64_extend, FNV64_OFFSET_BASIS};
 
 /// Key word marking a slot that has never held an entry.  Probes stop here.
 const EMPTY: u64 = 0;
@@ -232,7 +228,7 @@ impl KvStats {
             cas_absent: 0,
             deletes: 0,
             deleted: 0,
-            get_fnv: vec![FNV_OFFSET; shards],
+            get_fnv: vec![FNV64_OFFSET_BASIS; shards],
         }
     }
 
@@ -612,7 +608,7 @@ impl KvStore {
     /// FNV-1a fingerprint of every shard's final contents, in shard order —
     /// the "identical final bucket contents" half of the equivalence suites.
     pub fn contents_fnv(&self, result: &RunResult) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = FNV64_OFFSET_BASIS;
         for arr in &self.shards {
             for w in result.final_array(*arr) {
                 h = fnv64_extend(h, &w.to_le_bytes());

@@ -96,11 +96,6 @@ impl BitSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// True if no bit is set.
-    pub fn none_set(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
     /// Iterator over the indices of the set bits, in increasing order.
     pub fn iter_set(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -257,9 +252,8 @@ mod tests {
         let mut b = BitSet::new(70);
         b.set_range(10..20);
         assert_eq!(b.count(), 10);
-        assert!(!b.none_set());
         b.clear_all();
-        assert!(b.none_set());
+        assert_eq!(b.count(), 0);
     }
 
     #[test]
@@ -292,7 +286,7 @@ mod tests {
     fn empty_set() {
         let b = BitSet::new(0);
         assert!(b.is_empty());
-        assert!(b.none_set());
+        assert_eq!(b.count(), 0);
         assert_eq!(b.iter_set().count(), 0);
         assert_eq!(b.iter_runs().count(), 0);
     }

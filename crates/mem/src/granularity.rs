@@ -17,7 +17,7 @@ use std::fmt;
 /// use dsm_mem::BlockGranularity;
 ///
 /// assert_eq!(BlockGranularity::Word.bytes(), 4);
-/// assert_eq!(BlockGranularity::DoubleWord.blocks_in(64), 8);
+/// assert_eq!(BlockGranularity::DoubleWord.block_of(64), 8);
 /// assert_eq!(BlockGranularity::Word.block_of(13), 3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -38,19 +38,9 @@ impl BlockGranularity {
         }
     }
 
-    /// Number of blocks needed to cover `len` bytes (rounded up).
-    pub fn blocks_in(self, len: usize) -> usize {
-        len.div_ceil(self.bytes())
-    }
-
     /// Block index containing byte offset `offset`.
     pub fn block_of(self, offset: usize) -> usize {
         offset / self.bytes()
-    }
-
-    /// Byte offset of the start of block `block`.
-    pub fn offset_of(self, block: usize) -> usize {
-        block * self.bytes()
     }
 }
 
@@ -75,20 +65,18 @@ mod tests {
 
     #[test]
     fn block_math_rounds_up() {
-        assert_eq!(BlockGranularity::Word.blocks_in(0), 0);
-        assert_eq!(BlockGranularity::Word.blocks_in(1), 1);
-        assert_eq!(BlockGranularity::Word.blocks_in(4), 1);
-        assert_eq!(BlockGranularity::Word.blocks_in(5), 2);
-        assert_eq!(BlockGranularity::DoubleWord.blocks_in(16), 2);
-        assert_eq!(BlockGranularity::DoubleWord.blocks_in(17), 3);
-    }
-
-    #[test]
-    fn block_of_and_offset_of_are_inverse_on_boundaries() {
-        let g = BlockGranularity::DoubleWord;
-        for b in 0..100 {
-            assert_eq!(g.block_of(g.offset_of(b)), b);
-        }
+        // The blocks covering `len` bytes include a last partial block.
+        let covering = |g, len| {
+            crate::MemRange::new(crate::RegionId::new(0), 0, len)
+                .blocks(g)
+                .len()
+        };
+        assert_eq!(covering(BlockGranularity::Word, 0), 0);
+        assert_eq!(covering(BlockGranularity::Word, 1), 1);
+        assert_eq!(covering(BlockGranularity::Word, 4), 1);
+        assert_eq!(covering(BlockGranularity::Word, 5), 2);
+        assert_eq!(covering(BlockGranularity::DoubleWord, 16), 2);
+        assert_eq!(covering(BlockGranularity::DoubleWord, 17), 3);
     }
 
     #[test]

@@ -57,16 +57,6 @@ impl RegionDesc {
         }
     }
 
-    /// Number of pages this region spans (rounded up).
-    pub fn num_pages(&self) -> usize {
-        self.len.div_ceil(PAGE_SIZE)
-    }
-
-    /// Number of blocks this region spans (rounded up).
-    pub fn num_blocks(&self) -> usize {
-        self.granularity.blocks_in(self.len)
-    }
-
     /// The range covering the whole region.
     pub fn whole(&self) -> MemRange {
         MemRange::new(self.id, 0, self.len)
@@ -161,8 +151,11 @@ mod tests {
     #[test]
     fn region_desc_math() {
         let d = RegionDesc::new(rid(1), "matrix", PAGE_SIZE * 2 + 1, BlockGranularity::Word);
-        assert_eq!(d.num_pages(), 3);
-        assert_eq!(d.num_blocks(), (PAGE_SIZE * 2 + 1).div_ceil(4));
+        assert_eq!(crate::pages_in(d.len), 3);
+        assert_eq!(
+            d.whole().blocks(d.granularity).len(),
+            (PAGE_SIZE * 2 + 1).div_ceil(4)
+        );
         assert_eq!(d.whole().len, d.len);
     }
 

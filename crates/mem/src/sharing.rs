@@ -1,8 +1,9 @@
 //! Per-page sharing statistics and the adaptive-policy mode machinery.
 //!
-//! The adaptive LRC data policy (`dsm-core`) migrates each page between
-//! three data-movement modes based on the sharing pattern the page exhibits
-//! at runtime.  This module holds the mechanism pieces: the mode itself
+//! Every LRC engine (`dsm-core`) keeps one data-movement mode per page, and
+//! under adaptive LRC a controller migrates each page between the three
+//! modes based on the sharing pattern the page exhibits at runtime.  This
+//! module holds the mechanism pieces: the mode itself
 //! ([`PageMode`], with a compact packed form for lock-free publication), the
 //! per-page window accumulator the engines feed from their publish and miss
 //! paths ([`PageSharing`]), and the hysteresis rule that turns two agreeing
@@ -16,16 +17,17 @@
 //! for a data-race-free program the decision sequence is a deterministic
 //! function of the program and the processor count.
 
-/// The data-movement mode of one page under the adaptive policy.
+/// The data-movement mode of one page of an LRC engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageMode {
     /// TreadMarks behaviour: modifications stay with their writers and a
     /// miss collects diffs from every concurrent writer.  The starting mode
-    /// of every page.
+    /// of every page under homeless and adaptive LRC.
     Homeless,
     /// Home-based flush: releasers eagerly flush modifications to the home
-    /// node (re-assigned to the dominant writer, not round-robin) and a miss
-    /// is one whole-page round trip.
+    /// node (round-robin under home-based LRC; the dominant writer when the
+    /// adaptive controller homes a page) and a miss is one whole-page round
+    /// trip.
     Home(u32),
     /// Single-writer pinning: the owner's twin/diff work is suppressed
     /// entirely — no protocol traffic — until a second writer faults on the

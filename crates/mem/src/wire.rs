@@ -40,10 +40,14 @@ use dsm_sim::NodeId;
 /// length prefixes (1 GiB; real frames are a few KiB).
 pub const MAX_WIRE_MSG: usize = 1 << 30;
 
+/// The FNV-1a 64-bit offset basis: the state every [`fnv64`] chain starts
+/// from.
+pub const FNV64_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a 64-bit hash of a byte slice — the contents fingerprint the
 /// transport backends compare replicas with.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    fnv64_extend(0xcbf2_9ce4_8422_2325, bytes)
+    fnv64_extend(FNV64_OFFSET_BASIS, bytes)
 }
 
 /// Folds more bytes into a running [`fnv64`] state.
@@ -59,7 +63,7 @@ pub fn fnv64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
 /// folded in before its contents, so `["ab", "c"]` and `["a", "bc"]` hash
 /// differently.
 pub fn fnv64_regions<'a>(regions: impl IntoIterator<Item = &'a [u8]>) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV64_OFFSET_BASIS;
     for r in regions {
         hash = fnv64_extend(hash, &(r.len() as u64).to_le_bytes());
         hash = fnv64_extend(hash, r);

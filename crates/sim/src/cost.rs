@@ -90,30 +90,6 @@ impl CostModel {
         }
     }
 
-    /// A "modern cluster" preset (sub-10-microsecond messaging, gigabytes per
-    /// second of bandwidth, nanosecond-scale faults).  Used by the ablation
-    /// benches to show how the EC/LRC trade-offs shift when communication gets
-    /// cheap relative to computation.
-    pub fn modern_cluster() -> Self {
-        CostModel {
-            msg_fixed_ns: 6_000,
-            per_byte_ns: 1,
-            page_fault_ns: 4_000,
-            mprotect_ns: 1_500,
-            interrupt_ns: 2_000,
-            instr_write_ns: 2,
-            twin_copy_word_ns: 1,
-            diff_compare_word_ns: 1,
-            apply_word_ns: 1,
-            ts_scan_block_ns: 1,
-            page_bit_check_ns: 1,
-            lock_overhead_ns: 300,
-            barrier_overhead_ns: 500,
-            work_unit_ns: 1,
-            shared_access_ns: 1,
-        }
-    }
-
     /// A cost model where everything is free.  Useful in unit tests that only
     /// care about protocol state transitions, not timing.
     pub fn free() -> Self {

@@ -31,11 +31,6 @@ impl NodeId {
         self.0 as usize
     }
 
-    /// Returns the raw `u32` value.
-    pub fn as_u32(self) -> u32 {
-        self.0
-    }
-
     /// Iterator over the first `n` node ids (`P0..Pn-1`).
     ///
     /// ```

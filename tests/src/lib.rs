@@ -10,6 +10,7 @@
 use dsm_core::{
     BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode, RunResult, SharedArray,
 };
+use dsm_mem::wire::fnv64;
 use dsm_sim::{MsgKind, NodeStats};
 
 /// Number of pages in the private-page region of the golden trace.
@@ -112,16 +113,6 @@ pub fn golden_trace(kind: ImplKind, nprocs: usize) -> (RunResult, [SharedArray<u
     (result, [a, b])
 }
 
-/// FNV-1a over a byte slice: a stable, dependency-free content fingerprint.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Canonical serialization of one node's statistics: every public counter and
 /// the per-kind message/byte breakdown, field by field (never `Debug`, whose
 /// shape may change).
@@ -186,7 +177,7 @@ pub fn canon_run(
             out,
             "region {i}: len={} fnv={:016x}",
             bytes.len(),
-            fnv1a(&bytes)
+            fnv64(&bytes)
         )
         .unwrap();
     }
