@@ -169,8 +169,8 @@ fn main() {
         "synthetic publish epochs over real threads (channel) and loopback sockets",
     );
 
-    // Threaded sweep: every simulated processor is an OS thread, every
-    // publish hands an Arc'd frame to every peer's inbox.
+    // Threaded sweep: every simulated processor is an OS thread, and every
+    // epoch's flush hands one Arc'd encoded batch to every node's inbox.
     for &kind in &kinds {
         for &nprocs in node_counts {
             let (result, wall_ms) = epoch_run(kind, nprocs, iters, TransportKind::Channel);

@@ -426,10 +426,18 @@ impl DsmConfig {
     ///
     /// # Errors
     ///
-    /// Returns an error if the processor count is zero.
+    /// Returns an error if the processor count is zero, a socket transport
+    /// has no replica peer, or a fault plan kills a node the run lacks.
     pub fn validate(&self) -> Result<(), DsmError> {
         if self.nprocs == 0 {
             return Err(DsmError::InvalidConfig("nprocs must be at least 1".into()));
+        }
+        if matches!(&self.transport, TransportKind::SocketLocal(0))
+            || matches!(&self.transport, TransportKind::SocketRemote(addrs) if addrs.is_empty())
+        {
+            return Err(DsmError::InvalidConfig(
+                "socket transport needs at least one peer".into(),
+            ));
         }
         if let FaultPlan::KillAt { node, .. } = self.fault {
             if node as usize >= self.nprocs {
@@ -530,6 +538,17 @@ mod tests {
         let mut cfg = DsmConfig::paper(ImplKind::ec_time());
         cfg.nprocs = 0;
         assert!(cfg.validate().is_err());
+        for transport in [
+            TransportKind::SocketLocal(0),
+            TransportKind::SocketRemote(vec![]),
+        ] {
+            let mut cfg = DsmConfig::with_procs(ImplKind::ec_time(), 2);
+            cfg.transport = transport.clone();
+            assert!(
+                matches!(cfg.validate(), Err(DsmError::InvalidConfig(_))),
+                "{transport:?} has no peer"
+            );
+        }
     }
 
     #[test]

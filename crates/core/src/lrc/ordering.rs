@@ -411,9 +411,8 @@ impl LrcEngine {
                 let encoded_size = diff_size(changed_words, runs);
                 ps.sharing.record_publish(me_idx, encoded_size, serial);
                 ps.latest[me_idx] = next_interval;
-                // Append to the page's publish history as a delta-chain
-                // record (recycled buffers: steady-state publishes allocate
-                // nothing).
+                // Append to the page's publish history (recycled buffers:
+                // steady-state publishes allocate nothing).
                 let rec = ps.push_pub(me, next_interval, &pub_clock, DIFF_RING);
                 rec.encoded_size = if suppress { 0 } else { encoded_size };
                 rec.compare_words = if suppress { 0 } else { compare_words };

@@ -338,14 +338,10 @@ fn homeless_miss(
         let mut primary_used = false;
         match ps.last_entitled_pub(&local.vector) {
             Some(idx) => {
-                // The history stores delta-chain records; materialize the
-                // primary's publish-time vector once, into the node's
-                // scratch clock (no allocation in steady state).
-                ps.reconstruct_pub_clock(idx, &mut local.scratch_clock);
-                let pnode = ps.history[idx].node;
+                let primary = &ps.history[idx];
                 for &(q, _, upto) in m.stale {
                     let qn = NodeId::new(q as u32);
-                    if pnode == qn || upto <= local.scratch_clock.entry(qn) {
+                    if primary.node == qn || upto <= primary.clock.entry(qn) {
                         primary_used = true;
                     } else {
                         extra += 1;

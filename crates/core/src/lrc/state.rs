@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use dsm_mem::{ClockDelta, PageSharing, VectorClock};
+use dsm_mem::{PageSharing, VectorClock};
 use dsm_sim::NodeId;
 
 /// Wire size of an LRC `(processor, interval)` timestamp: "each of the
@@ -38,34 +38,24 @@ pub(crate) fn unpack_stamp(stamp: u64) -> Option<(NodeId, u32)> {
     }
 }
 
-/// One publish to a page: the writer, its interval, the *delta* of its
-/// publish-time vector against the previous record's, and the encoded diff's
-/// traffic accounting.  The bounded per-page history of these records is the
-/// simulation's stand-in for the write notices a real node would have
-/// received, and for the diffs its writers keep: freshness and responder
-/// decisions read only the records the faulting node's vector *entitles* it
-/// to, so a concurrent publish the node has not yet synchronized with can
-/// never change the outcome of its check.  (The raw `latest` high water
-/// marks are updated racily by design and must only feed monotone,
-/// stats-neutral fast paths such as the caught-up check.)
-///
-/// Storing the delta instead of the full vector shrinks each record from
-/// `O(nprocs)` words to `O(runs of change)` — under coarse synchronization a
-/// publish typically advances every entry by the same amount, which is a
-/// single run.  The full vector of record `i` is reconstructed on demand by
-/// replaying deltas `0..=i` over the page's
-/// [`base_clock`](LrcPageState::base_clock)
-/// (see [`LrcPageState::reconstruct_pub_clock`]).
+/// One publish to a page: the writer, its interval, its publish-time
+/// vector, and the encoded diff's traffic accounting.  The bounded per-page
+/// history of these records is the simulation's stand-in for the write
+/// notices a real node would have received, and for the diffs its writers
+/// keep: freshness and responder decisions read only the records the
+/// faulting node's vector *entitles* it to, so a concurrent publish the node
+/// has not yet synchronized with can never change the outcome of its check.
+/// (The raw `latest` high water marks are updated racily by design and must
+/// only feed monotone, stats-neutral fast paths such as the caught-up
+/// check.)
 #[derive(Debug, Clone)]
 pub(crate) struct PagePub {
     /// The publishing node.
     pub node: NodeId,
     /// The interval the publish ended.
     pub interval: u32,
-    /// The publisher's vector at publish time (own entry already bumped),
-    /// as a delta from the previous retained record's vector — or from
-    /// `base_clock` for the oldest retained record.
-    pub delta: ClockDelta,
+    /// The publisher's vector at publish time (own entry already bumped).
+    pub clock: VectorClock,
     /// Wire size of the run-length encoded diff of this publish (see
     /// [`diff_size`](crate::engine::diff_size)); 0 for a pinned owner's.
     pub encoded_size: usize,
@@ -85,14 +75,6 @@ pub(crate) struct LrcPageState {
     /// Ring of recent publishes to this page, oldest first, at most
     /// [`DIFF_RING`](crate::engine::DIFF_RING) long (see [`PagePub`]).
     pub history: VecDeque<PagePub>,
-    /// Anchor of the history's delta chain: the publish-time vector of the
-    /// most recently evicted record (all-zero while nothing has been
-    /// evicted).  The oldest retained record's delta applies on top of this.
-    pub base_clock: VectorClock,
-    /// The newest retained record's publish-time vector — the running end of
-    /// the delta chain, kept materialized so appending a record is one
-    /// `O(nprocs)` diff (no replay).
-    pub head_clock: VectorClock,
     /// Per node: the largest publish interval that has been evicted from
     /// `history` (0 = none).  Below this mark the engine conservatively
     /// assumes the page was touched.
@@ -111,8 +93,6 @@ impl LrcPageState {
         LrcPageState {
             latest: vec![0; nprocs],
             history: VecDeque::new(),
-            base_clock: VectorClock::new(nprocs),
-            head_clock: VectorClock::new(nprocs),
             evicted_latest: vec![0; nprocs],
             sharing: PageSharing::new(nprocs),
         }
@@ -122,12 +102,11 @@ impl LrcPageState {
     /// publish-time vector `clock`, keeping at most `ring` records, and
     /// returns it for the caller to fill in the diff's accounting.
     ///
-    /// The record stores only the delta against the current chain head; an
-    /// evicted record's delta is folded into [`base_clock`] so the chain
-    /// stays replayable, and its buffers are recycled into the new record so
-    /// steady-state publishes allocate nothing.
+    /// A full ring evicts its oldest record into [`evicted_latest`] and
+    /// recycles the record's vector buffer, so steady-state publishes
+    /// allocate nothing.
     ///
-    /// [`base_clock`]: LrcPageState::base_clock
+    /// [`evicted_latest`]: LrcPageState::evicted_latest
     pub fn push_pub(
         &mut self,
         node: NodeId,
@@ -135,28 +114,24 @@ impl LrcPageState {
         clock: &VectorClock,
         ring: usize,
     ) -> &mut PagePub {
-        let mut rec = if self.history.len() >= ring {
-            let old = self.history.pop_front().expect("non-empty ring");
+        let rec = if self.history.len() >= ring {
+            let mut old = self.history.pop_front().expect("non-empty ring");
             let slot = &mut self.evicted_latest[old.node.index()];
             *slot = (*slot).max(old.interval);
-            // The evicted record's vector becomes the new chain anchor.
-            old.delta.apply_to_clock(&mut self.base_clock);
+            old.node = node;
+            old.interval = interval;
+            old.clock.copy_from(clock);
             old
         } else {
             PagePub {
                 node,
-                interval: 0,
-                delta: ClockDelta::new(),
+                interval,
+                clock: clock.clone(),
                 encoded_size: 0,
                 compare_words: 0,
                 creation_charged: false,
             }
         };
-        rec.node = node;
-        rec.interval = interval;
-        rec.delta
-            .compute(self.head_clock.entries(), clock.entries());
-        self.head_clock.copy_from(clock);
         self.history.push_back(rec);
         self.history.back_mut().expect("just pushed")
     }
@@ -171,18 +146,6 @@ impl LrcPageState {
             .rev()
             .find(|(_, rec)| rec.interval <= vector.entry(rec.node))
             .map(|(i, _)| i)
-    }
-
-    /// Materializes the publish-time vector of history record `idx` into
-    /// `out` by replaying the delta chain from [`base_clock`] — `O(idx)`
-    /// small deltas, no allocation when `out` has capacity.
-    ///
-    /// [`base_clock`]: LrcPageState::base_clock
-    pub fn reconstruct_pub_clock(&self, idx: usize, out: &mut VectorClock) {
-        out.copy_from(&self.base_clock);
-        for rec in self.history.iter().take(idx + 1) {
-            rec.delta.apply_to_clock(out);
-        }
     }
 }
 
@@ -248,9 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn delta_chain_reconstructs_evicted_history() {
-        // Push five records through a ring of three; reconstruction must
-        // still yield each retained record's exact publish-time vector.
+    fn ring_recycles_evicted_records() {
+        // Push five records through a ring of three: the retained records
+        // keep their exact publish-time vectors, and the evicted ones raise
+        // their writers' `evicted_latest` marks.
         let mut ps = LrcPageState::new(3);
         let mut clocks = Vec::new();
         let mut v = VectorClock::new(3);
@@ -263,13 +227,10 @@ mod tests {
         }
         assert_eq!(ps.history.len(), 3);
         // Records 0 and 1 were evicted; 2, 3, 4 remain at indices 0, 1, 2.
-        let mut out = VectorClock::new(3);
-        for (idx, want) in clocks[2..].iter().enumerate() {
-            ps.reconstruct_pub_clock(idx, &mut out);
-            assert_eq!(&out, want, "record {idx}");
+        for (rec, want) in ps.history.iter().zip(&clocks[2..]) {
+            assert_eq!(&rec.clock, want, "record of {:?}", rec.node);
         }
-        // The anchor is the newest evicted record's vector.
-        assert_eq!(&ps.base_clock, &clocks[1]);
-        assert_eq!(&ps.head_clock, &clocks[4]);
+        // Record 0 was node 1's interval 1, record 1 node 2's interval 4.
+        assert_eq!(ps.evicted_latest, vec![0, 1, 4]);
     }
 }

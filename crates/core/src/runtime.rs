@@ -13,7 +13,7 @@ use crate::local::NodeLocal;
 use crate::recovery::{self, FaultPlan, RecoveryReport};
 use crate::scalar::Scalar;
 use crate::sync::SyncTables;
-use crate::transport::{build_transport, TransportReport, WireEndpoint};
+use crate::transport::{Transport, TransportReport, WireEndpoint};
 
 /// Result of one DSM run: simulated execution time, per-node times, traffic
 /// statistics, and the final contents of every shared region.
@@ -229,7 +229,7 @@ impl Dsm {
         // The transport hands one endpoint to each worker (None under the
         // default simulated backend) and collects them back after the join
         // to drain and verify the replicas.
-        let mut transport = build_transport(&self.cfg, &self.init);
+        let mut transport = Transport::new(&self.cfg.transport, nprocs, &self.init);
         let mut endpoints: Vec<Option<Box<WireEndpoint>>> = (0..nprocs)
             .map(|p| transport.take_endpoint(dsm_sim::NodeId::new(p as u32)))
             .collect();

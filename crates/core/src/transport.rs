@@ -1,39 +1,37 @@
-//! Pluggable transport under the protocol engines.
+//! Real transports under the protocol engines.
 //!
-//! The engines publish modifications into shared master copies; a
+//! The engines publish modifications into shared master copies; the
 //! [`Transport`] decides what *else* happens at each publish.  The default
-//! [`TransportKind::Simulated`] backend does nothing — messages remain pure
-//! cost accounting, exactly as before, and the hot path stays branch-only.
-//! The real backends replicate every publish as a [`WireFrame`] to a set of
-//! replica holders and verify, at the end of the run, that every replica's
-//! contents are byte-identical (FNV-fingerprint equal) to the engines'
-//! master copies:
+//! [`TransportKind::Simulated`] backend hands out no endpoints — messages
+//! remain pure cost accounting, and the hot path stays branch-only.  The real
+//! backends replicate every publish as a frame to a set of replica holders
+//! and verify, at the end of the run, that every replica's contents are
+//! byte-identical (FNV-fingerprint equal) to the engines' master copies.
+//!
+//! Both real backends move the same bytes.  A [`WireEndpoint`] encodes its
+//! epoch's frames in v2 form (see [`dsm_mem::wire::encode_frame_v2`]) into
+//! one batch message — vector clocks travel as [`CompactClock`] delta
+//! records against the stream's previous clock, so ordering metadata scales
+//! with what changed, not with nprocs — and the engines call
+//! [`WireEndpoint::flush`] once per publish event, after the region locks are
+//! released, to deliver it:
 //!
 //! * [`TransportKind::Channel`] — every simulated processor is a
-//!   message-passing OS thread; frames travel as `Arc`'d flat payloads over
-//!   `std::sync::mpsc` channels with zero copies, one full replica per node.
-//! * [`TransportKind::SocketLocal`] / [`TransportKind::SocketRemote`] —
-//!   frames are serialized with the dependency-free codec of
-//!   [`dsm_mem::wire`] and streamed over length-prefixed TCP connections to
-//!   replica peers: in-process listener threads (`SocketLocal`) or separate
-//!   processes started by a driver (`SocketRemote`, see
-//!   [`serve_transport_peer`]).
+//!   message-passing OS thread with a full replica; a flush hands the
+//!   batch's body, as one shared `Arc<[u8]>`, to every node's
+//!   `std::sync::mpsc` inbox.
+//! * [`TransportKind::SocketLocal`] / [`TransportKind::SocketRemote`] — a
+//!   flush writes the batch message with one `write_all` to each
+//!   length-prefixed TCP connection (`TCP_NODELAY` set) to a replica peer:
+//!   in-process listener threads (`SocketLocal`) or separate peer
+//!   processes (`SocketRemote`, see [`serve_transport_peer`]).
 //!
-//! Both real backends buffer per peer and move data at **epoch boundaries**:
-//! an endpoint accumulates the interval's frames and the engines call
-//! [`WireEndpoint::flush`] once per publish event, after the region locks
-//! are released — one channel send (or one `write_all` syscall, with
-//! `TCP_NODELAY` set) per peer per epoch instead of one per frame.  On the
-//! wire the frames travel in v2 form (see [`dsm_mem::wire::encode_frame_v2`]):
-//! vector clocks are [`CompactClock`] delta records against the stream's
-//! previous clock, so ordering metadata scales with what changed, not with
-//! nprocs.
-//!
-//! Beside the frames travel the out-of-band kinds of
-//! [`WireMsgKind::OOB`] — engine control broadcasts, checkpoint images and
-//! rollback notices — sent immediately by [`WireEndpoint::send_oob`] and
-//! tagged with their kind on both backends, so a replica has exactly one
-//! entry point per message kind.
+//! Beside the batches travel the out-of-band kinds of [`WireMsgKind::OOB`] —
+//! engine control broadcasts, checkpoint images and rollback notices — sent
+//! immediately by [`WireEndpoint::send_oob`].  Every replica takes every
+//! message through [`Replica::receive`], and the endpoints account each
+//! message's encoded length once per receiver, so `finish` can require every
+//! replica to have received exactly the accounted bytes.
 //!
 //! Cost accounting is transport-independent: the simulated clocks and
 //! statistics are charged identically under every backend, so simulated
@@ -47,13 +45,11 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
 
 use dsm_mem::wire::{
-    self, begin_batch, encode_frame_v2, finish_batch, fnv64_regions, frame_v2_meta_len, read_msg,
-    write_msg, BatchReader, FrameV2, OobTally, WireFrame, WireInit, WireMsgKind, WireReport,
+    begin_batch, encode_frame_v2, finish_batch, fnv64_regions, read_msg, write_msg, BatchReader,
+    FrameV2, OobTally, WireFrame, WireInit, WireMsgKind, WireReport, MSG_HEADER_LEN,
 };
-use dsm_mem::{put_varint, varint_len, BufferPool, CompactClock};
+use dsm_mem::{put_varint, BufferPool, CompactClock};
 use dsm_sim::NodeId;
-
-use crate::config::DsmConfig;
 
 /// Which transport carries publish frames during a run.
 ///
@@ -65,8 +61,9 @@ pub enum TransportKind {
     /// No replication: messages are cost accounting only (the default).
     #[default]
     Simulated,
-    /// One replica per simulated processor; frames are `Arc`-shared over
-    /// in-process `std::sync::mpsc` channels between the worker threads.
+    /// One replica per simulated processor; each epoch's encoded batch is
+    /// shared, as one `Arc`'d body, over in-process `std::sync::mpsc`
+    /// channels between the worker threads.
     Channel,
     /// This many replica peers served by in-process listener threads;
     /// frames are serialized and streamed over loopback TCP.
@@ -106,9 +103,9 @@ pub struct TransportReport {
     pub replicas_verified: usize,
     /// Publish frames sent (each counted once, however many receivers).
     pub frames_sent: u64,
-    /// Bytes delivered, summed over receivers (for the channel backend: the
-    /// bytes that *would* be on a wire in v2 batch form; the `Arc` handoff
-    /// itself copies nothing).  Always `wire_bytes_payload + wire_bytes_meta`.
+    /// Bytes of encoded messages delivered, summed over receivers; every
+    /// replica's received count is verified against it on both real
+    /// backends.  Always `wire_bytes_payload + wire_bytes_meta`.
     pub wire_bytes: u64,
     /// The changed-bytes part of `wire_bytes`: run payloads, summed over
     /// receivers.
@@ -141,9 +138,8 @@ pub struct TransportReport {
 /// numbers are dense (the engines draw them from the same counter the
 /// publish bumps), so a replica that has seen every frame always drains.
 ///
-/// Both real backends feed a replica through the same two entry points:
-/// [`Replica::offer`] for each publish frame and [`Replica::take_oob`] for
-/// each out-of-band message.  Both refuse a message that cannot be valid with
+/// Both real backends feed a replica through one entry point,
+/// [`Replica::receive`], which refuses a message that cannot be valid with
 /// an `InvalidData` error: a socket peer returns it, while on the channel
 /// backend, whose messages never leave the process, it is an engine bug and
 /// panics.
@@ -153,13 +149,14 @@ struct Replica {
     /// Per region: the last applied sequence number (0 = none yet).
     applied_seq: Vec<u64>,
     /// Per region: frames that arrived ahead of their turn, keyed by seq.
-    pending: Vec<BTreeMap<u64, Arc<WireFrame>>>,
+    pending: Vec<BTreeMap<u64, WireFrame>>,
     frames_applied: u64,
+    /// Framed bytes (message headers included) received.
     bytes_received: u64,
     /// Out-of-band messages received.
     oob: OobTally,
-    /// Recycles applied frames' payload buffers back to the decode path, so
-    /// a socket peer's read loop stops allocating per frame in steady state.
+    /// Recycles applied frames' payload buffers back to the decoder, so a
+    /// replica stops allocating per frame in steady state.
     pool: BufferPool,
 }
 
@@ -176,36 +173,46 @@ impl Replica {
         }
     }
 
-    /// Tallies one out-of-band message; the body is not applied.  A
-    /// checkpoint image must at least decode — a replica is the
-    /// crash-recovery escrow, so a malformed image is refused.
-    fn take_oob(&mut self, kind: WireMsgKind, body: &[u8]) -> io::Result<()> {
-        if kind == WireMsgKind::Ckpt && dsm_mem::CkptImage::decode(body).is_none() {
-            return Err(bad("malformed checkpoint image reached a replica"));
+    /// Takes one message of a node's stream and counts its framed bytes.  A
+    /// batch's frames are decoded against the stream's clock `codec` and
+    /// offered in turn; an out-of-band body is tallied, not applied — only a
+    /// checkpoint image must decode, because a replica is the
+    /// crash-recovery escrow.
+    fn receive(
+        &mut self,
+        codec: &mut CompactClock,
+        kind: WireMsgKind,
+        body: &[u8],
+    ) -> io::Result<()> {
+        self.bytes_received += (MSG_HEADER_LEN + body.len()) as u64;
+        match kind {
+            WireMsgKind::Batch => {
+                let mut frames =
+                    BatchReader::new(body).ok_or_else(|| bad("batch lacks a frame count"))?;
+                while frames.remaining() > 0 {
+                    let frame = frames
+                        .next(codec, &mut self.pool)
+                        .ok_or_else(|| bad("malformed frame in batch"))?;
+                    self.offer(frame)?;
+                }
+                if !frames.finished() {
+                    return Err(bad("trailing bytes after the last batch frame"));
+                }
+            }
+            WireMsgKind::Ckpt if dsm_mem::CkptImage::decode(body).is_none() => {
+                return Err(bad("malformed checkpoint image reached a replica"));
+            }
+            kind if WireMsgKind::OOB.contains(&kind) => self.oob.add(kind, body),
+            _ => return Err(bad("unexpected message on a node stream")),
         }
-        self.oob.add(kind, body);
         Ok(())
     }
 
-    /// Takes every message waiting in a channel inbox, without blocking.
-    fn drain_inbox(&mut self, inbox: &mpsc::Receiver<ChannelMsg>) {
-        while let Ok(msg) = inbox.try_recv() {
-            match msg {
-                ChannelMsg::Batch(frames) => {
-                    for f in frames {
-                        self.offer(f).expect(IN_PROCESS);
-                    }
-                }
-                ChannelMsg::Oob(kind, body) => self.take_oob(kind, &body).expect(IN_PROCESS),
-            }
-        }
-    }
-
     /// Accepts a frame, applying it — and any unblocked successors — as soon
-    /// as its region's sequence reaches it.  Uniquely-owned applied frames
-    /// donate their payload buffer back to the pool.  A frame for an unknown
-    /// region, or with a run outside its region, is refused.
-    fn offer(&mut self, frame: Arc<WireFrame>) -> io::Result<()> {
+    /// as its region's sequence reaches it; applied payload buffers go back
+    /// to the pool.  A frame for an unknown region, or with a run outside its
+    /// region, is refused.
+    fn offer(&mut self, frame: WireFrame) -> io::Result<()> {
         let r = frame.region as usize;
         if r >= self.regions.len() {
             return Err(bad(format!("frame for unknown region {r}")));
@@ -217,17 +224,9 @@ impl Replica {
             }
             self.applied_seq[r] += 1;
             self.frames_applied += 1;
-            if let Ok(owned) = Arc::try_unwrap(f) {
-                self.pool.put(owned.payload);
-            }
+            self.pool.put(f.payload);
         }
         Ok(())
-    }
-
-    /// Counts framed bytes (message headers included) received on node
-    /// streams; the socket peer loop calls it once per message.
-    fn note_received(&mut self, bytes: u64) {
-        self.bytes_received += bytes;
     }
 
     /// True once no frame is waiting on a missing predecessor.
@@ -258,27 +257,89 @@ fn bad(msg: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// One send into a channel-backend inbox: the in-process form of a
-/// [`WireMsgKind::Batch`] message or of one out-of-band message.
+/// One send into a channel-backend inbox: a wire message's kind and body,
+/// tagged with the index of the node that sent it.
+type ChannelMsg = (usize, WireMsgKind, Arc<[u8]>);
+
+/// Flush the batch early if it outgrows this (pathological epochs only;
+/// normal epochs are a few KiB to a few hundred KiB).
+const BATCH_LIMIT: usize = 4 << 20;
+
+/// Where an endpoint's encoded messages go.
 #[derive(Debug)]
-enum ChannelMsg {
-    /// An epoch's frames, shared with every other receiver.
-    Batch(Vec<Arc<WireFrame>>),
-    /// One message of a kind in [`WireMsgKind::OOB`], body shared likewise.
-    Oob(WireMsgKind, Arc<[u8]>),
+enum Sink {
+    /// Channel backend: a sender into every node's inbox, this node's own
+    /// included, and this node's inbox with the replica it feeds and one
+    /// clock codec per sending node.
+    Channel {
+        node: usize,
+        inboxes: Vec<mpsc::Sender<ChannelMsg>>,
+        inbox: mpsc::Receiver<ChannelMsg>,
+        codecs: Vec<CompactClock>,
+        replica: Box<Replica>,
+    },
+    /// Socket backend: one raw TCP stream per replica peer (`TCP_NODELAY`
+    /// set; batching makes the writes large, so Nagle only adds latency).
+    Socket(Vec<TcpStream>),
 }
 
-/// Flush the socket batch buffer early if it outgrows this (pathological
-/// epochs only; normal epochs are a few KiB).
-const SOCKET_BATCH_LIMIT: usize = 4 << 20;
+impl Sink {
+    /// Replicas every message reaches.
+    fn receivers(&self) -> u64 {
+        match self {
+            Sink::Channel { inboxes, .. } => inboxes.len() as u64,
+            Sink::Socket(conns) => conns.len() as u64,
+        }
+    }
+
+    /// Delivers one framed message (header included) to every replica: one
+    /// `write_all` per socket, or its body as one shared `Arc<[u8]>` into
+    /// every inbox.
+    fn deliver(&mut self, kind: WireMsgKind, msg: &[u8]) {
+        match self {
+            Sink::Channel { node, inboxes, .. } => {
+                let body: Arc<[u8]> = msg[MSG_HEADER_LEN..].into();
+                for inbox in inboxes.iter() {
+                    inbox
+                        .send((*node, kind, Arc::clone(&body)))
+                        .expect("peer inbox closed mid-run");
+                }
+            }
+            Sink::Socket(conns) => {
+                for conn in conns.iter_mut() {
+                    conn.write_all(msg)
+                        .expect("replica peer connection lost mid-run");
+                }
+            }
+        }
+    }
+
+    /// Channel backend: takes every message waiting in this node's inbox,
+    /// without blocking.  A no-op for sockets, whose peers read on their own.
+    fn drain(&mut self) {
+        if let Sink::Channel {
+            inbox,
+            codecs,
+            replica,
+            ..
+        } = self
+        {
+            while let Ok((sender, kind, body)) = inbox.try_recv() {
+                replica
+                    .receive(&mut codecs[sender], kind, &body)
+                    .expect(IN_PROCESS);
+            }
+        }
+    }
+}
 
 /// A worker thread's handle onto the transport: where its publish frames go.
 ///
 /// Owned by the worker's `NodeLocal` for the duration of the run (`None`
-/// under the simulated backend), handed back to the transport's
-/// [`Transport::finish`] afterwards.  Publishes accumulate in a per-peer
-/// send buffer; the engines call [`WireEndpoint::flush`] at each epoch
-/// boundary (end of a publish event, after region locks are released).
+/// under the simulated backend), handed back to [`Transport::finish`]
+/// afterwards.  Publishes accumulate in one encoded batch message; the
+/// engines call [`WireEndpoint::flush`] at each epoch boundary (end of a
+/// publish event, after region locks are released) to deliver it.
 #[derive(Debug)]
 pub(crate) struct WireEndpoint {
     /// Frames this endpoint published.
@@ -286,7 +347,7 @@ pub(crate) struct WireEndpoint {
     /// Payload bytes delivered (changed-byte runs), summed over receivers.
     pub wire_bytes_payload: u64,
     /// Ordering-metadata bytes delivered (headers, delta clocks, run tables,
-    /// batch framing), summed over receivers.
+    /// batch framing, out-of-band messages), summed over receivers.
     pub wire_bytes_meta: u64,
     /// Sends saved by coalescing: frames beyond the first in each batch.
     pub frames_coalesced: u64,
@@ -297,44 +358,25 @@ pub(crate) struct WireEndpoint {
     /// (borrowed out with `std::mem::take`, handed back after the frame is
     /// built, so steady-state publishes reuse its capacity).
     pub scratch_runs: Vec<(u32, u32)>,
-    /// Delta codec for this endpoint's outgoing clock stream.  Every peer
-    /// receives the identical stream, so one sender baseline serves all.
+    /// Delta codec for this endpoint's outgoing clock stream.  Every
+    /// receiver gets the identical stream, so one sender baseline serves
+    /// all.
     enc: CompactClock,
     /// False until the first publish: the first frame of a stream carries
     /// its clock in full mode to seed the receivers' baselines.
     started: bool,
-    inner: EndpointInner,
-}
-
-#[derive(Debug)]
-enum EndpointInner {
-    /// Channel backend: senders to every other node's inbox, this node's own
-    /// inbox, and this node's own replica.
-    Channel {
-        peers: Vec<mpsc::Sender<ChannelMsg>>,
-        inbox: mpsc::Receiver<ChannelMsg>,
-        replica: Replica,
-        /// Frames published since the last flush.
-        pending: Vec<Arc<WireFrame>>,
-        /// Scratch for sizing the would-be-on-wire delta clock record.
-        clock_scratch: Vec<u8>,
-    },
-    /// Socket backend: one raw TCP stream per replica peer (`TCP_NODELAY`
-    /// set; batching makes the writes large, so Nagle only adds latency).
-    Socket {
-        conns: Vec<TcpStream>,
-        /// The open batch message: header placeholder + encoded v2 frames.
-        batch: Vec<u8>,
-        batch_frames: u32,
-        batch_payload: u64,
-        /// Scratch one frame is encoded into before the length-prefixed
-        /// append to `batch`.
-        frame_buf: Vec<u8>,
-    },
+    /// The open batch message: header placeholder + encoded v2 frames.
+    batch: Vec<u8>,
+    batch_frames: u32,
+    batch_payload: u64,
+    /// Scratch one frame is encoded into before its length-prefixed append
+    /// to `batch`, or one out-of-band message is framed in.
+    scratch: Vec<u8>,
+    sink: Sink,
 }
 
 impl WireEndpoint {
-    fn new(inner: EndpointInner) -> Box<Self> {
+    fn new(sink: Sink) -> Box<Self> {
         Box::new(WireEndpoint {
             frames_sent: 0,
             wire_bytes_payload: 0,
@@ -344,19 +386,19 @@ impl WireEndpoint {
             scratch_runs: Vec::new(),
             enc: CompactClock::new(),
             started: false,
-            inner,
+            batch: Vec::new(),
+            batch_frames: 0,
+            batch_payload: 0,
+            scratch: Vec::new(),
+            sink,
         })
     }
 
-    /// Total bytes this endpoint delivered, summed over receivers.
-    pub fn wire_bytes(&self) -> u64 {
-        self.wire_bytes_payload + self.wire_bytes_meta
-    }
-
-    /// Buffers one publish for replication: region-absolute changed-byte
-    /// `runs` of `data`, totally ordered within the region by `seq` (dense,
-    /// 1-based).  `clock` is the publisher's vector-clock entries (empty
-    /// under EC).  Nothing moves until [`WireEndpoint::flush`].
+    /// Encodes one publish into the open batch: region-absolute
+    /// changed-byte `runs` of `data`, totally ordered within the region by
+    /// `seq` (dense, 1-based).  `clock` is the publisher's vector-clock
+    /// entries (empty under EC).  Nothing moves until
+    /// [`WireEndpoint::flush`], unless the batch outgrows its limit.
     pub fn publish(
         &mut self,
         region: u32,
@@ -368,67 +410,27 @@ impl WireEndpoint {
         self.frames_sent += 1;
         let full = !self.started;
         self.started = true;
-        let mut overflow = false;
-        match &mut self.inner {
-            EndpointInner::Channel {
-                peers,
-                pending,
-                clock_scratch,
-                ..
-            } => {
-                // Account the exact v2 wire form (the Arc handoff itself
-                // moves no bytes): delta clock record + frame meta + payload,
-                // per receiver, plus this frame's batch length prefix.
-                clock_scratch.clear();
-                let clock_rec = self.enc.encode_next(clock, full, clock_scratch);
-                let payload_len: usize = runs.iter().map(|&(_, len)| len as usize).sum();
-                let meta = frame_v2_meta_len(region, seq, clock_rec, runs);
-                let receivers = peers.len() as u64 + 1;
-                let framed_meta = (varint_len((meta + payload_len) as u64) + meta) as u64;
-                self.wire_bytes_meta += framed_meta * receivers;
-                self.wire_bytes_payload += payload_len as u64 * receivers;
-                let mut payload = Vec::with_capacity(payload_len);
-                for &(off, len) in runs {
-                    payload.extend_from_slice(&data[off as usize..(off + len) as usize]);
-                }
-                pending.push(Arc::new(WireFrame {
-                    region,
-                    seq,
-                    runs: runs.to_vec(),
-                    payload,
-                }));
-            }
-            EndpointInner::Socket {
-                batch,
-                batch_frames,
-                batch_payload,
-                frame_buf,
-                ..
-            } => {
-                frame_buf.clear();
-                let (_, payload) = encode_frame_v2(
-                    &FrameV2 {
-                        region,
-                        seq,
-                        clock,
-                        full,
-                        runs,
-                        data,
-                    },
-                    &mut self.enc,
-                    frame_buf,
-                );
-                if batch.is_empty() {
-                    begin_batch(batch);
-                }
-                put_varint(batch, frame_buf.len() as u64);
-                batch.extend_from_slice(frame_buf);
-                *batch_frames += 1;
-                *batch_payload += payload as u64;
-                overflow = batch.len() >= SOCKET_BATCH_LIMIT;
-            }
+        self.scratch.clear();
+        let (_, payload) = encode_frame_v2(
+            &FrameV2 {
+                region,
+                seq,
+                clock,
+                full,
+                runs,
+                data,
+            },
+            &mut self.enc,
+            &mut self.scratch,
+        );
+        if self.batch.is_empty() {
+            begin_batch(&mut self.batch);
         }
-        if overflow {
+        put_varint(&mut self.batch, self.scratch.len() as u64);
+        self.batch.extend_from_slice(&self.scratch);
+        self.batch_frames += 1;
+        self.batch_payload += payload as u64;
+        if self.batch.len() >= BATCH_LIMIT {
             self.flush();
         }
     }
@@ -436,317 +438,115 @@ impl WireEndpoint {
     /// Sends one out-of-band message — an engine control broadcast, an
     /// encoded [`dsm_mem::CkptImage`] or a rollback notice — to every
     /// replica, immediately: it bypasses the epoch batch, so it never waits
-    /// behind it or perturbs the coalescing accounting, and costs one
-    /// message per receiver (u32 length prefix + kind byte + body).
-    /// Replicas tally it instead of applying it; [`Transport::finish`]
-    /// checks every replica's tally against the senders'.
+    /// behind it or perturbs the coalescing accounting.  Replicas tally it
+    /// instead of applying it; [`Transport::finish`] checks every replica's
+    /// tally against the senders'.
     ///
     /// # Panics
     ///
     /// Panics if `kind` is not in [`WireMsgKind::OOB`].
     pub fn send_oob(&mut self, kind: WireMsgKind, payload: &[u8]) {
         self.oob_sent.add(kind, payload);
-        match &mut self.inner {
-            EndpointInner::Channel { peers, replica, .. } => {
-                self.wire_bytes_meta += (payload.len() as u64 + 5) * (peers.len() as u64 + 1);
-                let body: Arc<[u8]> = payload.into();
-                for peer in peers.iter() {
-                    peer.send(ChannelMsg::Oob(kind, Arc::clone(&body)))
-                        .expect("peer inbox closed mid-run");
-                }
-                replica.take_oob(kind, &body).expect(IN_PROCESS);
-            }
-            EndpointInner::Socket { conns, .. } => {
-                // Written directly to each stream; the open data batch (if
-                // any) is still unsent, so the message simply precedes it on
-                // the wire — replicas treat out-of-band frames as order-free.
-                for conn in conns.iter_mut() {
-                    write_msg(conn, kind, payload).expect("replica peer connection lost mid-run");
-                }
-                self.wire_bytes_meta += (payload.len() as u64 + 5) * conns.len() as u64;
-            }
-        }
+        self.scratch.clear();
+        write_msg(&mut self.scratch, kind, payload).expect("out-of-band message too large");
+        self.sink.deliver(kind, &self.scratch);
+        self.wire_bytes_meta += self.scratch.len() as u64 * self.sink.receivers();
     }
 
-    /// Delivers everything buffered since the last flush: one batch message
-    /// per peer (one channel send, or one `write_all` per socket).  The
-    /// engines call this at each epoch boundary; a flush with nothing
-    /// pending only drains the inbox (channel) or is a no-op (socket).
+    /// Delivers the open batch, if any, as one message per receiver, then
+    /// (channel backend) applies whatever this node's inbox holds.  The
+    /// engines call this at each epoch boundary.
     pub fn flush(&mut self) {
-        match &mut self.inner {
-            EndpointInner::Channel {
-                peers,
-                inbox,
-                replica,
-                pending,
-                ..
-            } => {
-                if !pending.is_empty() {
-                    self.frames_coalesced += pending.len() as u64 - 1;
-                    self.wire_bytes_meta +=
-                        wire::BATCH_HEADER_LEN as u64 * (peers.len() as u64 + 1);
-                    for peer in peers.iter() {
-                        peer.send(ChannelMsg::Batch(pending.clone()))
-                            .expect("peer inbox closed mid-run");
-                    }
-                    for f in pending.drain(..) {
-                        replica.offer(f).expect(IN_PROCESS);
-                    }
-                }
-                // Absorb whatever peers have sent so far; the rest is
-                // drained after the run, when every send is join-ordered
-                // before the drain.
-                replica.drain_inbox(inbox);
-            }
-            EndpointInner::Socket {
-                conns,
-                batch,
-                batch_frames,
-                batch_payload,
-                ..
-            } => {
-                if *batch_frames == 0 {
-                    return;
-                }
-                finish_batch(batch, *batch_frames);
-                for conn in conns.iter_mut() {
-                    conn.write_all(batch)
-                        .expect("replica peer connection lost mid-run");
-                }
-                let nconns = conns.len() as u64;
-                self.wire_bytes_meta += (batch.len() as u64 - *batch_payload) * nconns;
-                self.wire_bytes_payload += *batch_payload * nconns;
-                self.frames_coalesced += *batch_frames as u64 - 1;
-                batch.clear();
-                *batch_frames = 0;
-                *batch_payload = 0;
-            }
+        if self.batch_frames > 0 {
+            finish_batch(&mut self.batch, self.batch_frames);
+            self.sink.deliver(WireMsgKind::Batch, &self.batch);
+            let receivers = self.sink.receivers();
+            self.wire_bytes_meta += (self.batch.len() as u64 - self.batch_payload) * receivers;
+            self.wire_bytes_payload += self.batch_payload * receivers;
+            self.frames_coalesced += self.batch_frames as u64 - 1;
+            self.batch.clear();
+            self.batch_frames = 0;
+            self.batch_payload = 0;
         }
+        // Absorb what has arrived so far (channel backend); the rest is
+        // drained after the run, when every send is join-ordered before the
+        // drain.
+        self.sink.drain();
     }
 }
 
-/// The backend contract: hand one endpoint to each worker before the run,
-/// collect them and verify every replica afterwards.
-pub(crate) trait Transport: Send {
+/// The run's transport: one endpoint per worker before the run, and every
+/// replica verified afterwards.
+#[derive(Debug, Default)]
+pub(crate) struct Transport {
     /// Backend label for the report.
-    fn label(&self) -> &'static str;
-
-    /// The endpoint worker `node` publishes through, or `None` if this
-    /// backend replicates nothing (simulated).
-    fn take_endpoint(&mut self, node: NodeId) -> Option<Box<WireEndpoint>>;
-
-    /// Completes the run: flushes every endpoint, drains and verifies every
-    /// replica against the engines' final `master` copies and summarizes the
-    /// traffic.
-    ///
-    /// Panics if any replica's contents diverge from the master — that is a
-    /// transport bug, never a legal outcome.
-    fn finish(&mut self, endpoints: Vec<WireEndpoint>, master: &[Vec<u8>]) -> TransportReport;
-}
-
-/// Builds the transport for a run.  The single place [`TransportKind`] is
-/// dispatched on.
-pub(crate) fn build_transport(cfg: &DsmConfig, init: &[Vec<u8>]) -> Box<dyn Transport> {
-    match &cfg.transport {
-        TransportKind::Simulated => Box::new(SimulatedTransport),
-        TransportKind::Channel => Box::new(ChannelTransport::new(cfg.nprocs, init)),
-        TransportKind::SocketLocal(npeers) => {
-            Box::new(SocketTransport::new_local(cfg.nprocs, *npeers, init))
-        }
-        TransportKind::SocketRemote(addrs) => {
-            Box::new(SocketTransport::new_remote(cfg.nprocs, addrs, init))
-        }
-    }
-}
-
-fn empty_report(backend: &'static str, master: &[Vec<u8>]) -> TransportReport {
-    TransportReport {
-        backend,
-        master_fnv: fnv64_regions(master.iter().map(|r| r.as_slice())),
-        replicas_verified: 0,
-        frames_sent: 0,
-        wire_bytes: 0,
-        wire_bytes_payload: 0,
-        wire_bytes_meta: 0,
-        frames_coalesced: 0,
-        frames_applied: 0,
-        ctrl_frames: 0,
-        ckpt_frames: 0,
-        rollback_frames: 0,
-    }
-}
-
-/// Folds one finished endpoint's counters into the report.
-fn absorb_endpoint(report: &mut TransportReport, ep: &WireEndpoint) {
-    report.frames_sent += ep.frames_sent;
-    report.wire_bytes_payload += ep.wire_bytes_payload;
-    report.wire_bytes_meta += ep.wire_bytes_meta;
-    report.wire_bytes += ep.wire_bytes();
-    report.frames_coalesced += ep.frames_coalesced;
-    report.ctrl_frames += ep.oob_sent.count(WireMsgKind::Ctrl);
-    report.ckpt_frames += ep.oob_sent.count(WireMsgKind::Ckpt);
-    report.rollback_frames += ep.oob_sent.count(WireMsgKind::Rollback);
-}
-
-/// The out-of-band tally every replica must match: the finished endpoints'
-/// tallies merged.  Which endpoint sent each message is timing-dependent,
-/// but the totals are not.
-fn expected_oob(endpoints: &[WireEndpoint]) -> OobTally {
-    endpoints.iter().fold(OobTally::default(), |mut acc, ep| {
-        acc.merge(&ep.oob_sent);
-        acc
-    })
-}
-
-/// Verifies one replica's end-of-run report and folds it into the report.
-///
-/// Panics if the replica's contents diverge from the master copies or it
-/// missed an out-of-band message.
-fn absorb_replica(report: &mut TransportReport, replica: &WireReport, oob: &OobTally) {
-    let backend = report.backend;
-    assert_eq!(
-        replica.contents_fnv, report.master_fnv,
-        "{backend} replica diverged from the engines' master copies"
-    );
-    assert_eq!(
-        replica.oob, *oob,
-        "{backend} replica missed an out-of-band message"
-    );
-    report.frames_applied += replica.frames_applied;
-    report.replicas_verified += 1;
-}
-
-/// The default backend: no endpoints, no replication, no bytes.  Publishes
-/// stay exactly the branch-free accounting they were before the transport
-/// layer existed.
-#[derive(Debug)]
-struct SimulatedTransport;
-
-impl Transport for SimulatedTransport {
-    fn label(&self) -> &'static str {
-        "sim"
-    }
-
-    fn take_endpoint(&mut self, _node: NodeId) -> Option<Box<WireEndpoint>> {
-        None
-    }
-
-    fn finish(&mut self, _endpoints: Vec<WireEndpoint>, master: &[Vec<u8>]) -> TransportReport {
-        empty_report(self.label(), master)
-    }
-}
-
-/// In-process channel backend: every node owns a full replica and an inbox;
-/// a flush `Arc`-clones the epoch's frames into every other node's inbox in
-/// one send.
-#[derive(Debug)]
-struct ChannelTransport {
+    backend: &'static str,
+    /// One per node until taken; empty under the simulated backend.
     endpoints: Vec<Option<Box<WireEndpoint>>>,
-}
-
-impl ChannelTransport {
-    fn new(nprocs: usize, init: &[Vec<u8>]) -> Self {
-        let channels: Vec<(mpsc::Sender<ChannelMsg>, mpsc::Receiver<ChannelMsg>)> =
-            (0..nprocs).map(|_| mpsc::channel()).collect();
-        let senders: Vec<mpsc::Sender<ChannelMsg>> =
-            channels.iter().map(|(tx, _)| tx.clone()).collect();
-        let endpoints = channels
-            .into_iter()
-            .enumerate()
-            .map(|(p, (_, inbox))| {
-                let peers = senders
-                    .iter()
-                    .enumerate()
-                    .filter(|&(q, _)| q != p)
-                    .map(|(_, tx)| tx.clone())
-                    .collect();
-                Some(WireEndpoint::new(EndpointInner::Channel {
-                    peers,
-                    inbox,
-                    replica: Replica::new(init),
-                    pending: Vec::new(),
-                    clock_scratch: Vec::new(),
-                }))
-            })
-            .collect();
-        ChannelTransport { endpoints }
-    }
-}
-
-impl Transport for ChannelTransport {
-    fn label(&self) -> &'static str {
-        "channel"
-    }
-
-    fn take_endpoint(&mut self, node: NodeId) -> Option<Box<WireEndpoint>> {
-        self.endpoints[node.index()].take()
-    }
-
-    fn finish(&mut self, mut endpoints: Vec<WireEndpoint>, master: &[Vec<u8>]) -> TransportReport {
-        // Flush every endpoint before draining any replica: a replica's
-        // inbox is complete only once all of its peers have flushed.
-        for ep in endpoints.iter_mut() {
-            ep.flush();
-        }
-        let oob = expected_oob(&endpoints);
-        let mut report = empty_report(self.label(), master);
-        for ep in endpoints {
-            absorb_endpoint(&mut report, &ep);
-            let EndpointInner::Channel {
-                inbox, mut replica, ..
-            } = ep.inner
-            else {
-                unreachable!("channel transport only hands out channel endpoints");
-            };
-            // Every worker thread has been joined, so every send
-            // happens-before this drain: the inbox holds the complete
-            // remainder of the run's messages.
-            replica.drain_inbox(&inbox);
-            assert!(replica.drained(), "replica is missing publish frames");
-            absorb_replica(&mut report, &replica.report(), &oob);
-        }
-        report
-    }
-}
-
-/// Socket backend: replica peers behind loopback TCP, either served by
-/// in-process listener threads or by already-running remote processes.
-#[derive(Debug)]
-struct SocketTransport {
-    endpoints: Vec<Option<Box<WireEndpoint>>>,
-    /// Control connection to each peer; the end-of-run [`WireReport`] comes
-    /// back on it.
+    /// Socket backend: the control connection to each peer; the end-of-run
+    /// [`WireReport`] comes back on it.
     controls: Vec<TcpStream>,
-    /// In-process peer threads (`SocketLocal` only), joined at finish.
+    /// `SocketLocal` only: the in-process peer threads, joined at finish.
     servers: Vec<std::thread::JoinHandle<io::Result<()>>>,
 }
 
-impl SocketTransport {
-    /// Spawns `npeers` in-process replica peers and connects to them.
-    fn new_local(nprocs: usize, npeers: usize, init: &[Vec<u8>]) -> Self {
-        assert!(npeers >= 1, "socket transport needs at least one peer");
-        let mut addrs = Vec::with_capacity(npeers);
-        let mut servers = Vec::with_capacity(npeers);
-        for _ in 0..npeers {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
-            addrs.push(listener.local_addr().expect("listener address").to_string());
-            servers.push(std::thread::spawn(move || serve_transport_peer(listener)));
+impl Transport {
+    /// Builds the transport `kind` names for `nprocs` nodes whose regions
+    /// start as `init`.
+    pub(crate) fn new(kind: &TransportKind, nprocs: usize, init: &[Vec<u8>]) -> Self {
+        let transport = match kind {
+            TransportKind::Simulated => Transport::default(),
+            TransportKind::Channel => Transport::channel(nprocs, init),
+            TransportKind::SocketLocal(npeers) => Transport::socket_local(nprocs, *npeers, init),
+            TransportKind::SocketRemote(addrs) => Transport::socket(nprocs, addrs, init),
+        };
+        Transport {
+            backend: kind.label(),
+            ..transport
         }
-        let mut transport = Self::connect(nprocs, &addrs, init);
-        transport.servers = servers;
-        transport
     }
 
-    /// Connects to replica peers already running at `addrs`.
-    fn new_remote(nprocs: usize, addrs: &[String], init: &[Vec<u8>]) -> Self {
-        assert!(
-            !addrs.is_empty(),
-            "socket transport needs at least one peer"
-        );
-        Self::connect(nprocs, addrs, init)
+    /// Every node owns a full replica and an inbox, and sends into every
+    /// inbox, its own included.
+    fn channel(nprocs: usize, init: &[Vec<u8>]) -> Self {
+        let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..nprocs).map(|_| mpsc::channel()).unzip();
+        let endpoints = receivers
+            .into_iter()
+            .enumerate()
+            .map(|(node, inbox)| {
+                Some(WireEndpoint::new(Sink::Channel {
+                    node,
+                    inboxes: inboxes.clone(),
+                    inbox,
+                    codecs: (0..nprocs).map(|_| CompactClock::new()).collect(),
+                    replica: Box::new(Replica::new(init)),
+                }))
+            })
+            .collect();
+        Transport {
+            endpoints,
+            ..Transport::default()
+        }
     }
 
-    fn connect(nprocs: usize, addrs: &[String], init: &[Vec<u8>]) -> Self {
+    /// Spawns `npeers` in-process replica peers and connects to them.
+    fn socket_local(nprocs: usize, npeers: usize, init: &[Vec<u8>]) -> Self {
+        let (addrs, servers): (Vec<String>, Vec<_>) = (0..npeers)
+            .map(|_| {
+                let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
+                let addr = listener.local_addr().expect("listener address").to_string();
+                let server = std::thread::spawn(move || serve_transport_peer(listener));
+                (addr, server)
+            })
+            .unzip();
+        Transport {
+            servers,
+            ..Transport::socket(nprocs, &addrs, init)
+        }
+    }
+
+    /// Connects to replica peers already serving at `addrs`.
+    fn socket(nprocs: usize, addrs: &[String], init: &[Vec<u8>]) -> Self {
         // Control connection first: it carries the bootstrap Init (cluster
         // shape, initial region images) the peer needs before it can accept
         // node streams.
@@ -756,83 +556,108 @@ impl SocketTransport {
             regions: init.to_vec(),
         }
         .encode_into(&mut init_body);
-        let mut controls = Vec::with_capacity(addrs.len());
-        for addr in addrs {
-            let mut conn = TcpStream::connect(addr).expect("connect to replica peer");
-            conn.set_nodelay(true).expect("set TCP_NODELAY");
-            conn.write_all(b"C").expect("send control role");
-            write_msg(&mut conn, WireMsgKind::Init, &init_body).expect("send init");
-            controls.push(conn);
+        let connect = |role: &[u8]| {
+            addrs
+                .iter()
+                .map(|addr| {
+                    let mut conn = TcpStream::connect(addr).expect("connect to replica peer");
+                    conn.set_nodelay(true).expect("set TCP_NODELAY");
+                    conn.write_all(role).expect("send connection role");
+                    conn
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut controls = connect(b"C");
+        for conn in controls.iter_mut() {
+            write_msg(conn, WireMsgKind::Init, &init_body).expect("send init");
         }
         let endpoints = (0..nprocs)
-            .map(|_| {
-                let conns = addrs
-                    .iter()
-                    .map(|addr| {
-                        let mut conn = TcpStream::connect(addr).expect("connect to replica peer");
-                        conn.set_nodelay(true).expect("set TCP_NODELAY");
-                        conn.write_all(b"N").expect("send node role");
-                        conn
-                    })
-                    .collect();
-                Some(WireEndpoint::new(EndpointInner::Socket {
-                    conns,
-                    batch: Vec::new(),
-                    batch_frames: 0,
-                    batch_payload: 0,
-                    frame_buf: Vec::new(),
-                }))
-            })
+            .map(|_| Some(WireEndpoint::new(Sink::Socket(connect(b"N")))))
             .collect();
-        SocketTransport {
+        Transport {
             endpoints,
             controls,
-            servers: Vec::new(),
+            ..Transport::default()
         }
     }
-}
 
-impl Transport for SocketTransport {
-    fn label(&self) -> &'static str {
-        "socket"
+    /// The endpoint worker `node` publishes through, or `None` if this
+    /// backend replicates nothing (simulated).
+    pub(crate) fn take_endpoint(&mut self, node: NodeId) -> Option<Box<WireEndpoint>> {
+        self.endpoints.get_mut(node.index())?.take()
     }
 
-    fn take_endpoint(&mut self, node: NodeId) -> Option<Box<WireEndpoint>> {
-        self.endpoints[node.index()].take()
-    }
-
-    fn finish(&mut self, mut endpoints: Vec<WireEndpoint>, master: &[Vec<u8>]) -> TransportReport {
-        let mut report = empty_report(self.label(), master);
-        // Flush any leftover batch, then close every node stream cleanly:
-        // Fin, drop.
+    /// Completes the run: flushes every endpoint, drains and verifies every
+    /// replica against the engines' final `master` copies and summarizes the
+    /// traffic.
+    ///
+    /// Panics if a replica's contents diverge from the master, it missed an
+    /// out-of-band message, or it received other bytes than the endpoints
+    /// accounted — a transport bug, never a legal outcome.
+    pub(crate) fn finish(
+        &mut self,
+        mut endpoints: Vec<WireEndpoint>,
+        master: &[Vec<u8>],
+    ) -> TransportReport {
+        let backend = self.backend;
+        let mut report = TransportReport {
+            backend,
+            master_fnv: fnv64_regions(master.iter().map(|r| r.as_slice())),
+            replicas_verified: 0,
+            frames_sent: 0,
+            wire_bytes: 0,
+            wire_bytes_payload: 0,
+            wire_bytes_meta: 0,
+            frames_coalesced: 0,
+            frames_applied: 0,
+            ctrl_frames: 0,
+            ckpt_frames: 0,
+            rollback_frames: 0,
+        };
+        // Flush every endpoint before draining any replica: a channel inbox
+        // is complete only once all of its senders have flushed.  Which
+        // endpoint sent each out-of-band message is timing-dependent, but
+        // the merged tally every replica must match is not.
+        let mut oob = OobTally::default();
         for ep in endpoints.iter_mut() {
             ep.flush();
+            report.frames_sent += ep.frames_sent;
+            report.wire_bytes_payload += ep.wire_bytes_payload;
+            report.wire_bytes_meta += ep.wire_bytes_meta;
+            report.frames_coalesced += ep.frames_coalesced;
+            oob.merge(&ep.oob_sent);
         }
-        let oob = expected_oob(&endpoints);
+        report.wire_bytes = report.wire_bytes_payload + report.wire_bytes_meta;
+        report.ctrl_frames = oob.count(WireMsgKind::Ctrl);
+        report.ckpt_frames = oob.count(WireMsgKind::Ckpt);
+        report.rollback_frames = oob.count(WireMsgKind::Rollback);
+
+        let mut replicas = Vec::new();
         for ep in endpoints {
-            absorb_endpoint(&mut report, &ep);
-            let EndpointInner::Socket { mut conns, .. } = ep.inner else {
-                unreachable!("socket transport only hands out socket endpoints");
-            };
-            for conn in conns.iter_mut() {
-                write_msg(conn, WireMsgKind::Fin, &[]).expect("send fin");
+            let mut sink = ep.sink;
+            // Every worker thread has been joined and every endpoint
+            // flushed, so a channel inbox now holds the complete remainder
+            // of the run's messages.
+            sink.drain();
+            match sink {
+                Sink::Channel { replica, .. } => {
+                    assert!(replica.drained(), "replica is missing publish frames");
+                    replicas.push(replica.report());
+                }
+                // Close every node stream cleanly: Fin, drop.
+                Sink::Socket(mut conns) => {
+                    for conn in conns.iter_mut() {
+                        write_msg(conn, WireMsgKind::Fin, &[]).expect("send fin");
+                    }
+                }
             }
         }
-        // Every peer now sees nprocs Fins and reports back.  Every peer
-        // receives every message, so each one's byte count times the peer
-        // count is exactly what the endpoints accounted.
-        let npeers = self.controls.len() as u64;
+        // Every socket peer now sees nprocs Fins and reports back.
         let mut body = Vec::new();
         for mut control in self.controls.drain(..) {
             let kind = read_msg(&mut control, &mut body).expect("read peer report");
             assert_eq!(kind, Some(WireMsgKind::Report), "peer sent a non-report");
-            let peer = WireReport::decode(&body).expect("malformed peer report");
-            absorb_replica(&mut report, &peer, &oob);
-            assert_eq!(
-                peer.bytes_received.checked_mul(npeers),
-                Some(report.wire_bytes),
-                "socket replica received other bytes than the endpoints sent"
-            );
+            replicas.push(WireReport::decode(&body).expect("malformed peer report"));
         }
         for server in self.servers.drain(..) {
             server
@@ -840,6 +665,26 @@ impl Transport for SocketTransport {
                 .expect("replica peer thread panicked")
                 .expect("replica peer failed");
         }
+        // Every replica receives every message, so each one's byte count
+        // times the replica count is exactly what the endpoints accounted.
+        let nreplicas = replicas.len() as u64;
+        for replica in &replicas {
+            assert_eq!(
+                replica.contents_fnv, report.master_fnv,
+                "{backend} replica diverged from the engines' master copies"
+            );
+            assert_eq!(
+                replica.oob, oob,
+                "{backend} replica missed an out-of-band message"
+            );
+            assert_eq!(
+                replica.bytes_received.checked_mul(nreplicas),
+                Some(report.wire_bytes),
+                "{backend} replica received other bytes than the endpoints sent"
+            );
+            report.frames_applied += replica.frames_applied;
+        }
+        report.replicas_verified = replicas.len();
         report
     }
 }
@@ -856,12 +701,12 @@ impl Transport for SocketTransport {
 /// end to end: it owns the stream's receive-side [`CompactClock`] baseline
 /// (the delta clock records of a stream replay against it in order) and a
 /// reusable message buffer, reads through a [`io::BufReader`], and hands
-/// decoded frames and out-of-band messages straight to the shared replica
-/// under a mutex — no cross-thread handoff, no per-message allocation
-/// (payload buffers come from the replica's [`BufferPool`], which recycles
-/// applied frames).  Once every node stream has finished, the peer writes
-/// its [`WireReport`] (contents fingerprint, frames applied, bytes
-/// received, out-of-band tally) back on the control connection.
+/// each message straight to the shared replica under a mutex — no
+/// cross-thread handoff, no per-message allocation (payload buffers come
+/// from the replica's [`BufferPool`], which recycles applied frames).  Once
+/// every node stream has finished, the peer writes its [`WireReport`]
+/// (contents fingerprint, frames applied, bytes received, out-of-band tally)
+/// back on the control connection.
 ///
 /// # Errors
 ///
@@ -919,28 +764,9 @@ pub fn serve_transport_peer(listener: TcpListener) -> io::Result<()> {
                     let mut body = Vec::new();
                     let mut conn = io::BufReader::new(conn);
                     loop {
-                        let kind = match read_msg(&mut conn, &mut body)? {
+                        match read_msg(&mut conn, &mut body)? {
                             Some(WireMsgKind::Fin) | None => return Ok(()),
-                            Some(kind) => kind,
-                        };
-                        let mut r = sync_lock(replica);
-                        r.note_received(body.len() as u64 + 5);
-                        match kind {
-                            WireMsgKind::Batch => {
-                                let mut frames = BatchReader::new(&body)
-                                    .ok_or_else(|| bad("batch lacks a frame count"))?;
-                                while frames.remaining() > 0 {
-                                    let frame = frames
-                                        .next(&mut codec, &mut r.pool)
-                                        .ok_or_else(|| bad("malformed frame in batch"))?;
-                                    r.offer(Arc::new(frame))?;
-                                }
-                                if !frames.finished() {
-                                    return Err(bad("trailing bytes after the last batch frame"));
-                                }
-                            }
-                            kind if WireMsgKind::OOB.contains(&kind) => r.take_oob(kind, &body)?,
-                            _ => return Err(bad("unexpected message on a node stream")),
+                            Some(kind) => sync_lock(replica).receive(&mut codec, kind, &body)?,
                         }
                     }
                 })
@@ -972,13 +798,13 @@ fn sync_lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 mod tests {
     use super::*;
 
-    fn frame(region: u32, seq: u64, off: u32, byte: u8) -> Arc<WireFrame> {
-        Arc::new(WireFrame {
+    fn frame(region: u32, seq: u64, off: u32, byte: u8) -> WireFrame {
+        WireFrame {
             region,
             seq,
             runs: vec![(off, 1)],
             payload: vec![byte],
-        })
+        }
     }
 
     #[test]
@@ -1009,7 +835,7 @@ mod tests {
     #[test]
     fn replica_recycles_applied_payload_buffers() {
         let mut r = Replica::new(&[vec![0u8; 8]]);
-        // Uniquely-owned frames donate their payloads back to the pool.
+        // Every applied frame donates its payload back to the pool.
         r.offer(frame(0, 1, 0, 1)).unwrap();
         r.offer(frame(0, 2, 1, 2)).unwrap();
         assert_eq!(r.pool.idle(), 2);
@@ -1089,7 +915,7 @@ mod tests {
     #[test]
     fn channel_endpoints_replicate_and_verify() {
         let init = vec![vec![0u8; 16]];
-        let mut t = ChannelTransport::new(2, &init);
+        let mut t = Transport::new(&TransportKind::Channel, 2, &init);
         let mut a = t.take_endpoint(NodeId::new(0)).expect("endpoint");
         let mut b = t.take_endpoint(NodeId::new(1)).expect("endpoint");
         let mut master = init.clone();
@@ -1098,7 +924,12 @@ mod tests {
         master[0][8] = 9;
         b.publish(0, 2, &[1, 1], &[(8, 1)], &master[0]);
         assert_eq!(a.frames_sent, 1);
-        assert!(a.wire_bytes() > 0, "accounted at publish");
+        assert_eq!(
+            a.wire_bytes_payload + a.wire_bytes_meta,
+            0,
+            "nothing is accounted before the flush"
+        );
+        a.flush();
         assert_eq!(a.wire_bytes_payload, 4 * 2, "4 payload bytes × 2 receivers");
         let report = t.finish(vec![*a, *b], &master);
         assert_eq!(report.backend, "channel");
@@ -1119,7 +950,7 @@ mod tests {
     #[test]
     fn channel_flush_coalesces_an_epochs_frames() {
         let init = vec![vec![0u8; 16], vec![0u8; 16]];
-        let mut t = ChannelTransport::new(2, &init);
+        let mut t = Transport::new(&TransportKind::Channel, 2, &init);
         let mut a = t.take_endpoint(NodeId::new(0)).expect("endpoint");
         let b = t.take_endpoint(NodeId::new(1)).expect("endpoint");
         let mut master = init.clone();
@@ -1141,7 +972,7 @@ mod tests {
     #[should_panic(expected = "diverged")]
     fn channel_divergence_is_caught() {
         let init = vec![vec![0u8; 8]];
-        let mut t = ChannelTransport::new(1, &init);
+        let mut t = Transport::new(&TransportKind::Channel, 1, &init);
         let a = t.take_endpoint(NodeId::new(0)).expect("endpoint");
         // The master claims a write the endpoint never published.
         let mut master = init.clone();
@@ -1152,7 +983,7 @@ mod tests {
     #[test]
     fn socket_local_round_trip_over_loopback() {
         let init = vec![vec![0u8; 32], vec![5u8; 8]];
-        let mut t = SocketTransport::new_local(2, 2, &init);
+        let mut t = Transport::new(&TransportKind::SocketLocal(2), 2, &init);
         let mut a = t.take_endpoint(NodeId::new(0)).expect("endpoint");
         let mut b = t.take_endpoint(NodeId::new(1)).expect("endpoint");
         let mut master = init.clone();
@@ -1180,7 +1011,7 @@ mod tests {
     #[test]
     fn socket_batches_with_vector_clocks_round_trip() {
         let init = vec![vec![0u8; 64]];
-        let mut t = SocketTransport::new_local(1, 1, &init);
+        let mut t = Transport::new(&TransportKind::SocketLocal(1), 1, &init);
         let mut a = t.take_endpoint(NodeId::new(0)).expect("endpoint");
         let mut master = init.clone();
         // Three epochs of two frames each, with advancing clocks: exercises
@@ -1204,7 +1035,7 @@ mod tests {
     #[test]
     fn channel_ctrl_broadcasts_reach_every_replica() {
         let init = vec![vec![0u8; 16]];
-        let mut t = ChannelTransport::new(2, &init);
+        let mut t = Transport::new(&TransportKind::Channel, 2, &init);
         let mut a = t.take_endpoint(NodeId::new(0)).expect("endpoint");
         let mut b = t.take_endpoint(NodeId::new(1)).expect("endpoint");
         let mut master = init.clone();
@@ -1225,7 +1056,7 @@ mod tests {
     #[should_panic(expected = "out-of-band")]
     fn channel_ctrl_divergence_is_caught() {
         let init = vec![vec![0u8; 8]];
-        let mut t = ChannelTransport::new(1, &init);
+        let mut t = Transport::new(&TransportKind::Channel, 1, &init);
         let mut a = t.take_endpoint(NodeId::new(0)).expect("endpoint");
         // Claim a broadcast that never went out: the replica's tally can't
         // match.
@@ -1233,25 +1064,35 @@ mod tests {
         t.finish(vec![*a], &init);
     }
 
-    #[test]
-    #[should_panic(expected = "other bytes")]
-    fn socket_byte_miscount_is_caught() {
+    /// Publishes one frame on a one-node run over `kind`, accounts one byte
+    /// that never went out, and finishes: the replica's count can't match.
+    fn finish_with_a_miscounted_byte(kind: TransportKind) {
         let init = vec![vec![0u8; 8]];
-        let mut t = SocketTransport::new_local(1, 1, &init);
+        let mut t = Transport::new(&kind, 1, &init);
         let mut a = t.take_endpoint(NodeId::new(0)).expect("endpoint");
         let mut master = init.clone();
         master[0][0] = 3;
         a.publish(0, 1, &[], &[(0, 1)], &master[0]);
-        // Account one byte that never went out: the peer's count can't
-        // match.
         a.wire_bytes_meta += 1;
         t.finish(vec![*a], &master);
     }
 
     #[test]
+    #[should_panic(expected = "other bytes")]
+    fn socket_byte_miscount_is_caught() {
+        finish_with_a_miscounted_byte(TransportKind::SocketLocal(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "other bytes")]
+    fn channel_byte_miscount_is_caught() {
+        finish_with_a_miscounted_byte(TransportKind::Channel);
+    }
+
+    #[test]
     fn socket_ctrl_broadcasts_reach_every_peer() {
         let init = vec![vec![0u8; 32]];
-        let mut t = SocketTransport::new_local(2, 2, &init);
+        let mut t = Transport::new(&TransportKind::SocketLocal(2), 2, &init);
         let mut a = t.take_endpoint(NodeId::new(0)).expect("endpoint");
         let mut b = t.take_endpoint(NodeId::new(1)).expect("endpoint");
         let mut master = init.clone();
@@ -1269,7 +1110,7 @@ mod tests {
 
     #[test]
     fn simulated_transport_hands_out_nothing() {
-        let mut t = SimulatedTransport;
+        let mut t = Transport::new(&TransportKind::Simulated, 1, &[]);
         assert!(t.take_endpoint(NodeId::new(0)).is_none());
         let master = vec![vec![3u8; 4]];
         let report = t.finish(Vec::new(), &master);

@@ -1,25 +1,23 @@
 //! Compact ordering metadata: run-length clock deltas and a stateful
 //! baseline codec.
 //!
-//! A full [`VectorClock`] record costs 4 bytes per processor per message —
-//! the O(nprocs) consistency-metadata overhead the paper's §4 charges against
-//! LRC, and exactly what the 256-node transport sweep measures.  But the
-//! *information* in consecutive clocks is tiny: between two publishes most
-//! entries either do not move or all advance together (a barrier advances
-//! every peer by one interval).  Following Louvre's compact scoped versions,
-//! this module represents a clock as a **delta against a baseline**: runs of
-//! consecutive entries that changed by the same signed amount, zero runs
-//! skipped entirely, everything varint-encoded.
+//! A full [`VectorClock`](crate::VectorClock) record costs 4 bytes per
+//! processor per message — the O(nprocs) consistency-metadata overhead the
+//! paper's §4 charges against LRC, and exactly what the 256-node transport
+//! sweep measures.  But the *information* in consecutive clocks is tiny:
+//! between two publishes most entries either do not move or all advance
+//! together (a barrier advances every peer by one interval).  Following
+//! Louvre's compact scoped versions, this module represents a clock as a
+//! **delta against a baseline**: runs of consecutive entries that changed by
+//! the same signed amount, zero runs skipped entirely, everything
+//! varint-encoded.
 //!
-//! Two consumers share the representation:
-//!
-//! * [`ClockDelta`] — an in-memory delta usable in per-page write-notice
-//!   chains (`dsm-core` stores the delta per record and reconstructs a full
-//!   clock on demand by replaying the chain over a per-page baseline).
-//! * [`CompactClock`] — a per-stream codec holding the *last clock sent*
-//!   as its baseline; each encoded record is the delta from the previous one.
-//!   The sender and every receiver of the same stream advance identical
-//!   baselines, so the encoding is exact, not approximate.
+//! [`ClockDelta`] is the delta itself; its one consumer is
+//! [`CompactClock`], a per-stream codec holding the *last clock sent* as its
+//! baseline, so each encoded record is the delta from the previous one.  The
+//! sender and every receiver of the same stream advance identical baselines,
+//! so the encoding is exact, not approximate.  The transport's v2 wire
+//! frames carry their clocks this way.
 //!
 //! # Encoding (all varint, see [`put_varint`])
 //!
@@ -33,8 +31,6 @@
 //! 0 for the first), `len ≥ 1` is the run length, and `diff ≠ 0` is the
 //! signed per-entry change, zigzag-mapped to unsigned.  Malformed input
 //! decodes to `None`; a corrupt peer must not be able to panic the decoder.
-
-use crate::VectorClock;
 
 /// Upper bound on a decoded clock length (entries), as a sanity check
 /// against corrupt varints (2^28 entries; real clocks have a few hundred).
@@ -131,8 +127,8 @@ impl ClockDelta {
     }
 
     /// Recomputes this delta as the change taking `base` to `new`, reusing
-    /// the existing run allocation (the hot-path replacement for
-    /// [`ClockDelta::from_entries`] when a retired delta is recycled).
+    /// the existing run allocation (what a [`CompactClock`] does for every
+    /// record it encodes).
     pub fn compute(&mut self, base: &[u32], new: &[u32]) {
         self.runs.clear();
         let n = base.len().max(new.len());
@@ -171,23 +167,6 @@ impl ClockDelta {
         self.runs
             .last()
             .map_or(0, |r| r.start as usize + r.len as usize)
-    }
-
-    /// Adds the delta onto `clock` in place: the chain-walk reconstruction
-    /// step for stored write-notice records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a run reaches past the clock's length or an entry would
-    /// leave `u32` range — both are codec bugs, never a legal outcome for
-    /// deltas built by [`ClockDelta::compute`] and applied in chain order.
-    pub fn apply_to_clock(&self, clock: &mut VectorClock) {
-        let entries = clock.entries_mut();
-        for run in &self.runs {
-            for e in &mut entries[run.start as usize..(run.start + run.len) as usize] {
-                *e = u32::try_from(*e as i64 + run.diff).expect("clock entry out of range");
-            }
-        }
     }
 
     /// Fallible slice application for untrusted (decoded) deltas: `None` if
@@ -427,20 +406,6 @@ mod tests {
                 diff: -7
             }]
         );
-    }
-
-    #[test]
-    fn delta_applies_to_a_vector_clock() {
-        use dsm_sim::NodeId;
-        let mut base = VectorClock::new(4);
-        base.set_entry(NodeId::new(1), 5);
-        let mut new = base.clone();
-        new.bump(NodeId::new(1));
-        new.set_entry(NodeId::new(3), 9);
-        let d = ClockDelta::from_entries(base.entries(), new.entries());
-        let mut rebuilt = base.clone();
-        d.apply_to_clock(&mut rebuilt);
-        assert_eq!(rebuilt, new);
     }
 
     #[test]

@@ -136,13 +136,6 @@ impl VectorClock {
     pub fn entries(&self) -> &[u32] {
         &self.entries
     }
-
-    /// Mutable access to the raw entries, for in-place delta application
-    /// (crate-internal: [`crate::ClockDelta::apply_to_clock`] is the public
-    /// door).
-    pub(crate) fn entries_mut(&mut self) -> &mut [u32] {
-        &mut self.entries
-    }
 }
 
 impl PartialOrd for VectorClock {

@@ -32,7 +32,7 @@
 
 use std::io::{self, Read, Write};
 
-use crate::cclock::{get_varint, put_varint, varint_len, CompactClock};
+use crate::cclock::{get_varint, put_varint, CompactClock};
 use crate::{BufferPool, FlatRun, FlatUpdate, VectorClock};
 use dsm_sim::NodeId;
 
@@ -313,26 +313,6 @@ pub fn encode_frame_v2(
     (meta, out.len() - start - meta)
 }
 
-/// Meta bytes [`encode_frame_v2`] would append for a frame with this shape —
-/// everything except the payload — given the clock record's encoded size
-/// (the byte count [`CompactClock::encode_next`] returns).  Lets the channel
-/// backend account exact would-be wire bytes without serializing.
-pub fn frame_v2_meta_len(
-    region: u32,
-    seq: u64,
-    clock_record_len: usize,
-    runs: &[(u32, u32)],
-) -> usize {
-    let mut n = varint_len(region as u64) + varint_len(seq) + 1 + clock_record_len;
-    n += varint_len(runs.len() as u64);
-    let mut prev_end = 0u64;
-    for &(off, len) in runs {
-        n += varint_len(off as u64 - prev_end) + varint_len(len as u64);
-        prev_end = off as u64 + len as u64;
-    }
-    n
-}
-
 /// Decodes one v2 frame body (the buffer must contain exactly one frame),
 /// advancing `codec`'s baseline.  The payload buffer is drawn from `pool`
 /// so a replica's read loop recycles instead of allocating per frame.
@@ -390,10 +370,12 @@ pub fn decode_frame_v2(
     })
 }
 
-/// Byte length of the batch message header [`begin_batch`] reserves:
-/// `u32 msg_len` · `u8 kind` · `u32 nframes`, all backpatched by
-/// [`finish_batch`].
-pub const BATCH_HEADER_LEN: usize = 9;
+/// Byte length of a framed message's header: `u32 len` · `u8 kind`.
+pub const MSG_HEADER_LEN: usize = 5;
+
+/// Byte length of the batch message header [`begin_batch`] reserves: the
+/// message header and a `u32 nframes`, all backpatched by [`finish_batch`].
+pub const BATCH_HEADER_LEN: usize = MSG_HEADER_LEN + 4;
 
 /// Starts a batch message in an empty buffer by reserving
 /// [`BATCH_HEADER_LEN`] placeholder bytes.  The caller appends each frame as
@@ -870,21 +852,6 @@ mod tests {
                 &mut frame_buf,
             );
             assert_eq!(meta + payload, frame_buf.len());
-            assert_eq!(
-                meta,
-                frame_v2_meta_len(
-                    *region,
-                    *seq,
-                    {
-                        let mut probe = CompactClock::new();
-                        if i > 0 {
-                            probe.encode_next(&frames[i - 1].2, true, &mut Vec::new());
-                        }
-                        probe.encode_next(clock, i == 0, &mut Vec::new())
-                    },
-                    runs
-                )
-            );
             put_varint(&mut batch, frame_buf.len() as u64);
             batch.extend_from_slice(&frame_buf);
         }
@@ -999,7 +966,7 @@ mod tests {
         put_varint(&mut batch, frame_buf.len() as u64);
         batch.extend_from_slice(&frame_buf);
         finish_batch(&mut batch, 1);
-        let body = &batch[5..]; // strip the message len + kind
+        let body = &batch[MSG_HEADER_LEN..];
 
         let mut pool = BufferPool::new();
         assert!(BatchReader::new(&body[..3]).is_none(), "no frame count");

@@ -243,11 +243,12 @@ fn compact_clock_stream_tracks_vector_clocks() {
 }
 
 /// `ClockDelta` is exact over random base/new pairs — including all-zero
-/// clocks, identical clocks and length mismatches — and survives its wire
-/// encoding; truncated records never decode.
+/// clocks and identical clocks — and survives its wire encoding, both alone
+/// and as the second record of a `CompactClock` stream (the path the wire
+/// uses); truncated records never decode.
 #[test]
 fn clock_delta_round_trips_and_rejects_truncation() {
-    use dsm_mem::ClockDelta;
+    use dsm_mem::{ClockDelta, CompactClock};
     for seed in 0..CASES {
         let mut rng = Rng::new(seed + 11_000);
         let n = rng.in_range(1, 48);
@@ -277,12 +278,17 @@ fn clock_delta_round_trips_and_rejects_truncation() {
         assert_eq!(delta.encoded_len(), buf.len(), "seed {seed}");
         let (back, used) = ClockDelta::decode(&buf).expect("well-formed delta");
         assert_eq!(used, buf.len(), "seed {seed}");
-        let mut rebuilt = VectorClock::new(n);
-        for (i, &b) in base.iter().enumerate() {
-            rebuilt.set_entry(NodeId::new(i as u32), b);
-        }
-        back.apply_to_clock(&mut rebuilt);
-        assert_eq!(rebuilt.entries(), &new[..], "seed {seed}");
+        assert_eq!(back, delta, "seed {seed}");
+        // A stream carrying `base` then `new` decodes to both exactly.
+        let (mut enc, mut dec) = (CompactClock::new(), CompactClock::new());
+        let mut stream = Vec::new();
+        let first = enc.encode_next(&base, true, &mut stream);
+        enc.encode_next(&new, false, &mut stream);
+        assert_eq!(dec.decode_next(&stream, true), Some(first), "seed {seed}");
+        assert_eq!(dec.baseline(), &base[..], "seed {seed}");
+        let rest = dec.decode_next(&stream[first..], false);
+        assert_eq!(rest, Some(stream.len() - first), "seed {seed}");
+        assert_eq!(dec.baseline(), &new[..], "seed {seed}");
         // Every strict prefix of a non-empty record must fail to decode
         // cleanly or consume fewer bytes than the full record.
         if !delta.is_empty() {

@@ -9,8 +9,8 @@
 //! *is* the proof that every frame arrived, reordered into sequence order,
 //! and applied to exactly the engines' master bytes — per run, for every app,
 //! deterministic or not.  The same `finish` checks that every replica
-//! tallied every out-of-band message, and that every socket peer received
-//! exactly the bytes the endpoints accounted.
+//! tallied every out-of-band message, and that every replica, on both
+//! backends, received exactly the bytes the endpoints accounted.
 //!
 //! Cross-run comparison (channel/socket contents vs. a separate simulated
 //! run) is additionally asserted for the apps whose contents are bitwise
@@ -150,5 +150,41 @@ fn socket_peer_count_scales_independently_of_node_count() {
         assert!(r.verified);
         assert_eq!(r.wire.replicas_verified, npeers);
         assert_eq!(r.wire.frames_applied, r.wire.frames_sent * npeers as u64);
+    }
+}
+
+/// The two real backends move the same encoded messages: per receiver, a
+/// channel inbox (one per node) and a socket peer get the same payload and
+/// metadata bytes, out of the same frames in the same batches.  Left out are
+/// the runs whose lock-grant order changes the clocks the frames carry from
+/// run to run (IS under the LRC family, Water), and for Quicksort also the
+/// coalescing.
+#[test]
+fn channel_and_socket_receivers_get_the_same_bytes() {
+    let lrc_family = [
+        ImplKind::lrc_diff(),
+        ImplKind::hlrc_diff(),
+        ImplKind::adaptive_diff(),
+    ];
+    let mut runs = vec![(App::IntegerSort, ImplKind::ec_time())];
+    for app in [App::Sor, App::SorPlus, App::BarnesHut, App::Fft3d] {
+        for kind in std::iter::once(ImplKind::ec_time()).chain(lrc_family) {
+            runs.push((app, kind));
+        }
+    }
+    for (app, kind) in runs {
+        let [channel, socket] = assert_backends_agree(app, kind, 4);
+        let (c, s) = (channel.wire, socket.wire);
+        assert_eq!((c.replicas_verified, s.replicas_verified), (4, 2));
+        assert_eq!(
+            (c.wire_bytes_payload / 4, c.wire_bytes_meta / 4),
+            (s.wire_bytes_payload / 2, s.wire_bytes_meta / 2),
+            "{app}/{kind}: per-receiver payload and meta bytes"
+        );
+        assert_eq!(
+            (c.frames_sent, c.frames_coalesced),
+            (s.frames_sent, s.frames_coalesced),
+            "{app}/{kind}: frames and coalescing"
+        );
     }
 }
