@@ -1,13 +1,13 @@
 //! Microbenchmarks of the protocol building blocks, driven by a minimal
 //! self-contained harness (`harness = false`; the offline build environment
 //! has no criterion): the two word-run scans a write travels through (twin
-//! compare at release, same-stamp runs at a grant or miss) and the
-//! vector-clock merge.  Whole-application host time is perfbench's
-//! `paper-apps` workload.
+//! compare at release, on an interleaved, a sparse and a dense page;
+//! same-stamp runs at a grant or miss) and the vector-clock merge.
+//! Whole-application host time is perfbench's `paper-apps` workload.
 //!
 //! Run with `cargo bench -p dsm-bench`.  Each benchmark reports the minimum
-//! and mean wall-clock time over its samples; the minimum is the stable
-//! number to compare across runs.
+//! and mean wall-clock time per call over its samples; the minimum is the
+//! stable number to compare across runs.
 
 use std::time::{Duration, Instant};
 
@@ -16,34 +16,56 @@ use dsm_sim::NodeId;
 
 const SAMPLES: usize = 10;
 
-/// Times `f` over [`SAMPLES`] runs and prints `group/name: min .. mean`.
+/// Calls per sample: a page scan takes about a microsecond, too close to the
+/// cost and resolution of the timer itself to time one call at a time.
+const CALLS: u32 = 1000;
+
+/// Times `f` over [`SAMPLES`] samples of [`CALLS`] calls each and prints
+/// `group/name: min .. mean` per call.
 fn bench<R>(group: &str, name: &str, mut f: impl FnMut() -> R) {
-    // One warm-up run so lazily-allocated tables do not skew the first sample.
-    std::hint::black_box(f());
+    let mut sample = || {
+        let start = Instant::now();
+        for _ in 0..CALLS {
+            std::hint::black_box(f());
+        }
+        start.elapsed() / CALLS
+    };
+    // One warm-up sample so lazily-allocated tables do not skew the first.
+    sample();
     let mut total = Duration::ZERO;
     let mut min = Duration::MAX;
     for _ in 0..SAMPLES {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        let dt = start.elapsed();
+        let dt = sample();
         total += dt;
         min = min.min(dt);
     }
     let mean = total / SAMPLES as u32;
-    println!("{group}/{name}: min {min:>12.3?}  mean {mean:>12.3?}  ({SAMPLES} samples)");
+    println!("{group}/{name}: min {min:>12.3?}  mean {mean:>12.3?}  ({SAMPLES} samples of {CALLS} calls)");
+}
+
+/// Times the release-time twin compare of one 4 KiB page changed as `cur`.
+fn bench_page_scan(name: &str, twin: &[u8], cur: &[u8]) {
+    bench("mechanisms", name, || {
+        let mut words = 0;
+        changed_word_runs(twin, cur, 0..1024, |s, e| words += e - s);
+        words
+    });
 }
 
 fn main() {
+    // Three shapes of a written page: one changed word in four
+    // (interleaved), one 40-byte KV slot put (sparse: what a `kv-write`
+    // release compares), and every word changed (dense: a SOR row sweep).
     let twin = vec![0u8; 4096];
-    let mut cur = twin.clone();
+    let mut interleaved = twin.clone();
     for i in (0..4096).step_by(16) {
-        cur[i] = 1;
+        interleaved[i] = 1;
     }
-    bench("mechanisms", "changed_word_runs_page", || {
-        let mut words = 0;
-        changed_word_runs(&twin, &cur, 0..1024, |s, e| words += e - s);
-        words
-    });
+    bench_page_scan("changed_word_runs_page", &twin, &interleaved);
+    let mut sparse = twin.clone();
+    sparse[1000..1040].fill(1);
+    bench_page_scan("changed_word_runs_sparse_page", &twin, &sparse);
+    bench_page_scan("changed_word_runs_dense_page", &twin, &[1u8; 4096]);
     // One page of stamps: a published word every fourth, the rest unwritten.
     let stamps: Vec<u64> = (0..1024).map(|w| if w % 4 == 0 { 7 } else { 0 }).collect();
     bench("mechanisms", "same_stamp_runs_page", || {

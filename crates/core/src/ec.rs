@@ -23,7 +23,7 @@ use dsm_mem::{BlockGranularity, MemRange, RegionDesc, VectorClock};
 use crate::config::{Collection, DsmConfig, Trapping};
 use crate::engine::{diff_size, ProtocolEngine, PublishRec, CTRL_MSG_BYTES, DIFF_RING};
 use crate::ids::{LockId, LockMode};
-use crate::local::{HeldLock, LocalRegion, NodeLocal};
+use crate::local::{HeldLock, LocalRegion, NodeLocal, WORDS_PER_PAGE};
 use crate::recovery::UndoRec;
 use crate::sync::{self, SlotTable};
 
@@ -59,6 +59,7 @@ const CHUNK_BLOCKS: usize = 64;
 /// Per-region entry-consistency state: the published master copy,
 /// per-word-block publish-sequence stamps, and their per-chunk summary.
 #[derive(Debug)]
+#[cfg_attr(test, derive(Clone, PartialEq))]
 struct EcRegionState {
     /// Latest published value of every byte.
     master: Vec<u8>,
@@ -163,8 +164,8 @@ impl std::fmt::Debug for EcEngine {
 }
 
 /// Running write-collection state shared by the trapping arms of
-/// [`EcEngine::before_release`]: the logical counts the simulated costs are
-/// charged from, plus the cross-range run bookkeeping.
+/// [`EcEngine::collect_range`] over one release: the logical counts the
+/// simulated costs are charged from, plus the cross-range run bookkeeping.
 struct Collect {
     changed_words: usize,
     runs: usize,
@@ -298,6 +299,91 @@ impl EcEngine {
         }
         walk
     }
+
+    /// The bytes of the word blocks `range` touches, clamped to its region:
+    /// what a small-object twin holds of the range, so its release compares
+    /// whole words even when the range starts or ends inside one.
+    fn word_cover(&self, range: &MemRange) -> Range<usize> {
+        let blocks = range.blocks(BlockGranularity::Word);
+        blocks.start * 4..(blocks.end * 4).min(self.regions[range.region.index()].len)
+    }
+
+    /// Write collection of one bound range at release: publishes every
+    /// changed word of `range` into `rsd` (the range's region state) with
+    /// publish sequence `seq`.  `small_twin` is the range's word cover in
+    /// the small-object twin, if the holding took one.  Every arm publishes
+    /// each maximal changed run with one `Collect::publish` (one copy, one
+    /// stamp fill); the counts are those of the per-word walk (DESIGN.md
+    /// §5), and `Collect::prev` joins runs across page and range edges.
+    fn collect_range(
+        &self,
+        col: &mut Collect,
+        rsd: &mut EcRegionState,
+        region: &LocalRegion,
+        range: &MemRange,
+        small_twin: Option<&[u8]>,
+        seq: u64,
+    ) {
+        let ridx = range.region.index();
+        let LocalRegion { data, pages } = region;
+        let blocks = range.blocks(BlockGranularity::Word);
+        match (self.cfg.kind.trapping(), small_twin) {
+            (Trapping::Instrumentation, _) => {
+                // The written bits already are the change set: walk each
+                // covered page's written-bit runs, clipped to the range.
+                for page in range.pages() {
+                    let Some(bits) = &pages[page].written else {
+                        continue;
+                    };
+                    let pb = page * WORDS_PER_PAGE;
+                    for (first, len) in bits.iter_runs() {
+                        let (s, e) = (pb + first, pb + first + len);
+                        if s >= blocks.end {
+                            break;
+                        }
+                        let (s, e) = (s.max(blocks.start), e.min(blocks.end));
+                        if s < e {
+                            col.publish(rsd, data, seq, ridx, s, e);
+                        }
+                    }
+                }
+            }
+            (Trapping::Twinning, Some(twin)) => {
+                // Small object: every word of the range is compared (and
+                // charged) against its cover in the twin.
+                let cover = self.word_cover(range);
+                let b0 = cover.start / 4;
+                col.compare_words += blocks.len();
+                dsm_mem::changed_word_runs(twin, &data[cover], 0..blocks.len(), |s, e| {
+                    col.publish(rsd, data, seq, ridx, b0 + s, b0 + e);
+                });
+            }
+            (Trapping::Twinning, None) => {
+                // Large object: pages without a twin were never written
+                // under this holding and are skipped wholesale (as the word
+                // walk's `None => unchanged` arm did, without charging
+                // comparisons); pages with a twin are compared through the
+                // run scan.
+                for page in range.pages() {
+                    let Some(twin) = &pages[page].twin else {
+                        continue;
+                    };
+                    let span = dsm_mem::page_range(page, data.len());
+                    let pb = span.start / 4;
+                    let page_words = span.len().div_ceil(4);
+                    let w0 = blocks.start.max(pb) - pb;
+                    let w1 = blocks.end.min(pb + page_words) - pb;
+                    if w0 >= w1 {
+                        continue;
+                    }
+                    col.compare_words += w1 - w0;
+                    dsm_mem::changed_word_runs(twin, &data[span], w0..w1, |s, e| {
+                        col.publish(rsd, data, seq, ridx, pb + s, pb + e);
+                    });
+                }
+            }
+        }
+    }
 }
 
 impl ProtocolEngine for EcEngine {
@@ -416,15 +502,16 @@ impl ProtocolEngine for EcEngine {
         }
         if total <= small_limit {
             // Small object: copy it eagerly at acquire, avoiding the
-            // protection fault the Midway VM implementation takes.  All the
-            // bound ranges go into one pooled buffer, concatenated in
-            // binding order (release recomputes the layout from the same
-            // binding), so the acquire path allocates nothing in steady
-            // state.
-            let mut twins = local.pool.take_empty(total);
+            // protection fault the Midway VM implementation takes.  The word
+            // cover of every bound range goes into one pooled buffer,
+            // concatenated in binding order (release recomputes the layout
+            // from the same binding), so the acquire path allocates nothing
+            // in steady state.  The charges stay those of the bound bytes.
+            let cover: usize = bound.iter().map(|r| self.word_cover(r).len()).sum();
+            let mut twins = local.pool.take_empty(cover);
             for range in bound {
                 let data = &local.regions[range.region.index()].data;
-                twins.extend_from_slice(&data[range.start..range.end()]);
+                twins.extend_from_slice(&data[self.word_cover(range)]);
             }
             let words = (total / 4) as u64;
             local.stats.twins_created += 1;
@@ -484,8 +571,8 @@ impl ProtocolEngine for EcEngine {
             wire.as_deref_mut()
                 .map(|w| std::mem::take(&mut w.scratch_runs)),
         );
-        // Offset of the current range's twin in the concatenated small-twin
-        // buffer (ranges were copied in binding order at acquire).
+        // Offset of the current range's cover in the concatenated small-twin
+        // buffer (covers were copied in binding order at acquire).
         let mut small_cum = 0usize;
 
         // Borrowed, not cloned: the release path must not allocate.
@@ -507,65 +594,15 @@ impl ProtocolEngine for EcEngine {
                     master: rs.master[blocks.start * 4..end].into(),
                 }
             });
-            let crate::local::LocalRegion { data, pages } = &mut local.regions[ridx];
-            let data = &data[..];
+            let small_twin = held.small_twins.as_deref().map(|twins| {
+                let len = self.word_cover(range).len();
+                small_cum += len;
+                &twins[small_cum - len..small_cum]
+            });
+            let region = &local.regions[ridx];
             let mut rs = sync::write(&self.region_state[ridx]);
-            let rsd = &mut *rs;
             let changed_before = col.changed_words;
-            match trapping {
-                Trapping::Instrumentation => {
-                    for block in range.blocks(BlockGranularity::Word) {
-                        let page = block * 4 / dsm_mem::PAGE_SIZE;
-                        let w_in_page = block - page * (dsm_mem::PAGE_SIZE / 4);
-                        if pages[page].was_written(w_in_page) {
-                            col.publish(rsd, data, seq, ridx, block, block + 1);
-                        }
-                    }
-                }
-                Trapping::Twinning if held.small_twins.is_some() => {
-                    let twins = held.small_twins.as_deref().expect("checked above");
-                    let twin = &twins[small_cum..small_cum + range.len];
-                    small_cum += range.len;
-                    for block in range.blocks(BlockGranularity::Word) {
-                        let start = block * 4;
-                        let end = (start + 4).min(data.len());
-                        let toff = start.saturating_sub(range.start);
-                        col.compare_words += 1;
-                        if twin.get(toff..toff + (end - start)) != Some(&data[start..end]) {
-                            col.publish(rsd, data, seq, ridx, block, block + 1);
-                        }
-                    }
-                }
-                Trapping::Twinning => {
-                    // Large object: pages without a twin were never written
-                    // under this holding and are skipped wholesale (as the
-                    // word walk's `None => unchanged` arm did, without
-                    // charging comparisons); pages with a twin are compared
-                    // through the chunked run scan, publishing each maximal
-                    // changed run with one copy and one stamp fill.  Run
-                    // bookkeeping (`Collect::prev`) still crosses page and
-                    // range boundaries by block adjacency.
-                    let blocks = range.blocks(BlockGranularity::Word);
-                    for page in range.pages() {
-                        let Some(twin) = &pages[page].twin else {
-                            continue;
-                        };
-                        let span = dsm_mem::page_range(page, data.len());
-                        let pb = span.start / 4;
-                        let page_words = span.len().div_ceil(4);
-                        let w0 = blocks.start.max(pb) - pb;
-                        let w1 = blocks.end.min(pb + page_words) - pb;
-                        if w0 >= w1 {
-                            continue;
-                        }
-                        col.compare_words += w1 - w0;
-                        let cur = &data[span.clone()];
-                        dsm_mem::changed_word_runs(twin, cur, w0..w1, |s, e| {
-                            col.publish(rsd, data, seq, ridx, pb + s, pb + e);
-                        });
-                    }
-                }
-            }
+            self.collect_range(&mut col, &mut rs, region, range, small_twin, seq);
             if col.changed_words > changed_before {
                 // Commit the publish to the region's generation while its
                 // write lock is still held.  As in the LRC engine, the
@@ -575,7 +612,7 @@ impl ProtocolEngine for EcEngine {
                 let gen = self.publish_gen[ridx].fetch_add(1, Ordering::Release) + 1;
                 if let Some(w) = wire.as_deref_mut() {
                     // EC has no vector time: frames carry an empty clock.
-                    w.publish(ridx as u32, gen, &[], &col.wire_runs, data);
+                    w.publish(ridx as u32, gen, &[], &col.wire_runs, &region.data);
                     col.wire_runs.clear();
                 }
             }
@@ -585,16 +622,12 @@ impl ProtocolEngine for EcEngine {
         match trapping {
             Trapping::Instrumentation => {
                 for range in bound {
-                    let ridx = range.region.index();
-                    let region = &mut local.regions[ridx];
-                    for block in range.blocks(BlockGranularity::Word) {
-                        let start = block * 4;
-                        let page = start / dsm_mem::PAGE_SIZE;
-                        let w_in_page = block - page * (dsm_mem::PAGE_SIZE / 4);
-                        if let Some(bits) = &mut region.pages[page].written {
-                            if w_in_page < bits.len() {
-                                bits.clear(w_in_page);
-                            }
+                    let blocks = range.blocks(BlockGranularity::Word);
+                    let pages = &mut local.regions[range.region.index()].pages;
+                    for page in range.pages() {
+                        if let Some(bits) = &mut pages[page].written {
+                            let pb = page * WORDS_PER_PAGE;
+                            bits.clear_range(blocks.start.saturating_sub(pb)..blocks.end - pb);
                         }
                     }
                 }
@@ -917,13 +950,14 @@ mod tests {
     const REGION_LENS: [usize; 2] = [3 * dsm_mem::PAGE_SIZE + 8, 2 * dsm_mem::PAGE_SIZE + 100];
 
     /// `bound` extended to a random binding of one to three disjoint ranges
-    /// over both regions, with byte-misaligned starts and ends.
-    fn random_binding(rng: &mut TestRng, mut bound: Vec<MemRange>) -> Vec<MemRange> {
+    /// over both regions, whose starts and ends are multiples of `align`
+    /// bytes (1: byte-misaligned).
+    fn random_binding(rng: &mut TestRng, mut bound: Vec<MemRange>, align: usize) -> Vec<MemRange> {
         let want = bound.len().max(1 + rng.below(3));
         while bound.len() < want {
             let r = rng.below(REGION_LENS.len());
-            let start = rng.below(REGION_LENS[r] - 1);
-            let len = 1 + rng.below((REGION_LENS[r] - start).min(3000));
+            let start = rng.below(REGION_LENS[r] - 1) / align * align;
+            let len = (1 + rng.below((REGION_LENS[r] - start).min(3000))).next_multiple_of(align);
             let range = MemRange::new(RegionId::new(r as u32), start, len);
             let overlaps = bound.iter().any(|b| {
                 b.region == range.region && b.start < range.end() && range.start < b.end()
@@ -1051,12 +1085,12 @@ mod tests {
                     .collect();
                 // Two locks whose bindings overlap: the second's first range
                 // starts halfway into the first's.
-                let first = random_binding(&mut rng, Vec::new());
+                let first = random_binding(&mut rng, Vec::new(), 1);
                 let shared = first[0];
                 let start = shared.start + shared.len / 2;
                 let len = shared.len.min(REGION_LENS[shared.region.index()] - start);
                 let second =
-                    random_binding(&mut rng, vec![MemRange::new(shared.region, start, len)]);
+                    random_binding(&mut rng, vec![MemRange::new(shared.region, start, len)], 1);
                 e.bind(LockId::new(0), first);
                 e.bind(LockId::new(1), second);
                 for _ in 0..80 {
@@ -1065,7 +1099,7 @@ mod tests {
                     match rng.below(10) {
                         0 => e.rebind(
                             LockId::new(lock as u32),
-                            random_binding(&mut rng, Vec::new()),
+                            random_binding(&mut rng, Vec::new(), 1),
                         ),
                         1 => holding(&e, local, lock, &mut rng, true),
                         2 => checked_grant(&e, local, lock),
@@ -1078,6 +1112,247 @@ mod tests {
                 for local in &mut nodes {
                     for lock in 0..2 {
                         checked_grant(&e, local, lock);
+                    }
+                }
+            }
+        }
+    }
+
+    fn held_exclusive() -> HeldLock {
+        HeldLock {
+            mode: LockMode::Exclusive,
+            small_twins: None,
+            armed_pages: Vec::new(),
+        }
+    }
+
+    /// Region blocks carrying a non-zero stamp.
+    fn stamped_blocks(e: &EcEngine, ridx: usize) -> Vec<usize> {
+        let rs = sync::read(&e.region_state[ridx]);
+        (0..rs.stamp.len()).filter(|&b| rs.stamp[b] != 0).collect()
+    }
+
+    #[test]
+    fn misaligned_small_object_publishes_what_page_twinning_publishes() {
+        // Bytes 5..15 touch words 1..4; only word 2 (bytes 8..12) changes.
+        // Every byte starts distinct, so a word compared shifted differs.
+        let mut stamped = Vec::new();
+        for limit in [dsm_mem::PAGE_SIZE, 0] {
+            let cfg = DsmConfig {
+                ec_small_object_limit: limit,
+                ..DsmConfig::with_procs(ImplKind::ec_time(), 1)
+            };
+            let regions = vec![RegionDesc::new(
+                RegionId::new(0),
+                "r",
+                64,
+                BlockGranularity::Word,
+            )];
+            let init = vec![(0..64).collect::<Vec<u8>>()];
+            let e = EcEngine::new(&cfg, &regions, &init);
+            let mut local = NodeLocal::new(dsm_sim::NodeId::new(0), 1, &regions, &init);
+            let lock = LockId::new(0);
+            e.bind(lock, vec![MemRange::new(RegionId::new(0), 5, 10)]);
+            let mut held = held_exclusive();
+            e.after_acquire(&mut local, lock, &mut held);
+            assert_eq!(held.small_twins.is_some(), limit > 0);
+            if limit > 0 {
+                // Charged for the 10 bound bytes, not the 12-byte cover.
+                assert_eq!(local.stats.twin_words, 10 / 4);
+            }
+            e.trap_write_span(&mut local, 0, 10, 1, 1);
+            local.regions[0].data[10] = 0xff;
+            e.before_release(&mut local, lock, &mut held);
+            stamped.push(stamped_blocks(&e, 0));
+        }
+        assert_eq!(stamped, [vec![2], vec![2]]);
+    }
+
+    /// The per-word release loops `collect_range`'s run walks replaced, kept
+    /// as the reference they are held to: EC-ci asks every bound block's
+    /// written bit, a small object compares every bound word against the
+    /// range's bytes in the twin, a large object every bound word of a
+    /// twinned page against the page twin, and each changed word is
+    /// published on its own.
+    fn reference_collect_range(
+        e: &EcEngine,
+        col: &mut Collect,
+        rsd: &mut EcRegionState,
+        region: &LocalRegion,
+        range: &MemRange,
+        small_twin: Option<&[u8]>,
+        seq: u64,
+    ) {
+        let ridx = range.region.index();
+        let data = &region.data[..];
+        for block in range.blocks(BlockGranularity::Word) {
+            let start = block * 4;
+            let end = (start + 4).min(data.len());
+            let page = start / dsm_mem::PAGE_SIZE;
+            let changed = match (e.cfg.kind.trapping(), small_twin) {
+                (Trapping::Instrumentation, _) => {
+                    region.pages[page].was_written(block - page * WORDS_PER_PAGE)
+                }
+                (Trapping::Twinning, Some(twin)) => {
+                    col.compare_words += 1;
+                    let toff = start.saturating_sub(range.start);
+                    twin.get(toff..toff + (end - start)) != Some(&data[start..end])
+                }
+                (Trapping::Twinning, None) => {
+                    let Some(twin) = &region.pages[page].twin else {
+                        continue;
+                    };
+                    col.compare_words += 1;
+                    let base = page * dsm_mem::PAGE_SIZE;
+                    twin[start - base..end - base] != data[start..end]
+                }
+            };
+            if changed {
+                col.publish(rsd, data, seq, ridx, block, block + 1);
+            }
+        }
+    }
+
+    /// Releases `held` (a holding of `lock` by `local`'s node, over a
+    /// word-aligned binding) after running `collect_range` and the per-word
+    /// reference on copies of the region states, and requires the same
+    /// master bytes, stamps, summaries, counts and wire runs from both, and
+    /// the reference's state and counts from the real release.
+    fn checked_release(e: &EcEngine, local: &mut NodeLocal, lock: usize, held: &mut HeldLock) {
+        let bound = sync::lock(e.locks.get(lock)).bound.clone();
+        let seq = e.publish_seq.load(Ordering::Relaxed) + 1;
+        let states = || -> Vec<EcRegionState> {
+            e.region_state
+                .iter()
+                .map(|r| sync::read(r).clone())
+                .collect()
+        };
+        let (mut want_rs, mut got_rs) = (states(), states());
+        let mut want = Collect::new(Some(Vec::new()));
+        let mut got = Collect::new(Some(Vec::new()));
+        let mut small_cum = 0usize;
+        for range in &bound {
+            assert!(range.start % 4 == 0 && range.len % 4 == 0, "{range}");
+            let ridx = range.region.index();
+            // On a word-aligned binding each range's cover is the range.
+            let twin = held.small_twins.as_deref().map(|twins| {
+                small_cum += range.len;
+                &twins[small_cum - range.len..small_cum]
+            });
+            let region = &local.regions[ridx];
+            reference_collect_range(e, &mut want, &mut want_rs[ridx], region, range, twin, seq);
+            e.collect_range(&mut got, &mut got_rs[ridx], region, range, twin, seq);
+            assert_eq!(got.wire_runs, want.wire_runs, "wire runs of {range}");
+            got.wire_runs.clear();
+            want.wire_runs.clear();
+        }
+        let counts = |c: &Collect| (c.changed_words, c.runs, c.compare_words);
+        assert_eq!(counts(&got), counts(&want), "changed words, runs, compares");
+        assert!(got_rs == want_rs, "master, stamps or summaries differ");
+
+        let diff_words_before = local.stats.diff_words;
+        e.before_release(local, LockId::new(lock as u32), held);
+        assert!(states() == want_rs, "the release left other region state");
+        if e.cfg.kind.trapping() == Trapping::Instrumentation {
+            // The release retires the written bits of what it published.
+            for range in &bound {
+                let pages = &local.regions[range.region.index()].pages;
+                for block in range.blocks(BlockGranularity::Word) {
+                    let page = block / WORDS_PER_PAGE;
+                    assert!(!pages[page].was_written(block - page * WORDS_PER_PAGE));
+                }
+            }
+        }
+        assert_eq!(
+            local.stats.diff_words - diff_words_before,
+            want.changed_words as u64
+        );
+        if want.changed_words > 0 {
+            let meta = sync::lock(e.locks.get(lock));
+            let rec = meta.publishes.back().expect("a publish record");
+            assert_eq!(rec.stamp, seq);
+            assert_eq!(rec.encoded_size, diff_size(want.changed_words, want.runs));
+            assert_eq!(rec.compare_words, want.compare_words);
+        }
+    }
+
+    #[test]
+    fn release_run_walks_match_the_per_word_walks() {
+        // Small-object limit 0 sends every twinning holding down the
+        // large-object arm, `usize::MAX` down the small-object arm; EC-ci
+        // ignores it.
+        for kind in ImplKind::ec_all() {
+            for limit in [0, usize::MAX] {
+                for seed in 1..=8u64 {
+                    let mut rng = TestRng::new(seed);
+                    let cfg = DsmConfig {
+                        ec_small_object_limit: limit,
+                        ..DsmConfig::with_procs(kind, 2)
+                    };
+                    let regions: Vec<RegionDesc> = REGION_LENS
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &len)| {
+                            RegionDesc::new(
+                                RegionId::new(i as u32),
+                                "r",
+                                len,
+                                BlockGranularity::Word,
+                            )
+                        })
+                        .collect();
+                    let init: Vec<Vec<u8>> =
+                        REGION_LENS.iter().map(|&len| rng.bytes(len)).collect();
+                    let e = EcEngine::new(&cfg, &regions, &init);
+                    let mut nodes: Vec<NodeLocal> = (0..2)
+                        .map(|n| NodeLocal::new(dsm_sim::NodeId::new(n), 2, &regions, &init))
+                        .collect();
+                    // Two locks whose bindings may share pages and blocks.
+                    for lock in 0..2 {
+                        e.bind(LockId::new(lock), random_binding(&mut rng, Vec::new(), 4));
+                    }
+                    for _ in 0..40 {
+                        let local = &mut nodes[rng.below(2)];
+                        // One lock, or both held at once (released in
+                        // reverse), so page twins are shared.
+                        let locks = match rng.below(3) {
+                            0 => vec![0, 1],
+                            _ => vec![rng.below(2)],
+                        };
+                        let mut helds: Vec<HeldLock> = Vec::new();
+                        for &lock in &locks {
+                            let mut held = held_exclusive();
+                            e.after_acquire(local, LockId::new(lock as u32), &mut held);
+                            helds.push(held);
+                        }
+                        for _ in 0..1 + rng.below(5) {
+                            let lock = locks[rng.below(locks.len())];
+                            let bound = sync::lock(e.locks.get(lock)).bound.clone();
+                            let range = bound[rng.below(bound.len())];
+                            let ridx = range.region.index();
+                            let off = range.start + rng.below(range.len);
+                            let len = 1 + rng.below((range.end() - off).min(700));
+                            e.trap_write_span(local, ridx, off, len, 1);
+                            // A quarter of the writes store what was there:
+                            // written, yet unchanged.
+                            if rng.below(4) != 0 {
+                                let bytes = rng.bytes(len);
+                                local.regions[ridx].data[off..off + len].copy_from_slice(&bytes);
+                            }
+                        }
+                        // Stray written bits anywhere (another holding's, not
+                        // yet released): only those inside a bound range
+                        // publish.
+                        if rng.below(3) == 0 {
+                            let r = rng.below(REGION_LENS.len());
+                            let page = rng.below(local.regions[r].pages.len());
+                            let w = rng.below(WORDS_PER_PAGE);
+                            let bits = local.regions[r].pages[page].written_mut();
+                            bits.set_range(w..w + 1 + rng.below(200));
+                        }
+                        for (&lock, held) in locks.iter().zip(&mut helds).rev() {
+                            checked_release(&e, local, lock, held);
+                        }
                     }
                 }
             }

@@ -57,7 +57,9 @@ impl LocalPage {
     }
 
     /// True if the given word block (page-relative) was written in the
-    /// current interval.
+    /// current interval.  The per-word reference walks ask; the library
+    /// walks the written bits' runs.
+    #[cfg(test)]
     pub fn was_written(&self, word_in_page: usize) -> bool {
         self.written.as_ref().is_some_and(|w| w.get(word_in_page))
     }
@@ -109,11 +111,12 @@ impl LocalRegion {
 pub(crate) struct HeldLock {
     /// The mode it was acquired in.
     pub mode: LockMode,
-    /// EC small-object twinning: a copy of every bound range taken at acquire
-    /// time, concatenated in binding order into one pooled buffer (the range
-    /// layout is recomputed from the binding at release, which must therefore
-    /// not change while the lock is held), compared against the current data
-    /// at release and then returned to the node's [`BufferPool`].
+    /// EC small-object twinning: a copy of every bound range's word cover
+    /// (the word blocks it touches) taken at acquire time, concatenated in
+    /// binding order into one pooled buffer (the layout is recomputed from
+    /// the binding at release, which must therefore not change while the
+    /// lock is held), compared against the current data at release and then
+    /// returned to the node's [`BufferPool`].
     pub small_twins: Option<Vec<u8>>,
     /// EC large-object twinning: the pages that were armed (write-protected)
     /// at acquire, so release can disarm exactly those.

@@ -321,9 +321,10 @@ impl LrcEngine {
                     // compared against the twin (that comparison *is* the
                     // charged collection cost — `compare_words` counts every
                     // word of the page whatever the chunked scan skips).
-                    // `changed_word_runs` compares eight bytes at a time and
-                    // delivers each maximal changed run once, published with
-                    // one copy and one stamp fill.
+                    // `changed_word_runs` skips equal 256-byte blocks,
+                    // compares the rest eight bytes at a time and delivers
+                    // each maximal changed run once, published with one copy
+                    // and one stamp fill.
                     Trapping::Twinning => {
                         if let Some(twin) = &lp.twin {
                             compare_words = nwords;

@@ -118,6 +118,19 @@ impl BitSet {
     /// the write-trap path (a span write marks its dirty bits with one call),
     /// so it must not loop bit by bit.
     pub fn set_range(&mut self, range: std::ops::Range<usize>) {
+        self.update_range(range, |word, mask| *word |= mask);
+    }
+
+    /// Clears every bit in `range` (clamped to the capacity): the mirror of
+    /// [`BitSet::set_range`], one masked AND per word, for a release that
+    /// retires the dirty bits of the data it published.
+    pub fn clear_range(&mut self, range: std::ops::Range<usize>) {
+        self.update_range(range, |word, mask| *word &= !mask);
+    }
+
+    /// Calls `op(word, mask)` on every word `range` (clamped to the
+    /// capacity) touches, `mask` selecting the range's bits in that word.
+    fn update_range(&mut self, range: std::ops::Range<usize>, op: impl Fn(&mut u64, u64)) {
         let start = range.start.min(self.len);
         let end = range.end.min(self.len);
         if start >= end {
@@ -127,14 +140,14 @@ impl BitSet {
         let (ew, eb) = (end / 64, end % 64);
         if sw == ew {
             // Within one word; `end > start` guarantees `eb > 0` here.
-            self.words[sw] |= (!0u64 << sb) & (!0u64 >> (64 - eb));
+            op(&mut self.words[sw], (!0u64 << sb) & (!0u64 >> (64 - eb)));
         } else {
-            self.words[sw] |= !0u64 << sb;
+            op(&mut self.words[sw], !0u64 << sb);
             for w in &mut self.words[sw + 1..ew] {
-                *w = !0;
+                op(w, !0);
             }
             if eb > 0 {
-                self.words[ew] |= !0u64 >> (64 - eb);
+                op(&mut self.words[ew], !0u64 >> (64 - eb));
             }
         }
     }
@@ -277,6 +290,27 @@ mod tests {
             let mut slow = BitSet::new(len);
             for i in lo..hi.min(len) {
                 slow.set(i);
+            }
+            assert_eq!(fast, slow, "len {len} range {lo}..{hi}");
+        }
+    }
+
+    #[test]
+    fn clear_range_matches_bitwise_loop_on_random_ranges() {
+        let mut rng = crate::testutil::TestRng::new(10);
+        for _ in 0..256 {
+            let len = rng.in_range(1, 300);
+            let mut fast = BitSet::new(len);
+            for _ in 0..rng.below(8) {
+                let lo = rng.below(len);
+                fast.set_range(lo..lo + rng.below(len));
+            }
+            let mut slow = fast.clone();
+            let lo = rng.below(len + 64);
+            let hi = lo + rng.below(200);
+            fast.clear_range(lo..hi);
+            for i in lo..hi.min(len) {
+                slow.clear(i);
             }
             assert_eq!(fast, slow, "len {len} range {lo}..{hi}");
         }

@@ -9,7 +9,9 @@
 //!
 //! * [`changed_word_runs`] finds what a twinning release publishes: the
 //!   maximal runs of words that differ between a page (or object) and its
-//!   twin.
+//!   twin.  It skips every 256-byte block equal to the twin with one slice
+//!   comparison, so a release pays for the words it changed, not for every
+//!   word it twinned.
 //! * [`same_stamp_runs`] finds what a grant or miss may apply: the maximal
 //!   runs of words that share one stamp, so the apply decision is made once
 //!   per run and each applied run is one copy.
@@ -17,7 +19,8 @@
 //! The paper's two collection schemes (§5) are charged from the counts these
 //! scans produce — changed words and runs for a run-length diff, applied
 //! words and same-stamp runs for a timestamp reply — so no separate diff
-//! object is ever built.
+//! object is ever built.  Those counts are logical: a caller charges every
+//! word it asked the scan to compare, whatever the scan skipped.
 
 use std::ops::Range;
 
@@ -25,10 +28,14 @@ use std::ops::Range;
 /// words in `words`, comparing `current` against `twin` (equal-length
 /// slices; a trailing word may be shorter than 4 bytes).
 ///
-/// This is the write-collection scan of the twinning implementations: words
-/// are compared eight bytes (two words) at a time and only a differing chunk
-/// is refined to word granularity.  The runs delivered are exactly the
-/// maximal runs a word-by-word comparison would find.
+/// This is the write-collection scan of the twinning implementations.  Its
+/// host cost follows what changed, not what was twinned: each block of 64
+/// words (256 bytes) is first compared with one slice comparison and
+/// skipped whole when equal; only a differing block is walked eight bytes
+/// (two words) at a time, and only a differing eight-byte chunk is refined
+/// to word granularity.  The runs delivered are exactly the maximal runs a
+/// word-by-word comparison would find, runs that cross a block edge
+/// included.
 ///
 /// ```
 /// use dsm_mem::changed_word_runs;
@@ -60,45 +67,62 @@ pub fn changed_word_runs(
     let mut open: Option<usize> = None;
     let mut w = words.start;
     while w < words.end {
-        if w + 2 <= words.end && w * 4 + 8 <= len {
-            let at = w * 4;
-            let t = u64::from_le_bytes(twin[at..at + 8].try_into().expect("8-byte chunk"));
-            let u = u64::from_le_bytes(current[at..at + 8].try_into().expect("8-byte chunk"));
-            if t == u {
+        let block_end = (w + SCAN_BLOCK_WORDS).min(words.end);
+        let bytes = (w * 4).min(len)..(block_end * 4).min(len);
+        let (t, c) = (&twin[bytes.clone()], &current[bytes]);
+        if t == c {
+            if let Some(s) = open.take() {
+                f(s, w);
+            }
+            w = block_end;
+            continue;
+        }
+        // A differing block: walk it eight bytes (two words) at a time, then
+        // word by word through a tail shorter than a chunk.  `open` carries a
+        // run across the block edges, so one crossing them is delivered once.
+        for (t, c) in t.chunks_exact(8).zip(c.chunks_exact(8)) {
+            let t = u64::from_le_bytes(t.try_into().expect("8-byte chunk"));
+            let c = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+            let x = t ^ c;
+            if x == 0 {
                 if let Some(s) = open.take() {
                     f(s, w);
                 }
-                w += 2;
-                continue;
+            } else {
+                // Little-endian interpretation: the low 32 bits are word `w`.
+                if x & 0xffff_ffff != 0 {
+                    open.get_or_insert(w);
+                } else if let Some(s) = open.take() {
+                    f(s, w);
+                }
+                if x >> 32 != 0 {
+                    open.get_or_insert(w + 1);
+                } else if let Some(s) = open.take() {
+                    f(s, w + 1);
+                }
             }
-            let x = t ^ u;
-            // Little-endian interpretation: the low 32 bits are word `w`.
-            if x & 0xffff_ffff != 0 {
+            w += 2;
+        }
+        while w < block_end {
+            let sb = (w * 4).min(len);
+            let eb = (sb + 4).min(len);
+            if twin[sb..eb] != current[sb..eb] {
                 open.get_or_insert(w);
             } else if let Some(s) = open.take() {
                 f(s, w);
             }
-            if x >> 32 != 0 {
-                open.get_or_insert(w + 1);
-            } else if let Some(s) = open.take() {
-                f(s, w + 1);
-            }
-            w += 2;
-            continue;
+            w += 1;
         }
-        let sb = (w * 4).min(len);
-        let eb = (sb + 4).min(len);
-        if twin[sb..eb] != current[sb..eb] {
-            open.get_or_insert(w);
-        } else if let Some(s) = open.take() {
-            f(s, w);
-        }
-        w += 1;
     }
     if let Some(s) = open.take() {
         f(s, words.end);
     }
 }
+
+/// Words per block of `changed_word_runs`'s skip test (256 bytes): a KV
+/// slot or a few matrix elements changed on a 4 KiB page leave all but one
+/// or two of the page's sixteen blocks equal to the twin.
+const SCAN_BLOCK_WORDS: usize = 64;
 
 /// Calls `f(start, end, stamp)` for every maximal run of equal stamps in
 /// `stamps[blocks]`, in increasing order.  Indices are positions in
@@ -134,6 +158,7 @@ pub fn same_stamp_runs(stamps: &[u64], blocks: Range<usize>, mut f: impl FnMut(u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     /// The word-by-word comparison `changed_word_runs` must agree with.
     fn word_walk(twin: &[u8], cur: &[u8], words: Range<usize>) -> Vec<(usize, usize)> {
@@ -186,21 +211,40 @@ mod tests {
 
     #[test]
     fn chunked_compare_matches_reference_on_edge_shapes() {
-        // Lengths around the 8-byte chunk boundary, with a change at every
-        // byte, over every word range.
-        for len in [0usize, 1, 3, 4, 7, 8, 9, 12, 15, 16, 17, 23, 24] {
+        // Lengths around the 8-byte chunk and around one and two 256-byte
+        // skip blocks, with a one-byte and a nine-byte change starting at
+        // every byte (the nine-byte one crosses chunk and block edges).  Up
+        // to 24 bytes every word range is tried; longer lengths try every
+        // range whose ends lie on, just before or just after a block edge,
+        // at the ends of the data or mid-block.
+        for len in [
+            0usize, 1, 3, 4, 7, 8, 9, 12, 15, 16, 17, 23, 24, 250, 255, 256, 257, 262, 508, 511,
+            512, 513, 518,
+        ] {
             let nwords = len.div_ceil(4);
+            let ends: BTreeSet<usize> = if len <= 24 {
+                (0..=nwords).collect()
+            } else {
+                let edges = [0, 1, 2, 31, 63, 64, 65, 97, 127, 128, 129];
+                edges
+                    .into_iter()
+                    .chain([nwords - 1, nwords])
+                    .filter(|&w| w <= nwords)
+                    .collect()
+            };
             for flip in 0..len {
-                let twin = vec![0u8; len];
-                let mut cur = twin.clone();
-                cur[flip] ^= 0x80;
-                for w0 in 0..=nwords {
-                    for w1 in w0..=nwords {
-                        assert_eq!(
-                            scan(&twin, &cur, w0..w1),
-                            word_walk(&twin, &cur, w0..w1),
-                            "len {len} flip {flip} words {w0}..{w1}"
-                        );
+                for span in [1, 9] {
+                    let twin = vec![0u8; len];
+                    let mut cur = twin.clone();
+                    cur[flip..(flip + span).min(len)].fill(0x80);
+                    for &w0 in &ends {
+                        for &w1 in ends.range(w0..) {
+                            assert_eq!(
+                                scan(&twin, &cur, w0..w1),
+                                word_walk(&twin, &cur, w0..w1),
+                                "len {len} flip {flip}+{span} words {w0}..{w1}"
+                            );
+                        }
                     }
                 }
             }
@@ -216,13 +260,20 @@ mod tests {
     #[test]
     fn changed_word_runs_matches_word_walk() {
         let mut rng = crate::testutil::TestRng::new(77);
-        for _ in 0..256 {
-            let len = rng.in_range(1, 120);
+        for _ in 0..512 {
+            // Up to six skip blocks, changed by single bytes and by spans
+            // long enough to fill or straddle a block.
+            let len = rng.in_range(1, 1536);
             let twin = rng.bytes(len);
             let mut cur = twin.clone();
             for _ in 0..rng.below(12) {
                 let p = rng.below(len);
-                cur[p] = rng.byte();
+                if rng.below(4) == 0 {
+                    let end = (p + 1 + rng.below(600)).min(len);
+                    cur[p..end].copy_from_slice(&rng.bytes(end - p));
+                } else {
+                    cur[p] = rng.byte();
+                }
             }
             let nwords = len.div_ceil(4);
             let w0 = rng.below(nwords + 1);
