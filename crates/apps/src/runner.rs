@@ -128,6 +128,8 @@ pub struct AppReport {
     pub nprocs: usize,
     /// Simulated parallel execution time.
     pub time: SimTime,
+    /// Per-node simulated completion times.
+    pub node_times: Vec<SimTime>,
     /// Simulated single-processor time of the sequential program.
     pub seq_time: SimTime,
     /// Traffic statistics (messages, bytes, misses, ...).
@@ -211,6 +213,7 @@ pub fn run_app_opts(
         kind,
         nprocs,
         time: result.time,
+        node_times: result.node_times,
         seq_time,
         traffic: result.traffic,
         sharing: result.sharing,

@@ -3,12 +3,13 @@
 //! The tests live in the `tests/` subdirectory of this package; this library
 //! target additionally provides the shared *golden trace* machinery: a seeded,
 //! barrier-deterministic workload plus a canonical serialization of a run's
-//! observable output (region contents, `TrafficReport`, per-node statistics),
-//! stable across refactors of the engine internals.  Golden files are
+//! observable output (region contents, `TrafficReport`, per-node statistics,
+//! simulated clocks), stable across refactors of the engine internals.  Golden files are
 //! (re)generated by running the golden tests with `DSM_BLESS_GOLDEN=1`.
 
 use dsm_core::{
-    BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode, RunResult, SharedArray,
+    BarrierId, BlockGranularity, Collection, Dsm, DsmConfig, ImplKind, LockId, LockMode, Model,
+    RunResult, SharedArray, SimTime,
 };
 use dsm_mem::wire::fnv64;
 use dsm_sim::{MsgKind, NodeStats};
@@ -209,6 +210,28 @@ pub fn canon_app(report: &dsm_apps::AppReport) -> String {
         canon_node_stats(&mut out, i, report.stats.node(i));
     }
     out
+}
+
+/// Canonical serialization of a run's simulated clocks in integer
+/// nanoseconds: the run's time, then every node's clock in node-id order.
+///
+/// Empty where the time is not a function of the program.  Under homeless
+/// diff collection (`LRC-diff`, and `ALRC-diff`, whose pages start homeless)
+/// on more than one processor, a miss bills the lazy creation of a writer's
+/// diff to whichever fetcher takes the region's write lock first, so which
+/// node's clock pays it follows host scheduling (DESIGN.md §10).  Every
+/// counter of those runs stays pinned.
+pub fn canon_time(kind: ImplKind, nprocs: usize, time: SimTime, node_times: &[SimTime]) -> String {
+    let homeless_diffs = kind.collection() == Collection::Diffs
+        && matches!(kind.model(), Model::Lrc | Model::Adaptive);
+    if nprocs > 1 && homeless_diffs {
+        return String::new();
+    }
+    let nodes: Vec<String> = node_times
+        .iter()
+        .map(|t| t.as_nanos().to_string())
+        .collect();
+    format!("time: {} ns, nodes: {}\n", time.as_nanos(), nodes.join(" "))
 }
 
 /// Compares `found` against the golden file at `tests/golden/<name>`, or

@@ -18,7 +18,7 @@ use dsm_core::{
 };
 use dsm_mem::testutil::TestRng as Rng;
 use dsm_sim::MsgKind;
-use dsm_tests::{canon_app, canon_run, check_golden, golden_trace};
+use dsm_tests::{canon_app, canon_run, canon_time, check_golden, golden_trace};
 
 /// The homeless LRC engine reproduces the pre-refactor engine byte for byte
 /// on the seeded trace: contents, traffic, and per-node stats, at 1 and 4
@@ -34,6 +34,7 @@ fn homeless_lrc_matches_pre_refactor_golden_trace() {
         ] {
             let (result, arrays) = golden_trace(kind, nprocs);
             found.push_str(&canon_run(kind, nprocs, &result, &arrays));
+            found.push_str(&canon_time(kind, nprocs, result.time, &result.node_times));
         }
         check_golden(&format!("homeless_lrc_trace_p{nprocs}.txt"), &found);
     }
@@ -53,6 +54,7 @@ fn homeless_lrc_matches_pre_refactor_golden_sor() {
             let report = run_app(App::Sor, kind, nprocs, Scale::Tiny);
             assert!(report.verified);
             found.push_str(&canon_app(&report));
+            found.push_str(&canon_time(kind, nprocs, report.time, &report.node_times));
         }
         check_golden(&format!("homeless_lrc_sor_p{nprocs}.txt"), &found);
     }

@@ -14,10 +14,11 @@ use std::fmt::Write as _;
 
 use dsm_apps::{run_app, App, Scale};
 use dsm_core::{ImplKind, Model};
-use dsm_tests::check_golden;
+use dsm_tests::{canon_time, check_golden};
 
 /// One implementation's canonical line: verification, the aggregate
-/// traffic and each node's messages/bytes/access misses.
+/// traffic and each node's messages/bytes/access misses, followed by its
+/// simulated clocks where they are pinned ([`canon_time`]).
 fn canon_line(kind: ImplKind) -> String {
     let r = run_app(App::Sor, kind, 4, Scale::Tiny);
     assert!(r.verified, "SOR under {kind} failed verification");
@@ -39,6 +40,7 @@ fn canon_line(kind: ImplKind) -> String {
         .expect("write to string");
     }
     line.push('\n');
+    line.push_str(&canon_time(kind, 4, r.time, &r.node_times));
     line
 }
 

@@ -12,7 +12,7 @@
 
 use dsm_apps::{run_app, App, Scale};
 use dsm_core::{ImplKind, Model};
-use dsm_tests::{canon_app, canon_run, check_golden, golden_trace};
+use dsm_tests::{canon_app, canon_run, canon_time, check_golden, golden_trace};
 
 /// The nine static implementations, in `ImplKind::all()` order (the order
 /// the pre-adaptive goldens were blessed in).
@@ -32,6 +32,7 @@ fn trace_matches_pre_redesign_goldens_raw_and_typed() {
         for kind in static_kinds() {
             let (result, arrays) = golden_trace(kind, nprocs);
             found.push_str(&canon_run(kind, nprocs, &result, &arrays));
+            found.push_str(&canon_time(kind, nprocs, result.time, &result.node_times));
         }
         check_golden(&format!("typed_api_trace_p{nprocs}.txt"), &found);
     }
@@ -47,6 +48,7 @@ fn sor_matches_pre_redesign_goldens() {
             let report = run_app(App::Sor, kind, nprocs, Scale::Tiny);
             assert!(report.verified, "{kind} SOR diverged from sequential");
             found.push_str(&canon_app(&report));
+            found.push_str(&canon_time(kind, nprocs, report.time, &report.node_times));
         }
         check_golden(&format!("typed_api_sor_p{nprocs}.txt"), &found);
     }
@@ -63,9 +65,11 @@ fn adaptive_family_matches_its_own_goldens() {
         for kind in ImplKind::adaptive_all() {
             let (result, arrays) = golden_trace(kind, nprocs);
             trace.push_str(&canon_run(kind, nprocs, &result, &arrays));
+            trace.push_str(&canon_time(kind, nprocs, result.time, &result.node_times));
             let report = run_app(App::Sor, kind, nprocs, Scale::Tiny);
             assert!(report.verified, "{kind} SOR diverged from sequential");
             sor.push_str(&canon_app(&report));
+            sor.push_str(&canon_time(kind, nprocs, report.time, &report.node_times));
         }
         check_golden(&format!("typed_api_trace_alrc_p{nprocs}.txt"), &trace);
         check_golden(&format!("typed_api_sor_alrc_p{nprocs}.txt"), &sor);
