@@ -575,7 +575,7 @@ fn read_body_pos(
 /// Simulated single-processor execution time of the sequential program.
 pub fn sequential_time(p: &BarnesParams, cost: &dsm_sim::CostModel) -> dsm_sim::SimTime {
     let (_, work) = sequential(p);
-    cost.work(work)
+    cost.price(dsm_sim::Charge::Compute(work))
 }
 
 #[cfg(test)]

@@ -313,7 +313,7 @@ pub fn run_opts(
 /// Simulated single-processor execution time of the sequential program.
 pub fn sequential_time(p: &QsParams, cost: &dsm_sim::CostModel) -> dsm_sim::SimTime {
     let (_, work) = sequential(p);
-    cost.work(work)
+    cost.price(dsm_sim::Charge::Compute(work))
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! per-lock and per-barrier slots of [`SyncTables`](crate::sync::SyncTables).
 
 use dsm_mem::{MemRange, VectorClock, PAGE_SIZE};
-use dsm_sim::{CostModel, MsgKind, SimTime, Work};
+use dsm_sim::{Charge, SimTime, Work};
 
 use crate::api::SharedArray;
 use crate::config::DsmConfig;
@@ -63,19 +63,13 @@ impl<'a> ProcessContext<'a> {
         self.local.clock.now()
     }
 
-    pub(crate) fn cost(&self) -> &CostModel {
-        &self.global.cfg.cost
-    }
-
     /// Charges `work` units of application computation to this processor's
     /// simulated clock.
     pub fn compute(&mut self, work: Work) {
         if recovery::skipping(&self.local) {
             return;
         }
-        self.local.stats.work_units += work.units();
-        let t = self.cost().work(work);
-        self.local.clock.advance(t);
+        self.local.charge(Charge::Compute(work));
     }
 
     fn check_bounds(&self, ridx: usize, offset: usize, size: usize) {
@@ -109,8 +103,7 @@ impl<'a> ProcessContext<'a> {
             let data = &self.local.regions[ridx].data;
             return T::read_le(&data[off..off + T::SIZE]);
         }
-        self.local.stats.shared_accesses += 1;
-        self.local.clock.advance(self.cost().shared_access(1));
+        self.local.charge(Charge::SharedAccess(1));
         self.global
             .engine
             .ensure_read_fresh(&mut self.local, ridx, off / PAGE_SIZE);
@@ -136,8 +129,7 @@ impl<'a> ProcessContext<'a> {
             // (it was checkpointed later); writing would clobber newer data.
             return;
         }
-        self.local.stats.shared_accesses += 1;
-        self.local.clock.advance(self.cost().shared_access(1));
+        self.local.charge(Charge::SharedAccess(1));
         self.global
             .engine
             .trap_write(&mut self.local, ridx, off, T::SIZE);
@@ -189,10 +181,7 @@ impl<'a> ProcessContext<'a> {
             T::read_slice_le(&data[off..off + len], out);
             return;
         }
-        self.local.stats.shared_accesses += out.len() as u64;
-        self.local
-            .clock
-            .advance(self.cost().shared_access(out.len() as u64));
+        self.local.charge(Charge::SharedAccess(out.len() as u64));
         dsm_mem::for_each_page(off, len, |page, _| {
             self.global
                 .engine
@@ -229,10 +218,7 @@ impl<'a> ProcessContext<'a> {
         if recovery::skipping(&self.local) {
             return;
         }
-        self.local.stats.shared_accesses += values.len() as u64;
-        self.local
-            .clock
-            .advance(self.cost().shared_access(values.len() as u64));
+        self.local.charge(Charge::SharedAccess(values.len() as u64));
         self.global
             .engine
             .trap_write_span(&mut self.local, ridx, off, len, values.len());
@@ -279,9 +265,7 @@ impl<'a> ProcessContext<'a> {
             self.local.node
         );
         self.global.engine.validate_acquire(lock, mode);
-        let cost = &self.global.cfg.cost;
-        self.local.clock.advance(cost.lock_overhead());
-        self.local.stats.lock_acquires += 1;
+        self.local.charge(Charge::Acquire);
         let me = self.local.node;
         let nprocs = self.local.nprocs;
 
@@ -304,30 +288,22 @@ impl<'a> ProcessContext<'a> {
 
             let manager = lock.manager(nprocs);
             local_grant = l.last_owner == Some(me);
-            let (free_time, last_owner) = (l.free_time, l.last_owner);
-
-            let mut arrival = self.local.clock.now();
             if local_grant {
                 self.local.stats.local_lock_acquires += 1;
             } else {
                 if me != manager {
-                    self.local
-                        .stats
-                        .record_msg(MsgKind::LockRequest, CTRL_MSG_BYTES);
-                    arrival += cost.message(CTRL_MSG_BYTES);
+                    self.local.charge(Charge::LockRequest(CTRL_MSG_BYTES));
                 }
                 // Never-owned locks are granted by their manager; otherwise the
                 // manager forwards the request to the last owner.
-                let owner = last_owner.unwrap_or(manager);
+                let owner = l.last_owner.unwrap_or(manager);
                 if manager != owner {
-                    self.local
-                        .stats
-                        .record_msg(MsgKind::LockForward, CTRL_MSG_BYTES);
-                    arrival += cost.message(CTRL_MSG_BYTES);
+                    self.local.charge(Charge::LockForward(CTRL_MSG_BYTES));
                 }
             }
-            let grant_time = arrival.max(free_time);
-            self.local.clock.sync_to(grant_time);
+            // The request reaches the owner after its messages, and the
+            // grant leaves no earlier than the lock was freed.
+            self.local.clock.sync_to(l.free_time);
 
             if l.last_owner != Some(me) {
                 l.transfers += 1;
@@ -356,12 +332,9 @@ impl<'a> ProcessContext<'a> {
         // for other contenders' bookkeeping.
 
         if !local_grant {
-            self.local
-                .clock
-                .advance(SimTime::from_nanos(cost.interrupt_ns));
+            self.local.charge(Charge::Interrupt);
             let payload = self.global.engine.remote_grant(&mut self.local, lock);
-            self.local.stats.record_msg(MsgKind::LockGrant, payload);
-            self.local.clock.advance(cost.message(payload));
+            self.local.charge(Charge::LockGrant(payload));
         }
 
         let mut held = HeldLock {
@@ -394,9 +367,7 @@ impl<'a> ProcessContext<'a> {
                 self.local.node
             );
         };
-        self.local
-            .clock
-            .advance(self.global.cfg.cost.lock_overhead());
+        self.local.charge(Charge::Release);
         // `remove`, not `swap_remove`: the held list stays in acquisition
         // order, which a `LockSet` relies on to release in reverse.
         let (_, mut held) = self.local.held.remove(pos);
@@ -459,9 +430,7 @@ impl<'a> ProcessContext<'a> {
         // recorded, so the crash epoch's interval is never published and the
         // barrier slot never counts the doomed arrival.
         recovery::maybe_fire(&mut self.local);
-        let cost = &self.global.cfg.cost;
-        self.local.clock.advance(cost.barrier_overhead());
-        self.local.stats.barriers += 1;
+        self.local.charge(Charge::Barrier);
         let me = self.local.node;
         let nprocs = self.local.nprocs;
         let is_mgr = barrier.manager(nprocs) == me;
@@ -470,19 +439,15 @@ impl<'a> ProcessContext<'a> {
         let arrival_payload = self.global.engine.barrier_arrive(&mut self.local);
         let old_vector = self.local.vector.clone();
 
-        let mut arrive_t = self.local.clock.now();
         if !is_mgr {
-            self.local
-                .stats
-                .record_msg(MsgKind::BarrierArrival, arrival_payload);
-            arrive_t += cost.message(arrival_payload);
+            self.local.charge(Charge::BarrierArrival(arrival_payload));
         }
 
         let slot = self.global.sync.barrier_slot(barrier.index());
         let (release_time, released_vector, commit_payload) = {
             let mut b = sync::lock(&slot.sync);
             let my_gen = b.generation;
-            b.pending_max = b.pending_max.max(arrive_t);
+            b.pending_max = b.pending_max.max(self.local.clock.now());
             b.pending_vector.merge_max(&self.local.vector);
             b.arrived += 1;
 
@@ -516,13 +481,10 @@ impl<'a> ProcessContext<'a> {
                 .engine
                 .barrier_depart(&mut self.local, &old_vector, &released_vector);
         if !is_mgr {
-            self.local
-                .stats
-                .record_msg(MsgKind::BarrierRelease, depart_payload);
-            self.local.clock.advance(cost.message(depart_payload));
+            self.local.charge(Charge::BarrierDeparture(depart_payload));
         }
         self.local.epoch += 1;
-        recovery::checkpoint_if_armed(&mut self.local, cost);
+        recovery::checkpoint_if_armed(&mut self.local);
     }
 
     /// Rolls this processor back to its last barrier-cut checkpoint after an
@@ -561,6 +523,6 @@ impl<'a> ProcessContext<'a> {
             }
         }
         self.global.engine.rollback_undo(me, &undo);
-        recovery::restore(&mut self.local, &self.global.cfg.cost, undo.len());
+        recovery::restore(&mut self.local, undo.len());
     }
 }

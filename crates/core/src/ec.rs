@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
 use dsm_mem::{BlockGranularity, MemRange, RegionDesc, VectorClock};
+use dsm_sim::Charge;
 
 use crate::config::{Collection, DsmConfig, Trapping};
 use crate::engine::{diff_size, ProtocolEngine, PublishRec, CTRL_MSG_BYTES, DIFF_RING};
@@ -407,7 +408,6 @@ impl ProtocolEngine for EcEngine {
     /// the lock grant message under the update protocol).  Returns the grant
     /// payload size in bytes.
     fn remote_grant(&self, local: &mut NodeLocal, lock: LockId) -> usize {
-        let cost = &self.cfg.cost;
         let collection = self.cfg.kind.collection();
         let me = local.node.index();
 
@@ -431,15 +431,13 @@ impl ProtocolEngine for EcEngine {
             ..
         } = self.apply_bound(&meta.bound, &mut local.regions, floor);
 
-        local.stats.words_applied += applied_words as u64;
-        local.clock.advance(cost.apply_words(applied_words as u64));
+        local.charge(Charge::Apply(applied_words as u64, applied_words as u64));
 
         let payload = match collection {
             Collection::Timestamps => {
                 // The responder scans the timestamps of every block bound to
                 // the lock on every request.
-                local.stats.ts_blocks_scanned += scan_blocks;
-                local.clock.advance(cost.ts_scan(scan_blocks));
+                local.charge(Charge::TsScan(scan_blocks));
                 if rebound {
                     bound_bytes + 12
                 } else {
@@ -464,7 +462,7 @@ impl ProtocolEngine for EcEngine {
                     }
                 }
                 local.stats.diffs_applied += count;
-                local.clock.advance(cost.diff_compare(creation_words));
+                local.charge(Charge::DiffCompare(creation_words));
                 let bytes = bytes.max(applied_words * 4);
                 if rebound {
                     bound_bytes.max(bytes)
@@ -489,7 +487,6 @@ impl ProtocolEngine for EcEngine {
         if held.mode != LockMode::Exclusive || self.cfg.kind.trapping() != Trapping::Twinning {
             return;
         }
-        let cost = &self.cfg.cost;
         let small_limit = self.cfg.ec_small_object_limit;
         // Arming touches only this node's private state, so the binding can
         // be borrowed under the lock's mutex (no clone): no other lock of
@@ -513,10 +510,7 @@ impl ProtocolEngine for EcEngine {
                 let data = &local.regions[range.region.index()].data;
                 twins.extend_from_slice(&data[self.word_cover(range)]);
             }
-            let words = (total / 4) as u64;
-            local.stats.twins_created += 1;
-            local.stats.twin_words += words;
-            local.clock.advance(cost.twin_copy(words));
+            local.charge(Charge::Twin((total / 4) as u64));
             held.small_twins = Some(twins);
         } else {
             // Large object: write-protect its pages; the first write to each
@@ -537,7 +531,7 @@ impl ProtocolEngine for EcEngine {
                     held.armed_pages.push((ridx, page));
                 }
             }
-            local.clock.advance(cost.mprotect().times(mprotects));
+            local.charge(Charge::Mprotect(mprotects));
         }
     }
 
@@ -547,7 +541,6 @@ impl ProtocolEngine for EcEngine {
         if held.mode != LockMode::Exclusive {
             return;
         }
-        let cost = &self.cfg.cost;
         let trapping = self.cfg.kind.trapping();
         let collection = self.cfg.kind.collection();
 
@@ -652,9 +645,7 @@ impl ProtocolEngine for EcEngine {
         // at the release; with diffs it is deferred to the first request
         // (lazy diffing).
         if trapping == Trapping::Twinning && collection == Collection::Timestamps {
-            local
-                .clock
-                .advance(cost.diff_compare(col.compare_words as u64));
+            local.charge(Charge::DiffCompare(col.compare_words as u64));
         }
 
         if col.changed_words > 0 {
@@ -730,17 +721,11 @@ impl ProtocolEngine for EcEngine {
         len: usize,
         count: usize,
     ) {
-        let cost = &self.cfg.cost;
-        let trapping = self.cfg.kind.trapping();
-        let region = &mut local.regions[ridx];
-        let region_len = region.data.len();
-        match trapping {
+        match self.cfg.kind.trapping() {
             Trapping::Instrumentation => {
                 let factor = if self.cfg.ci_loop_optimization { 1 } else { 2 };
-                local.stats.instrumented_writes += count as u64;
-                local
-                    .clock
-                    .advance(cost.instrumented_writes(factor).times(count as u64));
+                local.charge(Charge::InstrumentedWrites(count as u64, factor));
+                let region = &mut local.regions[ridx];
                 dsm_mem::for_each_page(off, len, |page, bytes| {
                     let base_word = page * (dsm_mem::PAGE_SIZE / 4);
                     region.pages[page]
@@ -750,19 +735,12 @@ impl ProtocolEngine for EcEngine {
             }
             Trapping::Twinning => {
                 dsm_mem::for_each_page(off, len, |page, _| {
-                    let needs_twin =
-                        region.pages[page].armed > 0 && region.pages[page].twin.is_none();
-                    if needs_twin {
-                        let span = dsm_mem::page_range(page, region_len);
+                    let region = &mut local.regions[ridx];
+                    if region.pages[page].armed > 0 && region.pages[page].twin.is_none() {
+                        let span = region.page_span(page);
                         let words = span.len().div_ceil(4) as u64;
-                        let copy = local.pool.take_copy(&region.data[span]);
-                        region.pages[page].twin = Some(copy);
-                        local.stats.write_faults += 1;
-                        local.stats.twins_created += 1;
-                        local.stats.twin_words += words;
-                        local
-                            .clock
-                            .advance(cost.page_fault() + cost.twin_copy(words) + cost.mprotect());
+                        region.pages[page].twin = Some(local.pool.take_copy(&region.data[span]));
+                        local.charge(Charge::WriteFault(words));
                     }
                 });
             }
@@ -866,7 +844,13 @@ mod tests {
         e.bind(LockId::new(0), vec![MemRange::new(RegionId::new(0), 0, 64)]);
         let regions = e.regions.clone();
         let init = vec![vec![0u8; 8192]];
-        let mut local = NodeLocal::new(dsm_sim::NodeId::new(0), 4, &regions, &init);
+        let mut local = NodeLocal::new(
+            dsm_sim::NodeId::new(0),
+            4,
+            &regions,
+            &init,
+            e.cfg.cost.clone(),
+        );
         let mut held = HeldLock {
             mode: LockMode::Exclusive,
             small_twins: None,
@@ -982,7 +966,15 @@ mod tests {
             (meta.bound.clone(), rebound, floor)
         };
         let data: Vec<Vec<u8>> = local.regions.iter().map(|r| r.data.clone()).collect();
-        let copy = || NodeLocal::new(local.node, local.nprocs, &e.regions, &data);
+        let copy = || {
+            NodeLocal::new(
+                local.node,
+                local.nprocs,
+                &e.regions,
+                &data,
+                local.cost.clone(),
+            )
+        };
         let (mut want_local, mut got_local) = (copy(), copy());
         let want = reference_walk(e, &bound, &mut want_local.regions, floor);
         let got = e.apply_bound(&bound, &mut got_local.regions, floor);
@@ -1080,7 +1072,13 @@ mod tests {
                 let e = EcEngine::new(&cfg, &regions, &init);
                 let mut nodes: Vec<NodeLocal> = (0..NPROCS)
                     .map(|n| {
-                        NodeLocal::new(dsm_sim::NodeId::new(n as u32), NPROCS, &regions, &init)
+                        NodeLocal::new(
+                            dsm_sim::NodeId::new(n as u32),
+                            NPROCS,
+                            &regions,
+                            &init,
+                            e.cfg.cost.clone(),
+                        )
                     })
                     .collect();
                 // Two locks whose bindings overlap: the second's first range
@@ -1150,7 +1148,13 @@ mod tests {
             )];
             let init = vec![(0..64).collect::<Vec<u8>>()];
             let e = EcEngine::new(&cfg, &regions, &init);
-            let mut local = NodeLocal::new(dsm_sim::NodeId::new(0), 1, &regions, &init);
+            let mut local = NodeLocal::new(
+                dsm_sim::NodeId::new(0),
+                1,
+                &regions,
+                &init,
+                e.cfg.cost.clone(),
+            );
             let lock = LockId::new(0);
             e.bind(lock, vec![MemRange::new(RegionId::new(0), 5, 10)]);
             let mut held = held_exclusive();
@@ -1305,7 +1309,15 @@ mod tests {
                         REGION_LENS.iter().map(|&len| rng.bytes(len)).collect();
                     let e = EcEngine::new(&cfg, &regions, &init);
                     let mut nodes: Vec<NodeLocal> = (0..2)
-                        .map(|n| NodeLocal::new(dsm_sim::NodeId::new(n), 2, &regions, &init))
+                        .map(|n| {
+                            NodeLocal::new(
+                                dsm_sim::NodeId::new(n),
+                                2,
+                                &regions,
+                                &init,
+                                e.cfg.cost.clone(),
+                            )
+                        })
                         .collect();
                     // Two locks whose bindings may share pages and blocks.
                     for lock in 0..2 {

@@ -6,7 +6,7 @@
 //! intervals have already been applied.
 
 use dsm_mem::{pages_in, BitSet, BufferPool, RegionDesc, PAGE_SIZE};
-use dsm_sim::{NodeClock, NodeId, NodeStats};
+use dsm_sim::{Charge, CostModel, NodeClock, NodeId, NodeStats, SimTime};
 
 use crate::ids::{LockId, LockMode};
 
@@ -134,6 +134,8 @@ pub(crate) struct NodeLocal {
     pub clock: NodeClock,
     /// The node's statistics counters.
     pub stats: NodeStats,
+    /// The run's cost model, which prices every [`charge`](Self::charge).
+    pub cost: CostModel,
     /// The node's copy of every shared region.
     pub regions: Vec<LocalRegion>,
     /// LRC: completed-interval vector (own entry = number of completed
@@ -194,8 +196,14 @@ pub(crate) struct NodeLocal {
 }
 
 impl NodeLocal {
-    /// Creates the private state of node `node`.
-    pub fn new(node: NodeId, nprocs: usize, regions: &[RegionDesc], init: &[Vec<u8>]) -> Self {
+    /// Creates the private state of node `node`, priced by `cost`.
+    pub fn new(
+        node: NodeId,
+        nprocs: usize,
+        regions: &[RegionDesc],
+        init: &[Vec<u8>],
+        cost: CostModel,
+    ) -> Self {
         let local_regions = regions
             .iter()
             .zip(init.iter())
@@ -206,6 +214,7 @@ impl NodeLocal {
             nprocs,
             clock: NodeClock::new(),
             stats: NodeStats::new(),
+            cost,
             regions: local_regions,
             vector: dsm_mem::VectorClock::new(nprocs),
             epoch: 1,
@@ -221,6 +230,15 @@ impl NodeLocal {
             wire: None,
             recovery: None,
         }
+    }
+
+    /// Charges one protocol event or local mechanism: moves the clock by its
+    /// price and counts it in the statistics.  Every clock move of the
+    /// protocols goes through here, except the `sync_to` waits.
+    #[inline]
+    pub fn charge(&mut self, charge: Charge) -> SimTime {
+        self.stats.count(charge);
+        self.clock.charge(&self.cost, charge)
     }
 
     /// The position of `lock` in [`held`](NodeLocal::held), if this node
@@ -278,7 +296,7 @@ mod tests {
     fn node_local_copies_initial_contents() {
         let d = desc(16);
         let init = vec![vec![7u8; 16]];
-        let n = NodeLocal::new(NodeId::new(1), 2, &[d], &init);
+        let n = NodeLocal::new(NodeId::new(1), 2, &[d], &init, CostModel::free());
         assert_eq!(n.regions[0].data, vec![7u8; 16]);
         assert_eq!(n.vector.len(), 2);
         assert_eq!(n.epoch, 1);

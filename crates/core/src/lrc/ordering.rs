@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
 use dsm_mem::{pages_in, same_stamp_runs, MemRange, PageModeChange, RegionDesc, VectorClock};
-use dsm_sim::{NodeId, RegionSharing};
+use dsm_sim::{Charge, NodeId, RegionSharing};
 
 use crate::config::{Collection, DsmConfig, Trapping};
 use crate::engine::{diff_size, ProtocolEngine, DIFF_RING};
@@ -230,7 +230,6 @@ impl LrcEngine {
         if local.dirty_pages.is_empty() {
             return;
         }
-        let cost = &self.cfg.cost;
         let trapping = self.cfg.kind.trapping();
         let collection = self.cfg.kind.collection();
         let me = local.node;
@@ -421,7 +420,7 @@ impl LrcEngine {
                     || collection == Collection::Timestamps
                     || trapping == Trapping::Instrumentation;
                 if !suppress {
-                    self.placement.publish(&self.cfg, local, ridx, page, rec);
+                    self.placement.publish(local, ridx, page, rec);
                 }
             }
 
@@ -435,21 +434,18 @@ impl LrcEngine {
 
         match trapping {
             Trapping::Twinning => {
-                local.clock.advance(cost.mprotect().times(reprotects));
+                local.charge(Charge::Mprotect(reprotects));
                 if collection == Collection::Timestamps {
                     // Stamping the modified blocks requires the twin
                     // comparison at the end of the interval.
-                    local.clock.advance(cost.diff_compare(total_compare_words));
+                    local.charge(Charge::DiffCompare(total_compare_words));
                 }
             }
             Trapping::Instrumentation => {
                 // Hierarchical dirty bits (Section 4.1): finding the dirty
                 // pages means checking the page-level dirty bit of every
                 // page in the shared data set.
-                local.stats.page_bits_checked += total_region_pages;
-                local
-                    .clock
-                    .advance(cost.page_bit_checks(total_region_pages));
+                local.charge(Charge::PageBitChecks(total_region_pages));
             }
         }
 
@@ -605,11 +601,9 @@ impl LrcEngine {
             return;
         }
 
-        local.stats.access_misses += 1;
-        local.stats.pages_invalidated += 1;
+        local.charge(Charge::AccessMiss);
         rs.pages[page].sharing.record_miss();
         local.undo(|| UndoRec::SharingMiss { ridx, page });
-        local.clock.advance(self.cfg.cost.page_fault());
 
         let me_idx = local.node.index();
         let span = local.regions[ridx].page_span(page);
@@ -787,42 +781,31 @@ impl ProtocolEngine for LrcEngine {
         dsm_mem::for_each_page(off, len, |page, _| {
             self.ensure_read_fresh(local, ridx, page);
         });
-        let cost = &self.cfg.cost;
         let trapping = self.cfg.kind.trapping();
 
         if trapping == Trapping::Instrumentation {
             // One store per word-level dirty bit (two without loop
             // splitting), plus the hierarchical scheme's page-level bit.
             let factor = 1 + if self.cfg.ci_loop_optimization { 1 } else { 2 };
-            local.stats.instrumented_writes += count as u64;
-            local
-                .clock
-                .advance(cost.instrumented_writes(factor).times(count as u64));
+            local.charge(Charge::InstrumentedWrites(count as u64, factor));
         }
 
         let me = local.node;
-        let region = &mut local.regions[ridx];
-        let region_len = region.data.len();
         dsm_mem::for_each_page(off, len, |page, bytes| {
+            let region = &mut local.regions[ridx];
             if trapping == Trapping::Twinning && region.pages[page].twin.is_none() {
-                let span = dsm_mem::page_range(page, region_len);
+                let span = region.page_span(page);
                 let words = span.len().div_ceil(4) as u64;
-                let copy = local.pool.take_copy(&region.data[span]);
-                region.pages[page].twin = Some(copy);
+                region.pages[page].twin = Some(local.pool.take_copy(&region.data[span]));
                 // A pinned page's owner writes without protocol work: the
                 // twin is still made (content mechanics are mode-free) but
                 // the fault's costs and statistics are suppressed.
                 if !self.placement.pinned_to(me, ridx, page) {
-                    local.stats.write_faults += 1;
-                    local.stats.twins_created += 1;
-                    local.stats.twin_words += words;
-                    local
-                        .clock
-                        .advance(cost.page_fault() + cost.twin_copy(words) + cost.mprotect());
+                    local.charge(Charge::WriteFault(words));
                 }
             }
             let base_word = (page * dsm_mem::PAGE_SIZE) / 4;
-            let lp = &mut region.pages[page];
+            let lp = &mut local.regions[ridx].pages[page];
             lp.written_mut()
                 .set_range(bytes.start / 4 - base_word..bytes.end.div_ceil(4) - base_word);
             if !lp.dirty {
@@ -941,7 +924,13 @@ mod tests {
     fn node(e: &LrcEngine, idx: u32) -> NodeLocal {
         let regions = e.regions.clone();
         let init = vec![vec![0u8; 8192]];
-        NodeLocal::new(NodeId::new(idx), e.cfg.nprocs, &regions, &init)
+        NodeLocal::new(
+            NodeId::new(idx),
+            e.cfg.nprocs,
+            &regions,
+            &init,
+            e.cfg.cost.clone(),
+        )
     }
 
     #[test]

@@ -52,7 +52,7 @@ use std::sync::{Mutex, RwLock};
 
 use dsm_mem::wire::WireMsgKind;
 use dsm_mem::{page_range, pages_in, BlockGranularity, PageMode, PageModeChange, RegionDesc};
-use dsm_sim::{MsgKind, NodeId};
+use dsm_sim::{Charge, NodeId};
 
 use crate::config::{Collection, DsmConfig, Model, Trapping};
 use crate::engine::CTRL_MSG_BYTES;
@@ -151,14 +151,7 @@ impl Placement {
     /// write lock is held).  Only a homed page moves data at a release; a
     /// pinned page's owner never gets here, and a surprise second writer
     /// publishes homeless-style until the pin is broken at the next barrier.
-    pub fn publish(
-        &self,
-        cfg: &DsmConfig,
-        local: &mut NodeLocal,
-        ridx: usize,
-        page: usize,
-        rec: &mut PagePub,
-    ) {
+    pub fn publish(&self, local: &mut NodeLocal, ridx: usize, page: usize, rec: &mut PagePub) {
         let PageMode::Home(home) = self.mode(ridx, page) else {
             // The writers keep their modifications until an access miss
             // asks for them.
@@ -170,15 +163,12 @@ impl Placement {
         // first fetch under diff collection).
         if !rec.creation_charged {
             rec.creation_charged = true;
-            local
-                .clock
-                .advance(cfg.cost.diff_compare(rec.compare_words as u64));
+            local.charge(Charge::DiffCompare(rec.compare_words as u64));
         }
         if NodeId::new(home) != local.node {
             // Home flushes are data-reply-class traffic, paid at release time
             // instead of at the next reader's miss.
-            local.stats.record_msg(MsgKind::DataReply, rec.encoded_size);
-            local.clock.advance(cfg.cost.message(rec.encoded_size));
+            local.charge(Charge::HomeFlush(rec.encoded_size));
         }
     }
 
@@ -201,9 +191,7 @@ impl Placement {
             // is exactly a home fetch with the owner as the home.  The miss
             // also lands in the page's window statistics, breaking the pin
             // at the next barrier.
-            PageMode::Home(home) | PageMode::Pinned(home) => {
-                home_miss(cfg, local, NodeId::new(home), m)
-            }
+            PageMode::Home(home) | PageMode::Pinned(home) => home_miss(local, NodeId::new(home), m),
         }
     }
 
@@ -297,21 +285,16 @@ impl Placement {
 
 /// Accounts a home fetch: one whole-page round trip to `home` (free when the
 /// faulting node is the home), however many writers raced on the page.
-fn home_miss(cfg: &DsmConfig, local: &mut NodeLocal, home: NodeId, m: &MissInfo<'_>) {
-    local.stats.words_applied += m.applied_words as u64;
-    local.clock.advance(cfg.cost.apply_words(m.nwords as u64));
-    if home == local.node {
-        // The home itself holds the authoritative copy: the fault is
+fn home_miss(local: &mut NodeLocal, home: NodeId, m: &MissInfo<'_>) {
+    local.charge(Charge::Apply(m.applied_words as u64, m.nwords as u64));
+    if home != local.node {
+        // The home itself holds the authoritative copy: its fault is
         // served from local state without any message.
-        return;
+        local.charge(Charge::MissRoundTrip(
+            local.vector.wire_size(),
+            m.nwords * 4,
+        ));
     }
-    let req_bytes = local.vector.wire_size();
-    let reply_bytes = m.nwords * 4;
-    local.stats.record_msg(MsgKind::DataRequest, req_bytes);
-    local.stats.record_msg(MsgKind::DataReply, reply_bytes);
-    local
-        .clock
-        .advance(cfg.cost.round_trip(req_bytes, reply_bytes));
 }
 
 /// Accounts a homeless miss: data moves lazily, from the writers.
@@ -321,7 +304,6 @@ fn homeless_miss(
     rs: &mut LrcRegionState,
     m: &MissInfo<'_>,
 ) {
-    let cost = &cfg.cost;
     let trapping = cfg.kind.trapping();
     let collection = cfg.kind.collection();
     let gran = m.gran;
@@ -392,28 +374,22 @@ fn homeless_miss(
             } else {
                 1
             };
-            let scan = (m.nwords / gran_div) as u64;
-            local.stats.ts_blocks_scanned += scan;
-            local.clock.advance(cost.ts_scan(scan));
+            local.charge(Charge::TsScan((m.nwords / gran_div) as u64));
             m.applied_words * 4 + m.ts_runs * (STAMP_WIRE_BYTES + 6)
         }
         Collection::Diffs => {
             local.stats.diffs_applied += diff_count;
-            local.clock.advance(cost.diff_compare(creation_words));
+            local.charge(Charge::DiffCompare(creation_words));
             diff_bytes.max(m.applied_words * 4)
         }
     };
-    local.stats.words_applied += m.applied_words as u64;
-    local
-        .clock
-        .advance(cost.apply_words(m.applied_words as u64));
+    let applied = m.applied_words as u64;
+    local.charge(Charge::Apply(applied, applied));
 
     let req_bytes = local.vector.wire_size();
     for r in 0..responders {
         let bytes = if r == 0 { reply_bytes } else { CTRL_MSG_BYTES };
-        local.stats.record_msg(MsgKind::DataRequest, req_bytes);
-        local.stats.record_msg(MsgKind::DataReply, bytes);
-        local.clock.advance(cost.round_trip(req_bytes, bytes));
+        local.charge(Charge::MissRoundTrip(req_bytes, bytes));
     }
 }
 
@@ -444,6 +420,7 @@ mod tests {
             cfg.nprocs,
             regions,
             &[vec![0u8; 4 * PAGE_SIZE]],
+            cfg.cost.clone(),
         )
     }
 

@@ -36,7 +36,7 @@
 
 use dsm_mem::wire::WireMsgKind;
 use dsm_mem::{CkptImage, CkptRegion, VectorClock};
-use dsm_sim::{CostModel, NodeStats, SimTime};
+use dsm_sim::{Charge, NodeClock, NodeStats, SimTime};
 
 use crate::local::NodeLocal;
 
@@ -93,7 +93,7 @@ pub(crate) fn install_quiet_hook() {
 /// All byte and word counts are logical (what a real implementation would
 /// write); the `_ns` fields are simulated time charged to the node clocks
 /// (checkpoint capture and state restore are modelled as memory-bandwidth
-/// work, [`CostModel::twin_copy`]).
+/// work, [`Charge::Checkpoint`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Checkpoint images captured (one per node per barrier cut, plus the
@@ -342,10 +342,10 @@ pub(crate) fn maybe_fire(local: &mut NodeLocal) {
 /// barriers never reaches this (its `barrier` returns early).
 ///
 /// Capture is charged to the node's clock as memory-bandwidth work over the
-/// changed words ([`CostModel::twin_copy`]) — clock only, no statistics
+/// changed words ([`Charge::Checkpoint`]) — clock only, no statistics
 /// counter and no message record, so a crashed-and-recovered run's traffic
 /// and statistics stay comparable to the fault-free run.
-pub(crate) fn checkpoint_if_armed(local: &mut NodeLocal, cost: &CostModel) {
+pub(crate) fn checkpoint_if_armed(local: &mut NodeLocal) {
     if local.recovery.is_none() {
         return;
     }
@@ -358,16 +358,15 @@ pub(crate) fn checkpoint_if_armed(local: &mut NodeLocal, cost: &CostModel) {
         let state = local.recovery.as_deref().expect("checked above");
         build_image(local, &state.ckpt.regions)
     };
-    let charge = cost.twin_copy(image.words() as u64);
+    // The capture cost lands on the clock before the snapshot freezes the
+    // time, so restore resumes from after-capture time.
+    let charge = local.charge(Charge::Checkpoint(image.words() as u64));
     let state = local.recovery.as_deref_mut().expect("checked above");
     state.report.checkpoints += 1;
     state.report.checkpoint_bytes += image.encoded_len() as u64;
     state.report.ckpt_ns += charge.as_nanos();
     state.undo.clear();
     send_image(local, &image);
-    // The capture cost lands on the clock before the snapshot freezes the
-    // time, so restore resumes from after-capture time.
-    local.clock.advance(charge);
     let mut state = local.recovery.take().expect("checked above");
     state.ckpt.recapture(local);
     local.recovery = Some(state);
@@ -379,7 +378,7 @@ pub(crate) fn checkpoint_if_armed(local: &mut NodeLocal, cost: &CostModel) {
 ///
 /// Returns the number of undo records that were pending (for the report) —
 /// the caller passes the drained log in.
-pub(crate) fn restore(local: &mut NodeLocal, cost: &CostModel, undo_applied: usize) {
+pub(crate) fn restore(local: &mut NodeLocal, undo_applied: usize) {
     let mut state = local
         .recovery
         .take()
@@ -414,10 +413,9 @@ pub(crate) fn restore(local: &mut NodeLocal, cost: &CostModel, undo_applied: usi
 
     // The restore itself is memory-bandwidth work over the full restored
     // state, charged on top of the checkpoint's frozen time.
-    local.clock.reset();
+    local.clock = NodeClock::new();
     local.clock.sync_to(ckpt.time);
-    let charge = cost.twin_copy(words);
-    local.clock.advance(charge);
+    let charge = local.charge(Charge::Checkpoint(words));
 
     state.report.crashes += 1;
     state.report.undo_applied += undo_applied as u64;
@@ -443,7 +441,7 @@ pub(crate) fn restore(local: &mut NodeLocal, cost: &CostModel, undo_applied: usi
 mod tests {
     use super::*;
     use dsm_mem::{BlockGranularity, RegionDesc, RegionId};
-    use dsm_sim::NodeId;
+    use dsm_sim::{CostModel, NodeId};
 
     fn local() -> NodeLocal {
         let regions = vec![RegionDesc::new(
@@ -453,7 +451,7 @@ mod tests {
             BlockGranularity::Word,
         )];
         let init = vec![vec![0u8; 256]];
-        NodeLocal::new(NodeId::new(1), 2, &regions, &init)
+        NodeLocal::new(NodeId::new(1), 2, &regions, &init, CostModel::free())
     }
 
     #[test]
@@ -475,7 +473,6 @@ mod tests {
 
     #[test]
     fn capture_and_restore_round_trip_the_local_state() {
-        let cost = CostModel::free();
         let mut l = local();
         arm(
             &mut l,
@@ -490,16 +487,16 @@ mod tests {
         l.stats.barriers = 1;
         l.stats.shared_accesses = 42;
         l.epoch = 7;
-        l.clock.advance(SimTime::from_nanos(1000));
-        checkpoint_if_armed(&mut l, &cost);
+        l.clock.sync_to(SimTime::from_nanos(1000));
+        checkpoint_if_armed(&mut l);
         assert_eq!(l.recovery.as_deref().expect("armed").report.checkpoints, 2);
 
         // Diverge past the cut, then crash and restore.
         l.regions[0].data[0..4].copy_from_slice(&0xdeadu32.to_le_bytes());
         l.stats.shared_accesses = 99;
         l.epoch = 9;
-        l.clock.advance(SimTime::from_nanos(500));
-        restore(&mut l, &cost, 3);
+        l.clock.sync_to(SimTime::from_nanos(1500));
+        restore(&mut l, 3);
 
         assert_eq!(l.regions[0].data[0..4], 9u32.to_le_bytes());
         assert_eq!(l.stats.shared_accesses, 42);

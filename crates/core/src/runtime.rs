@@ -243,8 +243,9 @@ impl Dsm {
                 let init = &self.init;
                 let endpoint = endpoint.take();
                 handles.push(scope.spawn(move || {
-                    let mut local =
-                        NodeLocal::new(dsm_sim::NodeId::new(p as u32), nprocs, regions, init);
+                    let node = dsm_sim::NodeId::new(p as u32);
+                    let cost = global.cfg.cost.clone();
+                    let mut local = NodeLocal::new(node, nprocs, regions, init, cost);
                     local.wire = endpoint;
                     let plan = global.cfg.fault;
                     let supervised = plan != FaultPlan::None;

@@ -9,6 +9,8 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub};
 
+use crate::{Charge, CostModel};
+
 /// A point in (or span of) simulated time, in nanoseconds.
 ///
 /// `SimTime` is used both for absolute per-node clock values and for
@@ -87,11 +89,6 @@ impl SimTime {
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))
     }
-
-    /// Multiplies a span by an integer count (saturating).
-    pub fn times(self, count: u64) -> SimTime {
-        SimTime(self.0.saturating_mul(count))
-    }
 }
 
 impl Add for SimTime {
@@ -131,10 +128,11 @@ impl fmt::Display for SimTime {
 /// # Examples
 ///
 /// ```
-/// use dsm_sim::{NodeClock, SimTime};
+/// use dsm_sim::{Charge, CostModel, NodeClock, SimTime, Work};
 ///
+/// let cost = CostModel::atm_lan_1996();
 /// let mut c = NodeClock::new();
-/// c.advance(SimTime::from_micros(10));
+/// c.charge(&cost, Charge::Compute(Work::flops(50))); // 50 x 200 ns
 /// c.sync_to(SimTime::from_micros(5)); // earlier time: no effect
 /// assert_eq!(c.now().as_micros(), 10);
 /// c.sync_to(SimTime::from_micros(25));
@@ -156,8 +154,18 @@ impl NodeClock {
         self.now
     }
 
+    /// Moves the clock forward by the price of `charge` under `cost`, and
+    /// returns that price.  Besides [`sync_to`](Self::sync_to), this is the
+    /// only way a clock moves forward.
+    #[inline]
+    pub fn charge(&mut self, cost: &CostModel, charge: Charge) -> SimTime {
+        let t = cost.price(charge);
+        self.advance(t);
+        t
+    }
+
     /// Advances the clock by `delta`.
-    pub fn advance(&mut self, delta: SimTime) {
+    pub(crate) fn advance(&mut self, delta: SimTime) {
         self.now += delta;
     }
 
@@ -165,11 +173,6 @@ impl NodeClock {
     /// (used when blocking on a peer: lock hand-off, barrier release).
     pub fn sync_to(&mut self, t: SimTime) {
         self.now = self.now.max(t);
-    }
-
-    /// Resets the clock back to the epoch (used between benchmark runs).
-    pub fn reset(&mut self) {
-        self.now = SimTime::ZERO;
     }
 }
 
@@ -194,7 +197,6 @@ mod tests {
             SimTime::from_nanos(3) - SimTime::from_nanos(10),
             SimTime::ZERO
         );
-        assert_eq!(big.times(3), big);
     }
 
     #[test]
@@ -223,8 +225,6 @@ mod tests {
         assert_eq!(c.now().as_nanos(), 100);
         c.sync_to(SimTime::from_nanos(200));
         assert_eq!(c.now().as_nanos(), 200);
-        c.reset();
-        assert_eq!(c.now(), SimTime::ZERO);
     }
 
     #[test]

@@ -1,30 +1,99 @@
 //! The cost model that converts protocol events into simulated time.
 //!
-//! All constants are per-event nanosecond charges.  The default
-//! [`CostModel::atm_lan_1996`] preset approximates the paper's testbed: 8
-//! DECstation-5000/240 (40 MHz MIPS R3400) workstations on a 100-Mbps ATM LAN
-//! with software AAL3/4 fragmentation, `SIGIO`-driven request handling and
-//! `mprotect`/`SIGSEGV` page protection under Ultrix 4.3.
+//! Every clock-moving event is a [`Charge`]; [`CostModel::price`] turns it
+//! into nanoseconds.  The default [`CostModel::atm_lan_1996`] preset
+//! approximates the paper's testbed: 8 DECstation-5000/240 (40 MHz MIPS
+//! R3400) workstations on a 100-Mbps ATM LAN with software AAL3/4
+//! fragmentation, `SIGIO`-driven request handling and `mprotect`/`SIGSEGV`
+//! page protection under Ultrix 4.3.
 
 use crate::{SimTime, Work};
 
+/// One event that moves a node's simulated clock: a row of DESIGN.md §1's
+/// message-substitution table, or a local mechanism the node runs itself.
+///
+/// [`CostModel::price`] prices it, [`NodeStats::count`](crate::NodeStats::count)
+/// counts it, and [`NodeClock::charge`](crate::NodeClock::charge) moves a
+/// clock by it.  Message variants carry payload bytes; the others carry the
+/// words, blocks, pages or stores the mechanism touched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Charge {
+    /// Lock request from the acquirer to the lock's manager.
+    LockRequest(usize),
+    /// Lock request forwarded by the manager to the last owner.
+    LockForward(usize),
+    /// Lock grant carrying the consistency payload (EC bound data, LRC
+    /// vector and write notices).
+    LockGrant(usize),
+    /// The responder's `SIGIO` interrupt that serves a remote lock grant.
+    Interrupt,
+    /// Barrier arrival message (LRC: carrying the node's write notices).
+    BarrierArrival(usize),
+    /// Barrier departure message (LRC: carrying the notices the node lacks).
+    BarrierDeparture(usize),
+    /// One access-miss round trip to one responder: request bytes, reply
+    /// bytes, with the responder's interrupt in between.
+    MissRoundTrip(usize, usize),
+    /// HLRC eager flush of an encoded diff to the page's home, counted as
+    /// data-reply traffic.
+    HomeFlush(usize),
+    /// Lock bookkeeping of one acquire.
+    Acquire,
+    /// Lock bookkeeping of one release.
+    Release,
+    /// Barrier bookkeeping of one node's barrier episode.
+    Barrier,
+    /// The protection fault that takes an access miss on an invalid page.
+    AccessMiss,
+    /// A write fault that twins a page of this many words: fault, twin copy
+    /// and the `mprotect` that unprotects the page.
+    WriteFault(u64),
+    /// An eager twin of this many words, taken without a fault (EC small
+    /// objects at acquire).
+    Twin(u64),
+    /// This many page-protection changes.
+    Mprotect(u64),
+    /// This many words compared against a twin to build a diff or stamp
+    /// changed blocks.
+    DiffCompare(u64),
+    /// Words installed into local memory: the words counted, then the words
+    /// priced (a home fetch installs the whole page but counts the changed
+    /// words).
+    Apply(u64, u64),
+    /// This many timestamp slots (or word-level dirty bits) scanned.
+    TsScan(u64),
+    /// This many page-level dirty bits checked (hierarchical LRC-ci scheme).
+    PageBitChecks(u64),
+    /// Instrumented shared stores: the stores, then the dirty-bit stores
+    /// each one executes.
+    InstrumentedWrites(u64, u64),
+    /// Application work.
+    Compute(Work),
+    /// This many shared-memory accesses through the DSM accessors.
+    SharedAccess(u64),
+    /// Checkpoint capture or restore over this many words, priced as
+    /// memory-bandwidth work like a twin copy and counted nowhere.
+    Checkpoint(u64),
+}
+
 /// Per-event simulated-time charges for every mechanism the DSM protocols use.
 ///
-/// The protocols in `dsm-core` never look at wall-clock time; every action is
-/// converted to simulated time through one of these knobs, which is what makes
-/// the reproduction deterministic and lets the benchmark harness sweep the
-/// environment (e.g. a faster network) without touching protocol code.
+/// The protocols in `dsm-core` never look at wall-clock time: every action
+/// is a [`Charge`] that [`price`](CostModel::price) converts into simulated
+/// time through these knobs, which is what makes the reproduction
+/// deterministic.  Only [`atm_lan_1996`](CostModel::atm_lan_1996) and
+/// [`free`](CostModel::free) exist; nothing varies the knobs yet.
 ///
 /// # Examples
 ///
 /// ```
-/// use dsm_sim::CostModel;
+/// use dsm_sim::{Charge, CostModel};
 ///
 /// let cost = CostModel::atm_lan_1996();
-/// // A one-page (4 KiB) reply costs the fixed per-message overhead plus the
+/// // A one-page (4 KiB) grant costs the fixed per-message overhead plus the
 /// // wire time of its payload.
-/// let t = cost.message(4096);
-/// assert!(t > cost.message(0));
+/// let t = cost.price(Charge::LockGrant(4096));
+/// assert!(t > cost.price(Charge::LockGrant(0)));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
@@ -112,79 +181,47 @@ impl CostModel {
         }
     }
 
-    /// Time to transmit one message carrying `payload_bytes` of payload
-    /// (fixed per-message overhead + wire time).
-    pub fn message(&self, payload_bytes: usize) -> SimTime {
-        SimTime::from_nanos(
+    /// The simulated time one charge costs.  Every price in the simulation
+    /// comes from this one function; the arithmetic saturates.
+    #[inline]
+    pub fn price(&self, charge: Charge) -> SimTime {
+        let msg = |bytes: usize| {
             self.msg_fixed_ns
-                .saturating_add(self.per_byte_ns.saturating_mul(payload_bytes as u64)),
-        )
-    }
-
-    /// Time for a round trip: request carrying `req_bytes`, remote handler
-    /// interrupt, reply carrying `reply_bytes`.
-    pub fn round_trip(&self, req_bytes: usize, reply_bytes: usize) -> SimTime {
-        self.message(req_bytes) + SimTime::from_nanos(self.interrupt_ns) + self.message(reply_bytes)
-    }
-
-    /// Time to field one page-protection fault.
-    pub fn page_fault(&self) -> SimTime {
-        SimTime::from_nanos(self.page_fault_ns)
-    }
-
-    /// Time for one protection change.
-    pub fn mprotect(&self) -> SimTime {
-        SimTime::from_nanos(self.mprotect_ns)
-    }
-
-    /// Time to execute the dirty-bit code for `n` instrumented shared stores.
-    pub fn instrumented_writes(&self, n: u64) -> SimTime {
-        SimTime::from_nanos(self.instr_write_ns.saturating_mul(n))
-    }
-
-    /// Time to create a twin of `words` words.
-    pub fn twin_copy(&self, words: u64) -> SimTime {
-        SimTime::from_nanos(self.twin_copy_word_ns.saturating_mul(words))
-    }
-
-    /// Time to compare `words` words against a twin while building a diff.
-    pub fn diff_compare(&self, words: u64) -> SimTime {
-        SimTime::from_nanos(self.diff_compare_word_ns.saturating_mul(words))
-    }
-
-    /// Time to apply `words` modified words into local memory.
-    pub fn apply_words(&self, words: u64) -> SimTime {
-        SimTime::from_nanos(self.apply_word_ns.saturating_mul(words))
-    }
-
-    /// Time to scan `blocks` timestamp slots (or word-level dirty bits).
-    pub fn ts_scan(&self, blocks: u64) -> SimTime {
-        SimTime::from_nanos(self.ts_scan_block_ns.saturating_mul(blocks))
-    }
-
-    /// Time to check `pages` page-level dirty bits (hierarchical scheme).
-    pub fn page_bit_checks(&self, pages: u64) -> SimTime {
-        SimTime::from_nanos(self.page_bit_check_ns.saturating_mul(pages))
-    }
-
-    /// Fixed lock bookkeeping cost.
-    pub fn lock_overhead(&self) -> SimTime {
-        SimTime::from_nanos(self.lock_overhead_ns)
-    }
-
-    /// Fixed per-node barrier bookkeeping cost.
-    pub fn barrier_overhead(&self) -> SimTime {
-        SimTime::from_nanos(self.barrier_overhead_ns)
-    }
-
-    /// Time to perform the given amount of application work.
-    pub fn work(&self, work: Work) -> SimTime {
-        SimTime::from_nanos(self.work_unit_ns.saturating_mul(work.units()))
-    }
-
-    /// Time charged per shared-memory access made through the DSM accessors.
-    pub fn shared_access(&self, n: u64) -> SimTime {
-        SimTime::from_nanos(self.shared_access_ns.saturating_mul(n))
+                .saturating_add(self.per_byte_ns.saturating_mul(bytes as u64))
+        };
+        SimTime::from_nanos(match charge {
+            Charge::LockRequest(b)
+            | Charge::LockForward(b)
+            | Charge::LockGrant(b)
+            | Charge::BarrierArrival(b)
+            | Charge::BarrierDeparture(b)
+            | Charge::HomeFlush(b) => msg(b),
+            Charge::MissRoundTrip(req, reply) => msg(req)
+                .saturating_add(self.interrupt_ns)
+                .saturating_add(msg(reply)),
+            Charge::Interrupt => self.interrupt_ns,
+            Charge::Acquire | Charge::Release => self.lock_overhead_ns,
+            Charge::Barrier => self.barrier_overhead_ns,
+            Charge::AccessMiss => self.page_fault_ns,
+            Charge::WriteFault(words) => self
+                .page_fault_ns
+                .saturating_add(self.twin_copy_word_ns.saturating_mul(words))
+                .saturating_add(self.mprotect_ns),
+            Charge::Twin(words) | Charge::Checkpoint(words) => {
+                self.twin_copy_word_ns.saturating_mul(words)
+            }
+            Charge::Mprotect(n) => self.mprotect_ns.saturating_mul(n),
+            Charge::DiffCompare(words) => self.diff_compare_word_ns.saturating_mul(words),
+            Charge::Apply(_, words) => self.apply_word_ns.saturating_mul(words),
+            Charge::TsScan(blocks) => self.ts_scan_block_ns.saturating_mul(blocks),
+            Charge::PageBitChecks(pages) => self.page_bit_check_ns.saturating_mul(pages),
+            Charge::InstrumentedWrites(stores, factor) => self
+                .instr_write_ns
+                .saturating_mul(factor)
+                .saturating_mul(stores),
+            Charge::Compute(work) => self.work_unit_ns.saturating_mul(work.units()),
+            Charge::SharedAccess(n) => self.shared_access_ns.saturating_mul(n),
+        })
     }
 }
 
@@ -196,13 +233,17 @@ impl Default for CostModel {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+    use std::mem::discriminant;
+
     use super::*;
+    use crate::{MsgKind, NodeClock, NodeStats};
 
     #[test]
     fn message_cost_scales_with_payload() {
         let c = CostModel::atm_lan_1996();
-        let small = c.message(0);
-        let large = c.message(4096);
+        let small = c.price(Charge::LockGrant(0));
+        let large = c.price(Charge::LockGrant(4096));
         assert!(large > small);
         assert_eq!(large.as_nanos() - small.as_nanos(), 4096 * c.per_byte_ns);
     }
@@ -210,20 +251,22 @@ mod tests {
     #[test]
     fn round_trip_is_two_messages_plus_interrupt() {
         let c = CostModel::atm_lan_1996();
-        let rt = c.round_trip(16, 1024);
+        let rt = c.price(Charge::MissRoundTrip(16, 1024));
         assert_eq!(
-            rt.as_nanos(),
-            c.message(16).as_nanos() + c.interrupt_ns + c.message(1024).as_nanos()
+            rt,
+            c.price(Charge::LockRequest(16))
+                + c.price(Charge::Interrupt)
+                + c.price(Charge::HomeFlush(1024))
         );
     }
 
     #[test]
     fn free_model_charges_nothing() {
         let c = CostModel::free();
-        assert_eq!(c.message(10_000), SimTime::ZERO);
-        assert_eq!(c.round_trip(100, 100), SimTime::ZERO);
-        assert_eq!(c.work(Work::flops(1_000)), SimTime::ZERO);
-        assert_eq!(c.twin_copy(1024), SimTime::ZERO);
+        assert_eq!(c.price(Charge::LockGrant(10_000)), SimTime::ZERO);
+        assert_eq!(c.price(Charge::MissRoundTrip(100, 100)), SimTime::ZERO);
+        assert_eq!(c.price(Charge::Compute(Work::flops(1_000))), SimTime::ZERO);
+        assert_eq!(c.price(Charge::Twin(1024)), SimTime::ZERO);
     }
 
     #[test]
@@ -234,14 +277,186 @@ mod tests {
     #[test]
     fn work_units_convert_linearly() {
         let c = CostModel::atm_lan_1996();
-        assert_eq!(c.work(Work::flops(10)).as_nanos(), 10 * c.work_unit_ns);
+        let t = c.price(Charge::Compute(Work::flops(10)));
+        assert_eq!(t.as_nanos(), 10 * c.work_unit_ns);
     }
 
     #[test]
     fn saturating_behaviour_on_huge_counts() {
         let c = CostModel::atm_lan_1996();
         // Should not panic or wrap.
-        let t = c.instrumented_writes(u64::MAX);
-        assert!(t.as_nanos() > 0);
+        let t = c.price(Charge::InstrumentedWrites(u64::MAX, 2));
+        assert_eq!(t.as_nanos(), u64::MAX);
+    }
+
+    /// Every variant, walked through `NodeClock::charge` and
+    /// `NodeStats::count` under the paper's cost model, moves the clock and
+    /// the counters exactly as the per-event `CostModel` methods and the
+    /// hand-written statistic bumps it replaced did.
+    #[test]
+    fn every_charge_moves_clock_and_counters_by_the_replaced_formulas() {
+        let c = CostModel::atm_lan_1996();
+        let msg = |bytes: u64| c.msg_fixed_ns + c.per_byte_ns * bytes;
+        let with = |f: &dyn Fn(&mut NodeStats)| {
+            let mut s = NodeStats::new();
+            f(&mut s);
+            s
+        };
+        let none = NodeStats::new();
+        let table = [
+            (
+                Charge::LockRequest(16),
+                msg(16),
+                with(&|s| s.record_msg(MsgKind::LockRequest, 16)),
+            ),
+            (
+                Charge::LockForward(16),
+                msg(16),
+                with(&|s| s.record_msg(MsgKind::LockForward, 16)),
+            ),
+            (
+                Charge::LockGrant(518),
+                msg(518),
+                with(&|s| s.record_msg(MsgKind::LockGrant, 518)),
+            ),
+            (Charge::Interrupt, c.interrupt_ns, none.clone()),
+            (
+                Charge::BarrierArrival(256),
+                msg(256),
+                with(&|s| s.record_msg(MsgKind::BarrierArrival, 256)),
+            ),
+            (
+                Charge::BarrierDeparture(592),
+                msg(592),
+                with(&|s| s.record_msg(MsgKind::BarrierRelease, 592)),
+            ),
+            (
+                Charge::MissRoundTrip(20, 4096),
+                msg(20) + c.interrupt_ns + msg(4096),
+                with(&|s| {
+                    s.record_msg(MsgKind::DataRequest, 20);
+                    s.record_msg(MsgKind::DataReply, 4096);
+                }),
+            ),
+            (
+                Charge::HomeFlush(700),
+                msg(700),
+                with(&|s| s.record_msg(MsgKind::DataReply, 700)),
+            ),
+            (
+                Charge::Acquire,
+                c.lock_overhead_ns,
+                with(&|s| s.lock_acquires = 1),
+            ),
+            (Charge::Release, c.lock_overhead_ns, none.clone()),
+            (
+                Charge::Barrier,
+                c.barrier_overhead_ns,
+                with(&|s| s.barriers = 1),
+            ),
+            (
+                Charge::AccessMiss,
+                c.page_fault_ns,
+                with(&|s| {
+                    s.access_misses = 1;
+                    s.pages_invalidated = 1;
+                }),
+            ),
+            (
+                Charge::WriteFault(1024),
+                c.page_fault_ns + 1024 * c.twin_copy_word_ns + c.mprotect_ns,
+                with(&|s| {
+                    s.write_faults = 1;
+                    s.twins_created = 1;
+                    s.twin_words = 1024;
+                }),
+            ),
+            (
+                Charge::Twin(17),
+                17 * c.twin_copy_word_ns,
+                with(&|s| {
+                    s.twins_created = 1;
+                    s.twin_words = 17;
+                }),
+            ),
+            (Charge::Mprotect(3), 3 * c.mprotect_ns, none.clone()),
+            (
+                Charge::DiffCompare(1024),
+                1024 * c.diff_compare_word_ns,
+                none.clone(),
+            ),
+            (
+                Charge::Apply(12, 1024),
+                1024 * c.apply_word_ns,
+                with(&|s| s.words_applied = 12),
+            ),
+            (
+                Charge::TsScan(544),
+                544 * c.ts_scan_block_ns,
+                with(&|s| s.ts_blocks_scanned = 544),
+            ),
+            (
+                Charge::PageBitChecks(16),
+                16 * c.page_bit_check_ns,
+                with(&|s| s.page_bits_checked = 16),
+            ),
+            (
+                Charge::InstrumentedWrites(64, 3),
+                64 * 3 * c.instr_write_ns,
+                with(&|s| s.instrumented_writes = 64),
+            ),
+            (
+                Charge::Compute(Work::flops(6)),
+                6 * c.work_unit_ns,
+                with(&|s| s.work_units = 6),
+            ),
+            (
+                Charge::SharedAccess(8),
+                8 * c.shared_access_ns,
+                with(&|s| s.shared_accesses = 8),
+            ),
+            (Charge::Checkpoint(256), 256 * c.twin_copy_word_ns, none),
+        ];
+        for (charge, ns, want) in &table {
+            let mut clock = NodeClock::new();
+            clock.sync_to(SimTime::from_nanos(1_000));
+            let mut stats = NodeStats::new();
+            let priced = clock.charge(&c, *charge);
+            stats.count(*charge);
+            assert_eq!(priced.as_nanos(), *ns, "{charge:?} price");
+            assert_eq!(clock.now().as_nanos(), 1_000 + ns, "{charge:?} clock");
+            assert_eq!(&stats, want, "{charge:?} counters");
+        }
+        // The table holds every variant once: a new variant fails to compile
+        // here until it has a row.
+        let seen: HashSet<_> = table.iter().map(|(ch, ..)| discriminant(ch)).collect();
+        assert_eq!(seen.len(), table.len());
+        for (charge, ..) in &table {
+            match charge {
+                Charge::LockRequest(_)
+                | Charge::LockForward(_)
+                | Charge::LockGrant(_)
+                | Charge::Interrupt
+                | Charge::BarrierArrival(_)
+                | Charge::BarrierDeparture(_)
+                | Charge::MissRoundTrip(..)
+                | Charge::HomeFlush(_)
+                | Charge::Acquire
+                | Charge::Release
+                | Charge::Barrier
+                | Charge::AccessMiss
+                | Charge::WriteFault(_)
+                | Charge::Twin(_)
+                | Charge::Mprotect(_)
+                | Charge::DiffCompare(_)
+                | Charge::Apply(..)
+                | Charge::TsScan(_)
+                | Charge::PageBitChecks(_)
+                | Charge::InstrumentedWrites(..)
+                | Charge::Compute(_)
+                | Charge::SharedAccess(_)
+                | Charge::Checkpoint(_) => {}
+            }
+        }
     }
 }

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::MsgKind;
+use crate::{Charge, MsgKind};
 
 /// Counters collected by a single simulated node over one application run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -64,8 +64,53 @@ impl NodeStats {
         Self::default()
     }
 
+    /// Counts one charge: the message records and counters it stands for.
+    /// Checkpoint work and the bare mechanisms (interrupt, release
+    /// bookkeeping, `mprotect`, diff compare) count nothing.
+    #[inline]
+    pub fn count(&mut self, charge: Charge) {
+        match charge {
+            Charge::LockRequest(b) => self.record_msg(MsgKind::LockRequest, b),
+            Charge::LockForward(b) => self.record_msg(MsgKind::LockForward, b),
+            Charge::LockGrant(b) => self.record_msg(MsgKind::LockGrant, b),
+            Charge::BarrierArrival(b) => self.record_msg(MsgKind::BarrierArrival, b),
+            Charge::BarrierDeparture(b) => self.record_msg(MsgKind::BarrierRelease, b),
+            Charge::HomeFlush(b) => self.record_msg(MsgKind::DataReply, b),
+            Charge::MissRoundTrip(req, reply) => {
+                self.record_msg(MsgKind::DataRequest, req);
+                self.record_msg(MsgKind::DataReply, reply);
+            }
+            Charge::Acquire => self.lock_acquires += 1,
+            Charge::Barrier => self.barriers += 1,
+            Charge::AccessMiss => {
+                self.access_misses += 1;
+                self.pages_invalidated += 1;
+            }
+            Charge::WriteFault(words) => {
+                self.write_faults += 1;
+                self.twins_created += 1;
+                self.twin_words += words;
+            }
+            Charge::Twin(words) => {
+                self.twins_created += 1;
+                self.twin_words += words;
+            }
+            Charge::Apply(words, _) => self.words_applied += words,
+            Charge::TsScan(blocks) => self.ts_blocks_scanned += blocks,
+            Charge::PageBitChecks(pages) => self.page_bits_checked += pages,
+            Charge::InstrumentedWrites(stores, _) => self.instrumented_writes += stores,
+            Charge::Compute(work) => self.work_units += work.units(),
+            Charge::SharedAccess(n) => self.shared_accesses += n,
+            Charge::Interrupt
+            | Charge::Release
+            | Charge::Mprotect(_)
+            | Charge::DiffCompare(_)
+            | Charge::Checkpoint(_) => {}
+        }
+    }
+
     /// Records one outbound message of the given kind and payload size.
-    pub fn record_msg(&mut self, kind: MsgKind, payload_bytes: usize) {
+    pub(crate) fn record_msg(&mut self, kind: MsgKind, payload_bytes: usize) {
         self.msgs[kind.index()] += 1;
         self.bytes[kind.index()] += payload_bytes as u64;
     }
