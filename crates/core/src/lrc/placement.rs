@@ -492,6 +492,42 @@ mod tests {
         assert_eq!(out, 77u32.to_le_bytes());
     }
 
+    /// A homeless miss under diff collection bills the lazy creation of the
+    /// diffs it fetches to the first fetcher: that miss pays the diff's
+    /// compare words, to the nanosecond, and a second fetch of the same diff
+    /// pays nothing for it.  Which fetcher comes first follows host
+    /// scheduling in a multi-node run, so the goldens cannot pin this
+    /// charge; this test does.
+    #[test]
+    fn homeless_miss_bills_lazy_diff_creation_to_the_first_fetch_only() {
+        let e = engine(ImplKind::lrc_diff());
+        let mut w = node(&e, 1);
+        e.trap_write(&mut w, 0, 0, 4);
+        w.regions[0].data[0..4].copy_from_slice(&7u32.to_le_bytes());
+        e.barrier_arrive(&mut w);
+        assert_eq!(w.stats.diffs_created, 1);
+        let fetch = |idx| {
+            let mut r = node(&e, idx);
+            r.vector
+                .set_entry(NodeId::new(1), w.vector.entry(NodeId::new(1)));
+            r.epoch += 1;
+            e.ensure_read_fresh(&mut r, 0, 0);
+            r
+        };
+        let (first, second) = (fetch(2), fetch(3));
+        assert_eq!(first.stats.access_misses, 1);
+        assert_eq!(
+            first.stats, second.stats,
+            "both misses move the same messages and words"
+        );
+        // The whole page was compared against its twin: 1024 words at
+        // 60 ns each under the paper's cost model.
+        assert_eq!(
+            first.clock.now() - second.clock.now(),
+            dsm_sim::SimTime::from_nanos(1024 * 60)
+        );
+    }
+
     /// The write pattern that pins a page under `ALRC-*` leaves every page
     /// of the static families at its starting mode, with no migration.
     #[test]
