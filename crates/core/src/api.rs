@@ -15,7 +15,7 @@
 //! makes that burden visible and checkable instead of burying it in
 //! turbofish calls and scattered `bind` invocations:
 //!
-//! * [`SharedArray<T>`] / [`SharedScalar<T>`] carry their element type, so
+//! * [`SharedArray<T>`] handles carry their element type, so
 //!   access sites ([`ProcessContext::get`], [`ProcessContext::set`], ...)
 //!   infer `T` from the handle.
 //! * [`LockGuard`]s from [`ProcessContext::lock`] release on drop and gate
@@ -40,7 +40,7 @@ use dsm_mem::{BlockGranularity, MemRange, RegionId};
 
 use crate::context::ProcessContext;
 use crate::ids::{LockId, LockMode};
-use crate::runtime::{Dsm, RunResult};
+use crate::runtime::Dsm;
 use crate::scalar::Scalar;
 
 // ---------------------------------------------------------------------------
@@ -139,55 +139,6 @@ impl<T: Scalar> fmt::Debug for SharedArray<T> {
             .field("len", &self.len)
             .field("elem", &std::any::type_name::<T>())
             .finish()
-    }
-}
-
-/// Typed handle to a single shared value of type `T`.
-///
-/// Returned by [`Dsm::alloc_scalar`]; accessed with [`ProcessContext::load`]
-/// / [`ProcessContext::store`] / [`ProcessContext::fetch_update`] and read
-/// out with [`RunResult::final_scalar`].
-pub struct SharedScalar<T: Scalar> {
-    array: SharedArray<T>,
-}
-
-impl<T: Scalar> SharedScalar<T> {
-    pub(crate) fn new(array: SharedArray<T>) -> Self {
-        SharedScalar { array }
-    }
-
-    /// The scalar viewed as a one-element array.
-    pub fn array(&self) -> SharedArray<T> {
-        self.array
-    }
-}
-
-impl<T: Scalar> Clone for SharedScalar<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T: Scalar> Copy for SharedScalar<T> {}
-
-impl<T: Scalar> PartialEq for SharedScalar<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.array == other.array
-    }
-}
-impl<T: Scalar> Eq for SharedScalar<T> {}
-
-impl<T: Scalar> fmt::Debug for SharedScalar<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SharedScalar")
-            .field("region", &self.array.id)
-            .field("elem", &std::any::type_name::<T>())
-            .finish()
-    }
-}
-
-impl<T: Scalar> From<SharedScalar<T>> for SharedArray<T> {
-    fn from(s: SharedScalar<T>) -> SharedArray<T> {
-        s.array
     }
 }
 
@@ -592,27 +543,12 @@ impl<T: Scalar> ArrayViewMut<'_, '_, T> {
 }
 
 // ---------------------------------------------------------------------------
-// ProcessContext: scalar accessors, guards and views
+// ProcessContext: guards and views
 // ---------------------------------------------------------------------------
 
-/// Scalar accessors, lock guards and views (the element and span accessors
-/// they build on live beside the lock bodies in `context.rs`).
+/// Lock guards and views (the element and span accessors they build on live
+/// beside the lock bodies in `context.rs`).
 impl<'a> ProcessContext<'a> {
-    /// Reads a shared scalar.
-    pub fn load<T: Scalar>(&mut self, scalar: SharedScalar<T>) -> T {
-        self.get(scalar.array(), 0)
-    }
-
-    /// Writes a shared scalar.
-    pub fn store<T: Scalar>(&mut self, scalar: SharedScalar<T>, value: T) {
-        self.set(scalar.array(), 0, value);
-    }
-
-    /// Applies `f` to a shared scalar (read-modify-write).
-    pub fn fetch_update<T: Scalar>(&mut self, scalar: SharedScalar<T>, f: impl FnOnce(T) -> T) {
-        self.modify(scalar.array(), 0, f);
-    }
-
     /// Acquires `lock` in `mode` and returns an RAII guard that releases it
     /// when dropped.
     ///
@@ -694,17 +630,8 @@ impl<'a> ProcessContext<'a> {
 // Dsm: typed allocation
 // ---------------------------------------------------------------------------
 
-/// Scalar and bound allocation.
+/// Bound allocation.
 impl Dsm {
-    /// Allocates a shared scalar of type `T`, zero-initialised.
-    pub fn alloc_scalar<T: Scalar>(
-        &mut self,
-        name: impl Into<String>,
-        granularity: BlockGranularity,
-    ) -> SharedScalar<T> {
-        SharedScalar::new(self.alloc_array::<T>(name, 1, granularity))
-    }
-
     /// Allocates a shared array of `count` elements of type `T` and binds it
     /// to `lock`, constructing the EC lock→data association of Section 3 in
     /// one place.  Under LRC the binding is a no-op, so the same call serves
@@ -719,19 +646,6 @@ impl Dsm {
         let array = self.alloc_array::<T>(name, count, granularity);
         self.bind(lock, [array.whole()]);
         Binding::new(lock, array)
-    }
-
-    /// Initialises a shared scalar.
-    pub fn init_scalar<T: Scalar>(&mut self, scalar: SharedScalar<T>, value: T) {
-        self.init_array(scalar, move |_| value);
-    }
-}
-
-/// Scalar finals.
-impl RunResult {
-    /// Reads the final value of a shared scalar.
-    pub fn final_scalar<T: Scalar>(&self, scalar: SharedScalar<T>) -> T {
-        self.final_at(scalar.array(), 0)
     }
 }
 
@@ -778,22 +692,6 @@ mod tests {
         });
         assert_eq!(result.final_at(a, 0), 100);
         assert_eq!(result.final_array(a)[7], 71);
-    }
-
-    #[test]
-    fn scalars_load_store_and_update() {
-        let mut d = dsm(ImplKind::ec_diff(), 2);
-        let s = d.alloc_scalar::<u32>("counter", BlockGranularity::Word);
-        d.init_scalar(s, 5);
-        let lock = LockId::new(0);
-        d.bind(lock, [s.array().whole()]);
-        let result = d.run(|ctx| {
-            let mut g = ctx.lock(lock, LockMode::Exclusive);
-            g.fetch_update(s, |v| v + 1);
-            g.unlock();
-            ctx.barrier(BarrierId::new(0));
-        });
-        assert_eq!(result.final_scalar(s), 7);
     }
 
     #[test]
@@ -1034,10 +932,7 @@ mod tests {
         let a2 = a;
         assert_eq!(a, a2);
         assert_ne!(a, b);
-        let s = d.alloc_scalar::<u32>("s", BlockGranularity::Word);
-        assert_eq!(s, s);
-        let dbg = format!("{a:?} {s:?}");
+        let dbg = format!("{a:?}");
         assert!(dbg.contains("SharedArray") && dbg.contains("f64"));
-        assert!(dbg.contains("SharedScalar") && dbg.contains("u32"));
     }
 }

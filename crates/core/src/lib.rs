@@ -126,7 +126,7 @@ mod scalar;
 mod sync;
 mod transport;
 
-pub use api::{ArrayView, ArrayViewMut, Binding, LockGuard, LockSet, SharedArray, SharedScalar};
+pub use api::{ArrayView, ArrayViewMut, Binding, LockGuard, LockSet, SharedArray};
 pub use config::{Collection, DsmConfig, ImplKind, Model, Trapping};
 pub use context::ProcessContext;
 pub use error::DsmError;

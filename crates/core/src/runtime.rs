@@ -112,19 +112,19 @@ impl std::fmt::Debug for RunGlobal {
 /// use dsm_sim::Work;
 ///
 /// let mut dsm = Dsm::new(DsmConfig::with_procs(ImplKind::lrc_diff(), 4))?;
-/// let counter = dsm.alloc_scalar::<u32>("counter", BlockGranularity::Word);
+/// let counter = dsm.alloc_array::<u32>("counter", 1, BlockGranularity::Word);
 ///
 /// let result = dsm.run(|ctx| {
 ///     // Every processor increments the shared counter under a lock; the
 ///     // guard releases it when dropped.
 ///     let mut guard = ctx.lock(LockId::new(0), LockMode::Exclusive);
-///     guard.fetch_update(counter, |v| v + 1);
+///     guard.modify(counter, 0, |v| v + 1);
 ///     guard.compute(Work::ops(10));
 ///     drop(guard);
 ///     ctx.barrier(BarrierId::new(0));
 /// });
 ///
-/// assert_eq!(result.final_scalar(counter), 4);
+/// assert_eq!(result.final_at(counter, 0), 4);
 /// assert!(result.seconds() > 0.0);
 /// assert_eq!(result.traffic.lock_transfers, 4);
 /// # Ok::<(), dsm_core::DsmError>(())

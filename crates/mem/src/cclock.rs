@@ -46,14 +46,14 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Number of bytes [`put_varint`] writes for `v` (1..=10).
-pub fn varint_len(v: u64) -> usize {
+pub(crate) fn varint_len(v: u64) -> usize {
     (64 - v.max(1).leading_zeros() as usize).div_ceil(7)
 }
 
 /// Decodes one varint from the front of `buf`; returns the value and the
 /// bytes consumed, or `None` if the buffer is truncated or the value
 /// overflows 64 bits.
-pub fn get_varint(buf: &[u8]) -> Option<(u64, usize)> {
+pub(crate) fn get_varint(buf: &[u8]) -> Option<(u64, usize)> {
     let mut v = 0u64;
     for (i, &b) in buf.iter().enumerate().take(10) {
         let bits = (b & 0x7f) as u64;
@@ -70,12 +70,12 @@ pub fn get_varint(buf: &[u8]) -> Option<(u64, usize)> {
 
 /// Maps a signed value to unsigned so small magnitudes of either sign get
 /// short varints (0 → 0, −1 → 1, 1 → 2, −2 → 3, …).
-pub fn zigzag_encode(v: i64) -> u64 {
+pub(crate) fn zigzag_encode(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag_encode`].
-pub fn zigzag_decode(v: u64) -> i64 {
+pub(crate) fn zigzag_decode(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 

@@ -62,10 +62,7 @@ mod vclock;
 pub mod wire;
 
 pub use bitset::{BitRuns, BitSet};
-pub use cclock::{
-    get_varint, put_varint, varint_len, zigzag_decode, zigzag_encode, ClockDelta, CompactClock,
-    DeltaRun,
-};
+pub use cclock::{put_varint, ClockDelta, CompactClock};
 pub use ckpt::{CkptImage, CkptRegion, FlatRun, FlatUpdate};
 pub use diff::{changed_word_runs, same_stamp_runs};
 pub use granularity::BlockGranularity;

@@ -1,6 +1,7 @@
 //! Quickstart: a shared counter and a producer/consumer exchange, run under
 //! every implementation of the protocol family — written against the typed
-//! API (`SharedArray`/`SharedScalar` handles, `Binding`s, RAII lock guards).
+//! API (`SharedArray` handles — the counter is a one-element array —
+//! `Binding`s, RAII lock guards).
 //!
 //! Run with `cargo run -p dsm-examples --bin quickstart`.
 
