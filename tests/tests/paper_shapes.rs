@@ -11,7 +11,8 @@ const PROCS: usize = 8;
 /// Section 7.2, 3D-FFT: the data bound to a lock spans several pages, so EC's
 /// update protocol needs far fewer messages (and fewer access misses) than
 /// LRC's per-page invalidate protocol.  (The resulting execution-time win for
-/// EC only materialises at the paper's full problem size; see EXPERIMENTS.md.)
+/// EC only materialises at the paper's full problem size, which this test
+/// does not run.)
 #[test]
 fn fft_favours_ec_update_protocol() {
     let ec = run_app(App::Fft3d, ImplKind::ec_ci(), PROCS, Scale::Small);
