@@ -235,7 +235,7 @@ impl NodeLocal {
     /// Charges one protocol event or local mechanism: moves the clock by its
     /// price and counts it in the statistics.  Every clock move of the
     /// protocols goes through here, except the `sync_to` waits.
-    #[inline]
+    #[inline(always)]
     pub fn charge(&mut self, charge: Charge) -> SimTime {
         self.stats.count(charge);
         self.clock.charge(&self.cost, charge)

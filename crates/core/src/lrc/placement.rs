@@ -288,8 +288,6 @@ impl Placement {
 fn home_miss(local: &mut NodeLocal, home: NodeId, m: &MissInfo<'_>) {
     local.charge(Charge::Apply(m.applied_words as u64, m.nwords as u64));
     if home != local.node {
-        // The home itself holds the authoritative copy: its fault is
-        // served from local state without any message.
         local.charge(Charge::MissRoundTrip(
             local.vector.wire_size(),
             m.nwords * 4,

@@ -157,7 +157,7 @@ impl NodeClock {
     /// Moves the clock forward by the price of `charge` under `cost`, and
     /// returns that price.  Besides [`sync_to`](Self::sync_to), this is the
     /// only way a clock moves forward.
-    #[inline]
+    #[inline(always)]
     pub fn charge(&mut self, cost: &CostModel, charge: Charge) -> SimTime {
         let t = cost.price(charge);
         self.advance(t);

@@ -183,7 +183,7 @@ impl CostModel {
 
     /// The simulated time one charge costs.  Every price in the simulation
     /// comes from this one function; the arithmetic saturates.
-    #[inline]
+    #[inline(always)]
     pub fn price(&self, charge: Charge) -> SimTime {
         let msg = |bytes: usize| {
             self.msg_fixed_ns
