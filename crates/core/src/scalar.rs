@@ -23,7 +23,10 @@ pub trait Scalar: Copy + Default + PartialEq + std::fmt::Debug + Send + Sync + '
     /// walking both sides in exact chunks so the compiler drops the per
     /// element bounds checks and vectorises the copy — the bulk form the
     /// span accessors and [`RunResult::final_array`](crate::RunResult::final_array)
-    /// lower onto.
+    /// lower onto.  The copy vectorises only where `read_le` inlines into
+    /// the loop: this default body is instantiated in the calling crate, so
+    /// an implementation whose `read_le` is not `#[inline]` leaves one
+    /// out-of-line call per element there instead.
     ///
     /// # Panics
     ///
@@ -56,10 +59,17 @@ macro_rules! impl_scalar {
             impl Scalar for $t {
                 const SIZE: usize = std::mem::size_of::<$t>();
 
+                // `#[inline]` makes these bodies available to other crates:
+                // the span accessors are generic, so their
+                // `read_slice_le`/`write_slice_le` loops are compiled in the
+                // application's crate, where a non-inline method stays one
+                // call per element and the copy cannot vectorise.
+                #[inline]
                 fn write_le(self, out: &mut [u8]) {
                     out.copy_from_slice(&self.to_le_bytes());
                 }
 
+                #[inline]
                 fn read_le(bytes: &[u8]) -> Self {
                     <$t>::from_le_bytes(bytes.try_into().expect("scalar byte width"))
                 }
@@ -90,24 +100,76 @@ mod tests {
         roundtrip(u64::MAX);
     }
 
+    /// Checks the slice codecs against the element codecs at every length
+    /// from 0 to 67 (past 64, so an unrolled vector loop also runs its
+    /// tail), decoding from a slice that starts at an odd offset of its
+    /// buffer.
+    /// Bytes are compared rather than values, so that float patterns that
+    /// decode to NaN are checked bit for bit.
+    fn slice_codecs_agree<T: Scalar>() {
+        for n in 0..=67 {
+            let buf: Vec<u8> = (0..1 + n * T::SIZE)
+                .map(|i| (i as u8).wrapping_mul(37).wrapping_add(11))
+                .collect();
+            let bytes = &buf[1..];
+            let mut bulk = vec![T::default(); n];
+            T::read_slice_le(bytes, &mut bulk);
+            let mut from_bulk = vec![0u8; bytes.len()];
+            T::write_slice_le(&bulk, &mut from_bulk);
+            assert_eq!(from_bulk, bytes, "{n} elements of {} bytes", T::SIZE);
+            let mut from_elems = vec![0u8; bytes.len()];
+            for (out, chunk) in from_elems
+                .chunks_exact_mut(T::SIZE)
+                .zip(bytes.chunks_exact(T::SIZE))
+            {
+                T::read_le(chunk).write_le(out);
+            }
+            assert_eq!(from_elems, bytes, "{n} elements of {} bytes", T::SIZE);
+        }
+    }
+
     #[test]
     fn slice_codecs_match_element_codecs() {
-        let values: Vec<u32> = (0..37).map(|i| i * 0x01020304).collect();
-        let mut bytes = vec![0u8; values.len() * 4];
-        u32::write_slice_le(&values, &mut bytes);
-        for (i, v) in values.iter().enumerate() {
-            assert_eq!(u32::read_le(&bytes[i * 4..i * 4 + 4]), *v);
-        }
-        let mut back = vec![0u32; values.len()];
-        u32::read_slice_le(&bytes, &mut back);
-        assert_eq!(back, values);
+        slice_codecs_agree::<f32>();
+        slice_codecs_agree::<f64>();
+        slice_codecs_agree::<i32>();
+        slice_codecs_agree::<u32>();
+        slice_codecs_agree::<i64>();
+        slice_codecs_agree::<u64>();
+    }
 
-        let doubles = [1.5f64, -2.25, f64::MAX];
-        let mut dbytes = vec![0u8; 24];
-        f64::write_slice_le(&doubles, &mut dbytes);
-        let mut dback = [0f64; 3];
-        f64::read_slice_le(&dbytes, &mut dback);
-        assert_eq!(dback, doubles);
+    #[test]
+    fn float_codecs_keep_nan_payloads_and_negative_zero() {
+        let singles = [
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xff80_0001),
+            f32::from_bits(0x7fa0_0000),
+            -0.0,
+        ];
+        let mut bytes = [0u8; 16];
+        f32::write_slice_le(&singles, &mut bytes);
+        let mut back = [0f32; 4];
+        f32::read_slice_le(&bytes, &mut back);
+        for ((v, b), chunk) in singles.iter().zip(&back).zip(bytes.chunks_exact(4)) {
+            assert_eq!(chunk, v.to_bits().to_le_bytes());
+            assert_eq!(b.to_bits(), v.to_bits());
+            assert_eq!(f32::read_le(chunk).to_bits(), v.to_bits());
+        }
+        let doubles = [
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::from_bits(0xfff0_0000_0000_0001),
+            f64::from_bits(0x7ff4_0000_0000_0000),
+            -0.0,
+        ];
+        let mut bytes = [0u8; 32];
+        f64::write_slice_le(&doubles, &mut bytes);
+        let mut back = [0f64; 4];
+        f64::read_slice_le(&bytes, &mut back);
+        for ((v, b), chunk) in doubles.iter().zip(&back).zip(bytes.chunks_exact(8)) {
+            assert_eq!(chunk, v.to_bits().to_le_bytes());
+            assert_eq!(b.to_bits(), v.to_bits());
+            assert_eq!(f64::read_le(chunk).to_bits(), v.to_bits());
+        }
     }
 
     #[test]
@@ -118,10 +180,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "slice byte width")]
+    fn write_slice_le_rejects_mismatched_lengths() {
+        u32::write_slice_le(&[1, 2], &mut [0u8; 7]);
+    }
+
+    #[test]
     fn sizes() {
         assert_eq!(<f64 as Scalar>::SIZE, 8);
         assert_eq!(<f32 as Scalar>::SIZE, 4);
         assert_eq!(<i32 as Scalar>::SIZE, 4);
+        assert_eq!(<u32 as Scalar>::SIZE, 4);
+        assert_eq!(<i64 as Scalar>::SIZE, 8);
         assert_eq!(<u64 as Scalar>::SIZE, 8);
     }
 }
