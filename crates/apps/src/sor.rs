@@ -80,6 +80,19 @@ impl SorParams {
         }
     }
 
+    /// The interior columns of `colour` in row `i`: the first one and how
+    /// many there are (`j` runs over `first_j`, `first_j + 2`, ..).  In the
+    /// layout they are one contiguous span of the row's `colour` half, and
+    /// each of their four neighbour sources is one span of a `1 - colour`
+    /// half.
+    fn span(&self, i: usize, colour: usize) -> (usize, usize) {
+        let first_j = if (colour + i) % 2 == 1 { 1 } else { 2 };
+        (
+            first_j,
+            (self.total_cols() - 1).saturating_sub(first_j).div_ceil(2),
+        )
+    }
+
     /// Initial value of element `(i, j)`: non-zero interior values chosen so
     /// that every element changes on every iteration (the paper initialises
     /// the matrix this way to make the compiler-instrumentation vs. diffing
@@ -107,6 +120,13 @@ fn initial_layout(p: &SorParams) -> Vec<f32> {
 
 /// Runs the sequential version: returns the final matrix (in the same layout
 /// as the shared region) and the work performed.
+///
+/// It sweeps spans, as the parallel version does: each (row, colour) update
+/// reads its four neighbour sources as contiguous half-row spans and
+/// writes the row's own span in place.  The expression and its operand
+/// order are the element-wise stencil's, so the matrix and the work are
+/// bit-identical to an element-at-a-time sweep; a unit test pins the two
+/// together.
 pub fn sequential(p: &SorParams) -> (Vec<f32>, Work) {
     let (tr, tc) = (p.total_rows(), p.total_cols());
     let mut m = initial_layout(p);
@@ -114,17 +134,26 @@ pub fn sequential(p: &SorParams) -> (Vec<f32>, Work) {
     for _ in 0..p.iterations {
         for colour in 0..2usize {
             for i in 1..tr - 1 {
-                for j in 1..tc - 1 {
-                    if (i + j) % 2 == colour {
-                        let v = 0.25
-                            * (m[p.idx(i - 1, j)]
-                                + m[p.idx(i + 1, j)]
-                                + m[p.idx(i, j - 1)]
-                                + m[p.idx(i, j + 1)]);
-                        m[p.idx(i, j)] = v;
-                        work += Work::flops(p.work_per_element);
-                    }
+                let (first_j, n) = p.span(i, colour);
+                // One colour's pass reads only the other colour: rows
+                // i - 1 and i + 1 and row i's other half stay unchanged.
+                let (above, rest) = m.split_at_mut(i * tc);
+                let (row, below) = rest.split_at_mut(tc);
+                let (red, black) = row.split_at_mut(tc / 2);
+                let (out, side) = if colour == 0 {
+                    (red, &*black)
+                } else {
+                    (black, &*red)
+                };
+                let up = &above[p.idx(i - 1, first_j)..][..n];
+                let down = &below[p.idx(i + 1, first_j) - (i + 1) * tc..][..n];
+                let left = &side[(first_j - 1) / 2..][..n];
+                let right = &side[first_j.div_ceil(2)..][..n];
+                let out = &mut out[first_j / 2..][..n];
+                for t in 0..n {
+                    out[t] = 0.25 * (up[t] + down[t] + left[t] + right[t]);
                 }
+                work += Work::flops(p.work_per_element * n as u64);
             }
         }
     }
@@ -237,11 +266,10 @@ pub fn run_opts(
                         row_lock(i, colour),
                         LockMode::Exclusive,
                     );
-                    // Interior columns of this colour in row i: j runs over
-                    // first_j, first_j + 2, ..; each neighbour source maps to
-                    // m consecutive elements of a (1-colour) half-row.
-                    let first_j = if (colour + i) % 2 == 1 { 1 } else { 2 };
-                    let m = (tc - 1).saturating_sub(first_j).div_ceil(2);
+                    // Interior columns of this colour in row i; each
+                    // neighbour source maps to m consecutive elements of a
+                    // (1-colour) half-row.
+                    let (first_j, m) = p.span(i, colour);
                     if m > 0 {
                         // In SOR+, only the rows adjacent to a band edge are
                         // read from the shared region; everything else (and
@@ -310,8 +338,7 @@ pub fn run_opts(
                 // One span per colour: in this layout the interior elements
                 // of one colour are contiguous (and so is the private copy).
                 for colour in 0..2usize {
-                    let first_j = if (colour + i) % 2 == 1 { 1 } else { 2 };
-                    let m = (tc - 1).saturating_sub(first_j).div_ceil(2);
+                    let (first_j, m) = p.span(i, colour);
                     let start = p.idx(i, first_j);
                     band.write_from(matrix, start, &private[start..start + m]);
                 }
@@ -340,6 +367,54 @@ pub fn sequential_time(p: &SorParams, cost: &dsm_sim::CostModel) -> dsm_sim::Sim
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The element-at-a-time stencil: the oracle that [`sequential`]'s span
+    /// sweep must match bit for bit.
+    fn sequential_elementwise(p: &SorParams) -> (Vec<f32>, Work) {
+        let (tr, tc) = (p.total_rows(), p.total_cols());
+        let mut m = initial_layout(p);
+        let mut work = Work::ZERO;
+        for _ in 0..p.iterations {
+            for colour in 0..2usize {
+                for i in 1..tr - 1 {
+                    for j in 1..tc - 1 {
+                        if (i + j) % 2 == colour {
+                            let v = 0.25
+                                * (m[p.idx(i - 1, j)]
+                                    + m[p.idx(i + 1, j)]
+                                    + m[p.idx(i, j - 1)]
+                                    + m[p.idx(i, j + 1)]);
+                            m[p.idx(i, j)] = v;
+                            work += Work::flops(p.work_per_element);
+                        }
+                    }
+                }
+            }
+        }
+        (m, work)
+    }
+
+    fn assert_sequential_matches_elementwise(p: &SorParams) {
+        let (got, work) = sequential(p);
+        let (want, want_work) = sequential_elementwise(p);
+        assert_eq!(work, want_work);
+        assert_eq!(got.len(), want.len());
+        for (k, (a, b)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "element {k}: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn sequential_matches_elementwise_sweep() {
+        assert_sequential_matches_elementwise(&SorParams::tiny());
+        assert_sequential_matches_elementwise(&SorParams::small());
+    }
+
+    #[test]
+    #[ignore = "paper scale: about 0.4 s in release; CI runs it with --release --ignored"]
+    fn sequential_matches_elementwise_sweep_at_paper_scale() {
+        assert_sequential_matches_elementwise(&SorParams::paper());
+    }
 
     #[test]
     fn layout_index_is_a_bijection_per_row() {
