@@ -2,7 +2,12 @@
 //! self-contained harness (`harness = false`; the offline build environment
 //! has no criterion): the two word-run scans a write travels through (twin
 //! compare at release, on an interleaved, a sparse and a dense page;
-//! same-stamp runs at a grant or miss) and the vector-clock merge.
+//! same-stamp runs at a grant or miss), the vector-clock merge, and the
+//! typed span codec on one SOR half-row of 501 `f32`
+//! (`scalar_span_decode_half_row`: bytes to floats, what `read_into` does
+//! per page; `scalar_span_encode_half_row`: floats to bytes, `write_from`).
+//! The codec is called from this crate, so it is timed across the crate
+//! boundary, as the applications call it.
 //! Whole-application host time is perfbench's `paper-apps` workload.
 //!
 //! Run with `cargo bench -p dsm-bench`.  Each benchmark reports the minimum
@@ -11,6 +16,7 @@
 
 use std::time::{Duration, Instant};
 
+use dsm_core::Scalar;
 use dsm_mem::{changed_word_runs, same_stamp_runs, VectorClock};
 use dsm_sim::NodeId;
 
@@ -83,5 +89,18 @@ fn main() {
     bench("mechanisms", "vector_clock_merge", || {
         a.merge_max(&v);
         a.dominates(&v)
+    });
+    // One paper-scale SOR half-row: 1002 columns, 501 of each colour.
+    let floats: Vec<f32> = (0..501).map(|i| i as f32 * 0.25 + 1.0).collect();
+    let mut bytes = vec![0u8; floats.len() * 4];
+    f32::write_slice_le(&floats, &mut bytes);
+    let mut decoded = vec![0f32; floats.len()];
+    bench("mechanisms", "scalar_span_decode_half_row", || {
+        f32::read_slice_le(std::hint::black_box(&bytes), &mut decoded);
+        decoded[500]
+    });
+    bench("mechanisms", "scalar_span_encode_half_row", || {
+        f32::write_slice_le(std::hint::black_box(&floats), &mut bytes);
+        bytes[2000]
     });
 }
