@@ -572,12 +572,6 @@ fn read_body_pos(
     v
 }
 
-/// Simulated single-processor execution time of the sequential program.
-pub fn sequential_time(p: &BarnesParams, cost: &dsm_sim::CostModel) -> dsm_sim::SimTime {
-    let (_, work) = sequential(p);
-    cost.price(dsm_sim::Charge::Compute(work))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

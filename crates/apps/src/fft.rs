@@ -291,7 +291,7 @@ pub fn run_opts(
 
             // Local phases: dim-3 and dim-2 FFTs on our planes of `src`.
             // EC holds one chunk lock per reader at once, so each phase's
-            // locks go in one lock set, released when it drops.
+            // locks go in one guard, released when it drops.
             let mut held = ctx.lock_set();
             if ec {
                 for reader in 0..nproc {
@@ -407,12 +407,6 @@ pub fn run_opts(
             && (gim - tim[t]).abs() <= 1e-6 * tim[t].abs().max(1.0)
     });
     (result, ok)
-}
-
-/// Simulated single-processor execution time of the sequential program.
-pub fn sequential_time(p: &FftParams, cost: &dsm_sim::CostModel) -> dsm_sim::SimTime {
-    let (_, _, work) = sequential(p);
-    cost.price(dsm_sim::Charge::Compute(work))
 }
 
 #[cfg(test)]

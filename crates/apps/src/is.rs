@@ -149,7 +149,7 @@ pub fn run_opts(
             // barrier alone.
             {
                 let mut g = ctx.lock_if(ec, buckets.lock(), LockMode::ReadOnly);
-                g.view(buckets).read_into(0, &mut counts);
+                g.read_into(buckets, 0, &mut counts);
                 let checksum: u64 = counts.iter().map(|&c| c as u64).sum();
                 assert_eq!(checksum, p.keys as u64, "bucket counts must sum to N");
             }
@@ -161,12 +161,6 @@ pub fn run_opts(
     let got = result.final_array(buckets);
     let ok = expected == got;
     (result, ok)
-}
-
-/// Simulated single-processor execution time of the sequential program.
-pub fn sequential_time(p: &IsParams, cost: &dsm_sim::CostModel) -> dsm_sim::SimTime {
-    let (_, work) = sequential(p);
-    cost.price(dsm_sim::Charge::Compute(work))
 }
 
 #[cfg(test)]

@@ -12,12 +12,12 @@
 //!   program a Midway user would write, Section 3.3 of the paper).
 //!
 //! The suite is written against the typed API of `dsm-core` —
-//! `SharedArray<T>`/`Binding<T>` handles, RAII lock guards
+//! `SharedArray<T>`/`Binding<T>` handles, one RAII lock guard
 //! (`ctx.lock`/`ctx.lock_if`, whose conditional form carries the EC-only
-//! annotations), lock sets (`ctx.lock_set`) where a program holds a dynamic
-//! set of locks at once (3D-FFT's transpose chunks, SOR's boundary read
-//! locks, Quicksort's rebound queue-entry lock), and typed element/span
-//! accessors.  `tests/tests/typed_api_equivalence.rs` pins that this
+//! annotations, and `ctx.lock_set`, which opens it empty where a program
+//! holds a dynamic set of locks at once: 3D-FFT's transpose chunks, SOR's
+//! boundary read locks, Quicksort's rebound queue-entry lock), and typed
+//! element/span accessors.  `tests/tests/typed_api_equivalence.rs` pins that this
 //! surface costs nothing: reports are byte-identical to the pre-redesign
 //! raw-API programs.
 //!

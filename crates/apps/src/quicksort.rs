@@ -213,7 +213,7 @@ pub fn run_opts(
 
             // The entry lock stays held across the queue-lock critical
             // sections below (and is released, rebound and reacquired
-            // mid-task), so it lives in a lock set for the whole task.
+            // mid-task), so it lives in one guard for the whole task.
             let mut entry = ctx.lock_set();
             if ec {
                 entry.acquire(entry_lock(slot), LockMode::Exclusive);
@@ -308,12 +308,6 @@ pub fn run_opts(
     got_sorted_check.sort_unstable();
     let ok = got == expected && got == got_sorted_check;
     (result, ok)
-}
-
-/// Simulated single-processor execution time of the sequential program.
-pub fn sequential_time(p: &QsParams, cost: &dsm_sim::CostModel) -> dsm_sim::SimTime {
-    let (_, work) = sequential(p);
-    cost.price(dsm_sim::Charge::Compute(work))
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use dsm_core::{
     CostModel, DsmConfig, FaultPlan, ImplKind, RecoveryReport, SimTime, TransportKind,
     TransportReport,
 };
-use dsm_sim::{ClusterStats, RegionSharing, TrafficReport};
+use dsm_sim::{Charge, ClusterStats, RegionSharing, TrafficReport};
 
 use crate::params::{AppParams, Scale};
 use crate::{barnes_hut, fft, is, quicksort, sor, water};
@@ -163,17 +163,19 @@ impl AppReport {
 }
 
 /// Simulated single-processor execution time of the sequential version of an
-/// application at the given scale.
+/// application at the given scale: the price of the work its `sequential`
+/// function reports.
 pub fn sequential_time(app: App, scale: Scale, cost: &CostModel) -> SimTime {
     let p = AppParams::at(scale);
-    match app {
-        App::Sor | App::SorPlus => sor::sequential_time(&p.sor, cost),
-        App::Quicksort => quicksort::sequential_time(&p.quicksort, cost),
-        App::Water => water::sequential_time(&p.water, cost),
-        App::BarnesHut => barnes_hut::sequential_time(&p.barnes, cost),
-        App::IntegerSort => is::sequential_time(&p.is, cost),
-        App::Fft3d => fft::sequential_time(&p.fft, cost),
-    }
+    let work = match app {
+        App::Sor | App::SorPlus => sor::sequential(&p.sor).1,
+        App::Quicksort => quicksort::sequential(&p.quicksort).1,
+        App::Water => water::sequential(&p.water).1,
+        App::BarnesHut => barnes_hut::sequential(&p.barnes).1,
+        App::IntegerSort => is::sequential(&p.is).1,
+        App::Fft3d => fft::sequential(&p.fft).2,
+    };
+    cost.price(Charge::Compute(work))
 }
 
 /// Runs one application under one implementation at the given scale and

@@ -22,7 +22,8 @@ use dsm_sim::Work;
 pub struct SorParams {
     /// Interior rows (the paper uses 1000).
     pub rows: usize,
-    /// Interior columns (the paper uses 1000).
+    /// Interior columns (the paper uses 1000).  Must be even: the
+    /// red-first/black-next layout splits each row into two equal halves.
     pub cols: usize,
     /// Red/black iterations.
     pub iterations: usize,
@@ -59,6 +60,15 @@ impl SorParams {
             iterations: 4,
             work_per_element: 9,
         }
+    }
+
+    /// Panics unless `cols` is even, which the row layout assumes.
+    fn assert_even_cols(&self) {
+        assert!(
+            self.cols % 2 == 0,
+            "SorParams::cols must be even (each row splits into equal red and black halves), got {}",
+            self.cols
+        );
     }
 
     fn total_cols(&self) -> usize {
@@ -127,7 +137,12 @@ fn initial_layout(p: &SorParams) -> Vec<f32> {
 /// order are the element-wise stencil's, so the matrix and the work are
 /// bit-identical to an element-at-a-time sweep; a unit test pins the two
 /// together.
+///
+/// # Panics
+///
+/// Panics if `p.cols` is odd.
 pub fn sequential(p: &SorParams) -> (Vec<f32>, Work) {
+    p.assert_even_cols();
     let (tr, tc) = (p.total_rows(), p.total_cols());
     let mut m = initial_layout(p);
     let mut work = Work::ZERO;
@@ -183,6 +198,10 @@ pub fn run(kind: ImplKind, nprocs: usize, p: &SorParams, plus: bool) -> (RunResu
 
 /// Like [`run`], but with the full option set, including a fault plan
 /// for crash-injection/recovery runs.
+///
+/// # Panics
+///
+/// Panics if `p.cols` is odd.
 pub fn run_opts(
     kind: ImplKind,
     nprocs: usize,
@@ -190,6 +209,7 @@ pub fn run_opts(
     plus: bool,
     opts: crate::runner::RunOpts,
 ) -> (RunResult, bool) {
+    p.assert_even_cols();
     let p = p.clone();
     let (tr, tc) = (p.total_rows(), p.total_cols());
     let mut dsm = Dsm::new(opts.config(kind, nprocs)).expect("valid config");
@@ -245,7 +265,7 @@ pub fn run_opts(
         for _ in 0..p.iterations {
             for colour in 0..2usize {
                 // EC: read-only locks on the boundary half-rows we read,
-                // both held across the whole row loop in one lock set.
+                // both held across the whole row loop in one guard.
                 let mut bounds = ctx.lock_set();
                 if ec {
                     let read_colour = 1 - colour;
@@ -325,7 +345,7 @@ pub fn run_opts(
         }
         // SOR+ publishes nothing for interior rows; copy the final band into
         // the shared region so the result can be verified uniformly, holding
-        // the whole band's locks at once in one lock set.
+        // the whole band's locks at once in one guard.
         if plus {
             let mut band = ctx.lock_set();
             if ec {
@@ -356,12 +376,6 @@ pub fn run_opts(
         .zip(got.iter())
         .all(|(a, b)| (a - b).abs() <= 1e-4 * a.abs().max(1.0));
     (result, ok)
-}
-
-/// Simulated single-processor execution time of the sequential program.
-pub fn sequential_time(p: &SorParams, cost: &dsm_sim::CostModel) -> dsm_sim::SimTime {
-    let (_, work) = sequential(p);
-    cost.price(dsm_sim::Charge::Compute(work))
 }
 
 #[cfg(test)]
@@ -414,6 +428,27 @@ mod tests {
     #[ignore = "paper scale: about 0.4 s in release; CI runs it with --release --ignored"]
     fn sequential_matches_elementwise_sweep_at_paper_scale() {
         assert_sequential_matches_elementwise(&SorParams::paper());
+    }
+
+    /// An 8x31 grid: an odd column count, which the row layout cannot hold.
+    fn odd_width() -> SorParams {
+        SorParams {
+            rows: 8,
+            cols: 31,
+            ..SorParams::tiny()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "SorParams::cols must be even")]
+    fn sequential_rejects_an_odd_column_count() {
+        sequential(&odd_width());
+    }
+
+    #[test]
+    #[should_panic(expected = "SorParams::cols must be even")]
+    fn run_rejects_an_odd_column_count() {
+        run(ImplKind::lrc_diff(), 2, &odd_width(), false);
     }
 
     #[test]

@@ -419,12 +419,6 @@ pub fn run_opts(
     (result, ok)
 }
 
-/// Simulated single-processor execution time of the sequential program.
-pub fn sequential_time(p: &WaterParams, cost: &dsm_sim::CostModel) -> dsm_sim::SimTime {
-    let (_, work) = sequential(p);
-    cost.price(dsm_sim::Charge::Compute(work))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,6 +1,6 @@
-//! The typed shared-data API: `SharedArray<T>` handles, RAII lock guards
-//! for one lock or a dynamic set of them, scoped array views, and
-//! first-class EC bindings.
+//! The typed shared-data API: `SharedArray<T>` handles, one RAII lock guard
+//! for a single lock or a run-time set of them, a scoped mutable array view,
+//! and first-class EC bindings.
 //!
 //! This is the crate's only public surface for shared data and locks.  Its
 //! operations charge exactly what the `Region`-based accessors it replaced
@@ -18,19 +18,18 @@
 //! * [`SharedArray<T>`] handles carry their element type, so
 //!   access sites ([`ProcessContext::get`], [`ProcessContext::set`], ...)
 //!   infer `T` from the handle.
-//! * [`LockGuard`]s from [`ProcessContext::lock`] release on drop and gate
-//!   mutable views on the acquisition mode — a read-only EC lock cannot hand
+//! * A [`LockGuard`] holds the locks a program holds at once: one from
+//!   [`ProcessContext::lock`], or a set whose size is known only at run time
+//!   from [`ProcessContext::lock_set`] (3D-FFT's per-(owner, reader) chunk
+//!   locks, SOR's boundary read locks).  It releases any of them early, the
+//!   rest in reverse acquisition order on drop, and gates mutable views on
+//!   the acquisition mode — a guard holding a read-only EC lock cannot hand
 //!   out an [`ArrayViewMut`].
-//! * A [`LockSet`] from [`ProcessContext::lock_set`] holds a dynamic set of
-//!   locks at once (3D-FFT's per-(owner, reader) chunk locks, SOR's
-//!   boundary read locks), releases any of them early, and releases the
-//!   rest in reverse acquisition order on drop.
 //! * [`Binding<T>`] from [`Dsm::alloc_bound`] constructs the lock→data
 //!   association of Section 3 in one place (a no-op under LRC, so the same
 //!   setup code serves every model).
-//! * [`ArrayView`] / [`ArrayViewMut`] bulk operations lower onto the
-//!   allocation-free span hot path ([`ProcessContext::read_into`] /
-//!   [`ProcessContext::write_from`]).
+//! * [`ArrayViewMut`] bulk operations lower onto the allocation-free span hot
+//!   path ([`ProcessContext::read_into`] / [`ProcessContext::write_from`]).
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -40,6 +39,7 @@ use dsm_mem::{BlockGranularity, MemRange, RegionId};
 
 use crate::context::ProcessContext;
 use crate::ids::{LockId, LockMode};
+use crate::local::HeldLock;
 use crate::runtime::Dsm;
 use crate::scalar::Scalar;
 
@@ -194,79 +194,132 @@ impl<T: Scalar> From<Binding<T>> for SharedArray<T> {
 }
 
 // ---------------------------------------------------------------------------
-// RAII lock guards
+// The RAII lock guard
 // ---------------------------------------------------------------------------
 
-/// RAII guard for a lock acquired with [`ProcessContext::lock`] (or
-/// conditionally with [`ProcessContext::lock_if`]): the lock is released when
-/// the guard is dropped.
+/// RAII guard over the locks a program holds at once: one from
+/// [`ProcessContext::lock`] (or none, from [`ProcessContext::lock_if`] with a
+/// false condition), or a set whose size is known only at run time, opened
+/// empty with [`ProcessContext::lock_set`].
+///
+/// Some EC programs hold such a set: 3D-FFT takes one chunk lock per reader,
+/// SOR+ a whole band of row locks, and Quicksort releases, rebinds and
+/// re-acquires its queue-entry lock mid-task.  [`acquire`](Self::acquire)
+/// adds a lock to the guard, [`release`](Self::release) releases one early,
+/// and dropping the guard releases the rest, with the releases' charges, in
+/// reverse acquisition order; [`unlock`](Self::unlock) drops it at a precise
+/// program point (or at once, for EC's read-lock "pulse" that fetches bound
+/// data: `ctx.lock(l, LockMode::ReadOnly).unlock()`).
 ///
 /// The guard mutably borrows the context and dereferences to it, so all
-/// shared access while the lock is held flows *through* the guard — and a
-/// nested acquire (`guard.lock(inner, mode)`) borrows the outer guard,
-/// letting the borrow checker enforce LIFO release order.  Entitlement is
-/// checked at the view layer: [`LockGuard::view_mut`] panics if the guard
-/// holds a read-only lock, mirroring EC's rule that only an exclusive holder
-/// may modify bound data.
+/// shared access while its locks are held flows *through* the guard — and a
+/// nested guard (`guard.lock(inner, mode)`) borrows the outer one, letting
+/// the borrow checker enforce LIFO release order.  Entitlement is checked at
+/// the view layer: [`LockGuard::view_mut`] panics if the guard holds any
+/// read-only lock, mirroring EC's rule that only an exclusive holder may
+/// modify bound data.
 ///
-/// The lock is released, with the release's charges, at the point the guard
-/// drops; use [`LockGuard::unlock`] to release at a precise program point (or
-/// immediately, for EC's read-lock "pulse" that fetches bound data:
-/// `ctx.lock(l, LockMode::ReadOnly).unlock()`).  A program that holds a set
-/// of locks whose size is known only at run time uses a [`LockSet`].
-#[must_use = "the lock is released when the guard drops; an unused guard releases immediately"]
+/// The guard keeps no list of its own: its locks are the entries the node's
+/// held-lock list gained after the guard was opened, so acquiring through a
+/// guard allocates nothing once that list has grown to its working size.
+///
+/// ```
+/// use dsm_core::{BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode};
+///
+/// let mut dsm = Dsm::new(DsmConfig::with_procs(ImplKind::ec_time(), 2))?;
+/// let data = dsm.alloc_array::<u32>("data", 8, BlockGranularity::Word);
+/// for l in 0..4 {
+///     dsm.bind(LockId::new(l), [data.range(2 * l as usize, 2)]);
+/// }
+/// let result = dsm.run(|ctx| {
+///     if ctx.node() == 0 {
+///         let mut set = ctx.lock_set();
+///         for l in 0..4 {
+///             set.acquire(LockId::new(l), LockMode::Exclusive);
+///         }
+///         for i in 0..8 {
+///             set.set(data, i, 10 * i as u32);
+///         }
+///     } // the guard releases locks 3, 2, 1 and 0 here
+///     ctx.barrier(BarrierId::new(0));
+/// });
+/// assert_eq!(result.final_at(data, 7), 70);
+/// # Ok::<(), dsm_core::DsmError>(())
+/// ```
+///
+/// Locks are taken only through a guard; the context has no public acquire
+/// or release:
+///
+/// ```compile_fail,E0624
+/// use dsm_core::{Dsm, DsmConfig, ImplKind, LockId};
+///
+/// let dsm = Dsm::new(DsmConfig::with_procs(ImplKind::ec_time(), 1))?;
+/// dsm.run(|ctx| ctx.release(LockId::new(0)));
+/// # Ok::<(), dsm_core::DsmError>(())
+/// ```
+#[must_use = "the guard releases its locks when it drops; an unused guard releases at once"]
 pub struct LockGuard<'c, 'a> {
     ctx: &'c mut ProcessContext<'a>,
-    lock: Option<LockId>,
-    mode: LockMode,
+    /// Length of the node's held-lock list when the guard was opened.  The
+    /// guard's locks are the entries after it, in acquisition order: a nested
+    /// guard borrows this one, so its own entries are gone again whenever
+    /// this guard is used.
+    base: usize,
 }
 
-impl<'c, 'a> LockGuard<'c, 'a> {
-    /// The lock this guard holds, or `None` for a [`ProcessContext::lock_if`]
-    /// guard whose condition was false.
-    pub fn lock_id(&self) -> Option<LockId> {
-        self.lock
+impl<'a> LockGuard<'_, 'a> {
+    /// The guard's locks: the held-list entries after its base.
+    fn held(&self) -> &[(u32, HeldLock)] {
+        self.ctx.local.held.get(self.base..).unwrap_or_default()
     }
 
-    /// The mode the lock was requested in.
-    pub fn mode(&self) -> LockMode {
-        self.mode
-    }
-
-    /// True if this guard actually holds a lock.
-    pub fn holds(&self) -> bool {
-        self.lock.is_some()
-    }
-
-    /// Releases the lock now (equivalent to dropping the guard, but reads as
-    /// an action at the release point).
-    pub fn unlock(self) {}
-
-    /// A read-only typed view of `arr`, scoped to this guard's borrow.
+    /// Acquires `lock` in `mode` and adds it to the guard.
     ///
-    /// Under EC the view should cover data bound to the held lock — that is
-    /// what the acquire made consistent.
-    pub fn view<T: Scalar>(&mut self, arr: impl Into<SharedArray<T>>) -> ArrayView<'_, 'a, T> {
-        self.ctx.view(arr)
+    /// # Panics
+    ///
+    /// Panics if this processor already holds the lock, or if a read-only
+    /// acquire is attempted under LRC (which provides only exclusive locks,
+    /// as in the paper).
+    pub fn acquire(&mut self, lock: LockId, mode: LockMode) {
+        self.ctx.acquire(lock, mode);
     }
+
+    /// Releases `lock` now, before the guard drops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the guard does not hold the lock.
+    pub fn release(&mut self, lock: LockId) {
+        assert!(
+            !matches!(self.ctx.local.held_index(lock), Some(pos) if pos < self.base),
+            "lock {lock} was not acquired through this guard"
+        );
+        self.ctx.release(lock);
+    }
+
+    /// Releases the guard's locks now (equivalent to dropping the guard, but
+    /// reads as an action at the release point).
+    pub fn unlock(self) {}
 
     /// A mutable typed view of `arr`, scoped to this guard's borrow.
     ///
     /// # Panics
     ///
-    /// Panics if the guard holds a read-only lock: under EC only an exclusive
-    /// holder may modify bound data, and handing out a mutable view from a
-    /// read-only acquisition is exactly the annotation bug the typed API
-    /// exists to catch.
+    /// Panics if the guard holds any read-only lock: under EC only an
+    /// exclusive holder may modify bound data, and handing out a mutable
+    /// view from a read-only acquisition is exactly the annotation bug the
+    /// typed API exists to catch.  A guard holding one lock refuses exactly
+    /// when that lock is read-only; an empty guard never refuses.
     pub fn view_mut<T: Scalar>(
         &mut self,
         arr: impl Into<SharedArray<T>>,
     ) -> ArrayViewMut<'_, 'a, T> {
-        assert!(
-            !self.holds() || self.mode.is_exclusive(),
-            "mutable view through a read-only lock guard ({})",
-            self.lock.expect("held")
-        );
+        if let Some((id, _)) = self.held().iter().find(|(_, h)| !h.mode.is_exclusive()) {
+            panic!(
+                "mutable view through a guard that holds read-only lock {}",
+                LockId::new(*id)
+            );
+        }
         self.ctx.view_mut(arr)
     }
 }
@@ -287,125 +340,7 @@ impl<'a> DerefMut for LockGuard<'_, 'a> {
 
 impl Drop for LockGuard<'_, '_> {
     fn drop(&mut self) {
-        if let Some(lock) = self.lock {
-            self.ctx.release(lock);
-        }
-    }
-}
-
-impl fmt::Debug for LockGuard<'_, '_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LockGuard")
-            .field("lock", &self.lock)
-            .field("mode", &self.mode)
-            .finish()
-    }
-}
-
-/// RAII guard over a dynamic set of locks, opened empty with
-/// [`ProcessContext::lock_set`].
-///
-/// Some EC programs hold a set of locks whose size is known only at run
-/// time: 3D-FFT takes one chunk lock per reader, SOR+ a whole band of row
-/// locks, and Quicksort releases, rebinds and re-acquires its queue-entry
-/// lock mid-task.  Nested [`LockGuard`]s cannot express that.
-/// [`acquire`](LockSet::acquire) adds a lock to the set,
-/// [`release`](LockSet::release) releases one early, and dropping the set
-/// releases the rest in reverse acquisition order.  Like a guard, the set
-/// mutably borrows the context and dereferences to it, so data access —
-/// and any nested guard or set — flows through it.
-///
-/// The set keeps no list of its own: its locks are the entries the node's
-/// held-lock list gained after the set was opened, so acquiring through a
-/// set allocates nothing once that list has grown to its working size.
-///
-/// ```
-/// use dsm_core::{BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode};
-///
-/// let mut dsm = Dsm::new(DsmConfig::with_procs(ImplKind::ec_time(), 2))?;
-/// let data = dsm.alloc_array::<u32>("data", 8, BlockGranularity::Word);
-/// for l in 0..4 {
-///     dsm.bind(LockId::new(l), [data.range(2 * l as usize, 2)]);
-/// }
-/// let result = dsm.run(|ctx| {
-///     if ctx.node() == 0 {
-///         let mut set = ctx.lock_set();
-///         for l in 0..4 {
-///             set.acquire(LockId::new(l), LockMode::Exclusive);
-///         }
-///         for i in 0..8 {
-///             set.set(data, i, 10 * i as u32);
-///         }
-///     } // the set releases locks 3, 2, 1 and 0 here
-///     ctx.barrier(BarrierId::new(0));
-/// });
-/// assert_eq!(result.final_at(data, 7), 70);
-/// # Ok::<(), dsm_core::DsmError>(())
-/// ```
-///
-/// Locks are taken only through a guard or a set; the context has no public
-/// acquire or release:
-///
-/// ```compile_fail,E0624
-/// use dsm_core::{Dsm, DsmConfig, ImplKind, LockId};
-///
-/// let dsm = Dsm::new(DsmConfig::with_procs(ImplKind::ec_time(), 1))?;
-/// dsm.run(|ctx| ctx.release(LockId::new(0)));
-/// # Ok::<(), dsm_core::DsmError>(())
-/// ```
-#[must_use = "the set releases its locks when it drops; an unused set holds nothing"]
-pub struct LockSet<'c, 'a> {
-    ctx: &'c mut ProcessContext<'a>,
-    /// Length of the node's held-lock list when the set was opened.  The
-    /// set's locks are the entries after it, in acquisition order: a nested
-    /// guard or set borrows this one, so its own entries are gone again
-    /// whenever this set is used.
-    base: usize,
-}
-
-impl LockSet<'_, '_> {
-    /// Acquires `lock` in `mode` and adds it to the set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this processor already holds the lock, or if a read-only
-    /// acquire is attempted under LRC (which provides only exclusive locks,
-    /// as in the paper).
-    pub fn acquire(&mut self, lock: LockId, mode: LockMode) {
-        self.ctx.acquire(lock, mode);
-    }
-
-    /// Releases `lock` now, before the set drops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the set does not hold the lock.
-    pub fn release(&mut self, lock: LockId) {
-        assert!(
-            !matches!(self.ctx.local.held_index(lock), Some(pos) if pos < self.base),
-            "lock {lock} was not acquired through this lock set"
-        );
-        self.ctx.release(lock);
-    }
-}
-
-impl<'a> Deref for LockSet<'_, 'a> {
-    type Target = ProcessContext<'a>;
-
-    fn deref(&self) -> &ProcessContext<'a> {
-        self.ctx
-    }
-}
-
-impl<'a> DerefMut for LockSet<'_, 'a> {
-    fn deref_mut(&mut self) -> &mut ProcessContext<'a> {
-        self.ctx
-    }
-}
-
-impl Drop for LockSet<'_, '_> {
-    fn drop(&mut self) {
-        // The set's locks are the held list's tail: release it from the end.
+        // The guard's locks are the held list's tail: release it from the end.
         for _ in self.base..self.ctx.local.held.len() {
             if let Some(&(id, _)) = self.ctx.local.held.last() {
                 self.ctx.release(LockId::new(id));
@@ -414,70 +349,21 @@ impl Drop for LockSet<'_, '_> {
     }
 }
 
-impl fmt::Debug for LockSet<'_, '_> {
+impl fmt::Debug for LockGuard<'_, '_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let held = self.ctx.local.held.get(self.base..).unwrap_or_default();
         f.debug_list()
-            .entries(held.iter().map(|(id, h)| (LockId::new(*id), h.mode)))
+            .entries(self.held().iter().map(|(id, h)| (LockId::new(*id), h.mode)))
             .finish()
     }
 }
 
 // ---------------------------------------------------------------------------
-// Scoped typed views
+// The scoped typed view
 // ---------------------------------------------------------------------------
-
-/// Read-only typed view of a [`SharedArray<T>`], obtained from
-/// [`ProcessContext::view`] or [`LockGuard::view`].
-///
-/// Bulk operations ([`ArrayView::read_into`], [`ArrayView::to_vec`]) lower
-/// onto the allocation-free span hot path
-/// ([`ProcessContext::read_into`]) — per-page freshness validation instead
-/// of per-word — with costs identical to the element-wise loop.
-#[derive(Debug)]
-pub struct ArrayView<'c, 'a, T: Scalar> {
-    ctx: &'c mut ProcessContext<'a>,
-    arr: SharedArray<T>,
-}
-
-impl<T: Scalar> ArrayView<'_, '_, T> {
-    /// The array this view reads.
-    pub fn array(&self) -> SharedArray<T> {
-        self.arr
-    }
-
-    /// Number of elements in the array.
-    pub fn len(&self) -> usize {
-        self.arr.len()
-    }
-
-    /// True if the array holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.arr.is_empty()
-    }
-
-    /// Reads element `idx`.
-    pub fn get(&mut self, idx: usize) -> T {
-        self.ctx.get(self.arr, idx)
-    }
-
-    /// Reads `out.len()` consecutive elements starting at `start` (one span
-    /// read on the hot path).
-    pub fn read_into(&mut self, start: usize, out: &mut [T]) {
-        self.ctx.read_into(self.arr, start, out);
-    }
-
-    /// Copies the whole array out as a vector (one span read).
-    pub fn to_vec(&mut self) -> Vec<T> {
-        let mut out = vec![T::default(); self.len()];
-        self.read_into(0, &mut out);
-        out
-    }
-}
 
 /// Mutable typed view of a [`SharedArray<T>`], obtained from
 /// [`ProcessContext::view_mut`] or [`LockGuard::view_mut`] (the latter only
-/// through an exclusive lock).
+/// through a guard that holds no read-only lock).
 ///
 /// Bulk writes ([`ArrayViewMut::write`], [`ArrayViewMut::fill_from`]) lower onto
 /// the span hot path ([`ProcessContext::write_from`]): the write trap runs
@@ -569,12 +455,7 @@ impl<'a> ProcessContext<'a> {
     /// acquire is attempted under LRC (which provides only exclusive locks,
     /// as in the paper).
     pub fn lock(&mut self, lock: LockId, mode: LockMode) -> LockGuard<'_, 'a> {
-        self.acquire(lock, mode);
-        LockGuard {
-            ctx: self,
-            lock: Some(lock),
-            mode,
-        }
+        self.lock_if(true, lock, mode)
     }
 
     /// Acquires `lock` only if `cond` is true, returning a guard either way.
@@ -585,30 +466,18 @@ impl<'a> ProcessContext<'a> {
     /// against the guard.  With `cond` false the guard holds nothing,
     /// releases nothing, and charges nothing.
     pub fn lock_if(&mut self, cond: bool, lock: LockId, mode: LockMode) -> LockGuard<'_, 'a> {
+        let mut guard = self.lock_set();
         if cond {
-            self.acquire(lock, mode);
+            guard.acquire(lock, mode);
         }
+        guard
+    }
+
+    /// Opens an empty [`LockGuard`], for a set of locks whose size is known
+    /// only at run time.
+    pub fn lock_set(&mut self) -> LockGuard<'_, 'a> {
         LockGuard {
-            ctx: self,
-            lock: cond.then_some(lock),
-            mode,
-        }
-    }
-
-    /// Opens an empty [`LockSet`], a guard for a set of locks whose size is
-    /// known only at run time.
-    pub fn lock_set(&mut self) -> LockSet<'_, 'a> {
-        LockSet {
             base: self.local.held.len(),
-            ctx: self,
-        }
-    }
-
-    /// A read-only typed view of `arr` (no lock required — under LRC,
-    /// barriers provide the ordering).
-    pub fn view<T: Scalar>(&mut self, arr: impl Into<SharedArray<T>>) -> ArrayView<'_, 'a, T> {
-        ArrayView {
-            arr: arr.into(),
             ctx: self,
         }
     }
@@ -692,43 +561,6 @@ mod tests {
         });
         assert_eq!(result.final_at(a, 0), 100);
         assert_eq!(result.final_array(a)[7], 71);
-    }
-
-    #[test]
-    fn lock_set_and_lock_guard_charge_identically() {
-        // A lock held through a set and through a guard is the same holding:
-        // same contents, traffic, statistics and simulated time.  The nodes
-        // take the lock in turn, one per barrier episode: the traffic depends
-        // on which node is granted the lock first, so a race for it would
-        // make the two runs differ by schedule alone.
-        let run = |set: bool| {
-            let mut d = dsm(ImplKind::lrc_diff(), 2);
-            let a = d.alloc_array::<u32>("a", 16, BlockGranularity::Word);
-            let result = d.run(|ctx| {
-                for turn in 0..ctx.nprocs() {
-                    if ctx.node() == turn {
-                        if set {
-                            let mut s = ctx.lock_set();
-                            s.acquire(LockId::new(0), LockMode::Exclusive);
-                            s.modify(a, 0, |v: u32| v + 1);
-                        } else {
-                            let mut g = ctx.lock(LockId::new(0), LockMode::Exclusive);
-                            g.modify(a, 0, |v: u32| v + 1);
-                        }
-                    }
-                    ctx.barrier(BarrierId::new(0));
-                }
-            });
-            (
-                result.final_at(a, 0),
-                result.time,
-                result.traffic.messages,
-                result.traffic.bytes,
-                result.traffic.lock_transfers,
-                result.stats,
-            )
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]
@@ -833,8 +665,7 @@ mod tests {
         let a = d.alloc_array::<u32>("a", 4, BlockGranularity::Word);
         let result = d.run(|ctx| {
             let mut g = ctx.lock_if(false, LockId::new(9), LockMode::Exclusive);
-            assert!(!g.holds());
-            assert_eq!(g.lock_id(), None);
+            assert_eq!(format!("{g:?}"), "[]");
             g.set(a, 0, 1);
             // A mutable view is fine without a lock (the LRC case).
             g.view_mut(a).set(1, 2);
@@ -878,6 +709,42 @@ mod tests {
     }
 
     #[test]
+    fn multi_lock_guard_refuses_mutable_views_while_it_holds_a_read_only_lock() {
+        let mut d = dsm(ImplKind::ec_time(), 1);
+        let a = d.alloc_bound::<u32>("a", 8, BlockGranularity::Word, LockId::new(0));
+        let b = d.alloc_bound::<u32>("b", 8, BlockGranularity::Word, LockId::new(1));
+        let result = d.run(|ctx| {
+            // Two exclusive locks: the guard hands out views, and their
+            // writes publish at the release.
+            let mut g = ctx.lock_set();
+            g.acquire(a.lock(), LockMode::Exclusive);
+            g.acquire(b.lock(), LockMode::Exclusive);
+            g.view_mut(a).set(0, 5);
+            g.view_mut(b).set(0, 6);
+            drop(g);
+            // One exclusive and one read-only lock, in either order: no
+            // mutable view, not even of the exclusively held array.
+            let (x, r) = (LockMode::Exclusive, LockMode::ReadOnly);
+            for (mode_a, mode_b, read_only) in [(x, r, "L1"), (r, x, "L0")] {
+                let mut g = ctx.lock_set();
+                g.acquire(a.lock(), mode_a);
+                g.acquire(b.lock(), mode_b);
+                let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let _ = g.view_mut(if mode_a == x { a } else { b });
+                }));
+                let msg = refused.expect_err("mutable view through a read-only lock");
+                let msg = msg.downcast_ref::<String>().expect("formatted message");
+                assert!(
+                    msg.contains(&format!("read-only lock {read_only}")),
+                    "{msg}"
+                );
+            }
+        });
+        assert_eq!(result.final_at(a, 0), 5);
+        assert_eq!(result.final_at(b, 0), 6);
+    }
+
+    #[test]
     fn views_cover_bulk_and_element_ops() {
         let mut d = dsm(ImplKind::hlrc_diff(), 2);
         let a = d.alloc_array::<i64>("a", 32, BlockGranularity::DoubleWord);
@@ -896,12 +763,8 @@ mod tests {
                 assert_eq!(&all[..3], &[-2, 10, 11]);
             }
             ctx.barrier(BarrierId::new(0));
-            let mut r = ctx.view(a);
-            assert_eq!(r.get(1), 10);
-            assert_eq!(r.to_vec()[2], 11);
-            assert_eq!(r.array(), a);
-            assert_eq!(r.len(), 32);
-            assert!(!r.is_empty());
+            assert_eq!(ctx.get(a, 1), 10);
+            assert_eq!(ctx.get(a, 2), 11);
             ctx.barrier(BarrierId::new(1));
         });
         assert_eq!(result.final_array(a)[0], -2);

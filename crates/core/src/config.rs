@@ -346,6 +346,14 @@ impl ImplKind {
         self.collection
     }
 
+    /// True if diffs are created lazily (twinning with diffs, Section 5):
+    /// the twin compare that builds a diff is paid by the first request for
+    /// it, not at the release.  Every other implementation pays its compare
+    /// at the release (none under instrumentation, which compares no words).
+    pub(crate) fn diffs_lazily(self) -> bool {
+        self.trapping == Trapping::Twinning && self.collection == Collection::Diffs
+    }
+
     /// The name used in the paper's tables: `EC-ci`, `EC-time`, `EC-diff`,
     /// `LRC-ci`, `LRC-time`, `LRC-diff`, plus `HLRC-*` for the home-based
     /// family and `ALRC-*` for the adaptive family.

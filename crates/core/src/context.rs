@@ -252,7 +252,7 @@ impl<'a> ProcessContext<'a> {
     }
 
     /// The acquire beneath [`lock`](Self::lock), [`lock_if`](Self::lock_if)
-    /// and [`LockSet::acquire`](crate::LockSet::acquire), whose docs give
+    /// and [`LockGuard::acquire`](crate::LockGuard::acquire), whose docs give
     /// its semantics and panics.  The holding is appended to
     /// [`NodeLocal::held`].
     pub(crate) fn acquire(&mut self, lock: LockId, mode: LockMode) {
@@ -348,11 +348,10 @@ impl<'a> ProcessContext<'a> {
         self.local.held.push((lock.0, held));
     }
 
-    /// The release beneath dropping a [`LockGuard`](crate::LockGuard) or a
-    /// [`LockSet`](crate::LockSet), and beneath
-    /// [`LockSet::release`](crate::LockSet::release).  Under EC an exclusive
-    /// release publishes the modifications made to the bound data; under LRC
-    /// it ends the current interval.
+    /// The release beneath dropping a [`LockGuard`](crate::LockGuard) and
+    /// beneath [`LockGuard::release`](crate::LockGuard::release).  Under EC
+    /// an exclusive release publishes the modifications made to the bound
+    /// data; under LRC it ends the current interval.
     ///
     /// # Panics
     ///
@@ -369,7 +368,7 @@ impl<'a> ProcessContext<'a> {
         };
         self.local.charge(Charge::Release);
         // `remove`, not `swap_remove`: the held list stays in acquisition
-        // order, which a `LockSet` relies on to release in reverse.
+        // order, which a `LockGuard` relies on to release in reverse.
         let (_, mut held) = self.local.held.remove(pos);
         // Publish before the lock becomes available so the next acquirer's
         // grant sees everything this holding modified.

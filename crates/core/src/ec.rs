@@ -641,10 +641,11 @@ impl ProtocolEngine for EcEngine {
             }
         }
 
-        // With timestamps the comparison that stamps the changed blocks runs
-        // at the release; with diffs it is deferred to the first request
-        // (lazy diffing).
-        if trapping == Trapping::Twinning && collection == Collection::Timestamps {
+        // Unless diff creation is deferred to the first request (lazy
+        // diffing), the release pays the twin comparison that found the
+        // changed blocks (no words under instrumentation).
+        let lazy = self.cfg.kind.diffs_lazily();
+        if !lazy {
             local.charge(Charge::DiffCompare(col.compare_words as u64));
         }
 
@@ -657,8 +658,7 @@ impl ProtocolEngine for EcEngine {
                 stamp: seq,
                 encoded_size: diff_size(col.changed_words, col.runs),
                 compare_words: col.compare_words,
-                creation_charged: collection == Collection::Timestamps
-                    || trapping == Trapping::Instrumentation,
+                creation_charged: !lazy,
             });
             local.undo(|| UndoRec::EcPublish {
                 lock: lock.index(),

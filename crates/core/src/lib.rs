@@ -99,13 +99,13 @@
 //! The same program runs unchanged under any [`ImplKind`]; EC programs
 //! additionally bind their shared data to locks — in one step with
 //! [`Dsm::alloc_bound`], or piecewise with [`Dsm::bind`] /
-//! [`ProcessContext::rebind`] — and take RAII [`LockGuard`]s
-//! ([`ProcessContext::lock`]), or a [`LockSet`] ([`ProcessContext::lock_set`])
-//! where they hold a set of locks whose size is known only at run time,
+//! [`ProcessContext::rebind`] — and take their locks through one RAII
+//! [`LockGuard`] type, holding one lock ([`ProcessContext::lock`]) or a set
+//! whose size is known only at run time ([`ProcessContext::lock_set`]),
 //! using read-only locks ([`LockMode::ReadOnly`]) where LRC programs rely on
-//! barriers alone.  The typed handles, guards and views (see
+//! barriers alone.  The typed handles, the guard and the mutable view (see
 //! [`SharedArray`]) are the crate's whole shared-data surface: locks are
-//! taken and released only through a guard or a set.
+//! taken and released only through a guard.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -126,7 +126,7 @@ mod scalar;
 mod sync;
 mod transport;
 
-pub use api::{ArrayView, ArrayViewMut, Binding, LockGuard, LockSet, SharedArray};
+pub use api::{ArrayViewMut, Binding, LockGuard, SharedArray};
 pub use config::{Collection, DsmConfig, ImplKind, Model, Trapping};
 pub use context::ProcessContext;
 pub use error::DsmError;

@@ -147,7 +147,7 @@ pub(crate) struct NodeLocal {
     /// Locks currently held by this node, keyed by lock id and searched
     /// linearly from the most recent: a node holds a handful of locks at
     /// once (SOR+'s final band, the largest case, holds two per row of its
-    /// band).  Kept in acquisition order — a [`LockSet`](crate::LockSet)'s
+    /// band).  Kept in acquisition order — a [`LockGuard`](crate::LockGuard)'s
     /// locks are the tail it added, released from the end.
     pub held: Vec<(u32, HeldLock)>,
     /// Pages dirtied during the current interval, awaiting publication at the

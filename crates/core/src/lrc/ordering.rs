@@ -232,6 +232,7 @@ impl LrcEngine {
         }
         let trapping = self.cfg.kind.trapping();
         let collection = self.cfg.kind.collection();
+        let lazy = self.cfg.kind.diffs_lazily();
         let me = local.node;
         let me_idx = me.index();
         let next_interval = local.vector.entry(me) + 1;
@@ -416,9 +417,7 @@ impl LrcEngine {
                 let rec = ps.push_pub(me, next_interval, &pub_clock, DIFF_RING);
                 rec.encoded_size = if suppress { 0 } else { encoded_size };
                 rec.compare_words = if suppress { 0 } else { compare_words };
-                rec.creation_charged = suppress
-                    || collection == Collection::Timestamps
-                    || trapping == Trapping::Instrumentation;
+                rec.creation_charged = suppress || !lazy;
                 if !suppress {
                     self.placement.publish(local, ridx, page, rec);
                 }
@@ -435,11 +434,6 @@ impl LrcEngine {
         match trapping {
             Trapping::Twinning => {
                 local.charge(Charge::Mprotect(reprotects));
-                if collection == Collection::Timestamps {
-                    // Stamping the modified blocks requires the twin
-                    // comparison at the end of the interval.
-                    local.charge(Charge::DiffCompare(total_compare_words));
-                }
             }
             Trapping::Instrumentation => {
                 // Hierarchical dirty bits (Section 4.1): finding the dirty
@@ -447,6 +441,12 @@ impl LrcEngine {
                 // page in the shared data set.
                 local.charge(Charge::PageBitChecks(total_region_pages));
             }
+        }
+        if !lazy {
+            // Without lazy diffing the twin comparison that found the
+            // modified blocks is paid at the end of the interval (no words
+            // under instrumentation).
+            local.charge(Charge::DiffCompare(total_compare_words));
         }
 
         // Hand the drained list back as the spare for the next interval.

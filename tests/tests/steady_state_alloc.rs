@@ -16,8 +16,8 @@
 //! the region is bound to the lock and spans four pages, so every acquire
 //! arms those pages (the large-object path).  One more EC-time case splits
 //! the region between two locks whose bindings share a page and holds both
-//! through one `LockSet`, so the shared page is armed twice and its twin
-//! outlives the first release.
+//! through one `LockGuard` opened with `lock_set`, so the shared page is
+//! armed twice and its twin outlives the first release.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -88,8 +88,8 @@ fn steady_state_epochs_allocate_nothing() {
 
 /// Allocations during the armed window of `WINDOW` epochs under `impl_name`.
 /// With `lock_set`, two locks split the region (bound ranges of 6 and 10 KiB
-/// that share its second page), each epoch holds both through one
-/// `LockSet`, and the first-acquired lock is released first.
+/// that share its second page), each epoch holds both through one guard,
+/// and the first-acquired lock is released first.
 fn window_allocations(impl_name: &str, lock_set: bool) -> u64 {
     let kind = ImplKind::from_name(impl_name).expect("known impl");
     let mut dsm = Dsm::new(DsmConfig::with_procs(kind, 1)).expect("valid config");

@@ -1,6 +1,7 @@
-//! Typed-API equivalence: the typed surface (`SharedArray`, `LockGuard`,
-//! `ArrayView`) must charge exactly what the raw `Region` programs it
-//! replaced charged — not a single simulated byte or cost may move.
+//! Typed-API equivalence: the typed surface (`SharedArray` handles, the
+//! `LockGuard` and typed element/span accessors) must charge exactly what
+//! the raw `Region` programs it replaced charged — not a single simulated
+//! byte or cost may move.
 //!
 //! The golden files under `tests/golden/typed_api_*` were blessed from the
 //! raw-API programs *before* the typed layer existed; the ported programs
