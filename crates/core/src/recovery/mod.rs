@@ -16,9 +16,10 @@
 //! * [`FaultPlan`] — the deterministic crash schedule carried by
 //!   [`DsmConfig`](crate::DsmConfig).
 //! * [`NodeCheckpoint`] — one node's in-memory barrier-cut snapshot (full
-//!   region copies: restore is a `memcpy`).  Its compact wire form is
-//!   [`dsm_mem::CkptImage`], a changed-run delta against the previous cut
-//!   that travels to the transport replicas as a `Ckpt` frame.
+//!   region copies: restore is a `memcpy`).  Its compact wire form is a
+//!   [`dsm_mem::CkptImage`]: a header, then one publish frame per region
+//!   carrying its changed words since the previous cut, sent to the
+//!   transport replicas as a `Ckpt` message.
 //! * [`UndoRec`](undo::UndoRec) — the target node's log of crash-epoch
 //!   mutations to *shared* state (lock table entries, publish rings, sharing
 //!   accumulators), applied in reverse at rollback so the replayed epoch
@@ -35,7 +36,7 @@
 //! do not and are documented out of recovery scope.
 
 use dsm_mem::wire::WireMsgKind;
-use dsm_mem::{CkptImage, CkptRegion, VectorClock};
+use dsm_mem::{CkptImage, VectorClock};
 use dsm_sim::{Charge, NodeClock, NodeStats, SimTime};
 
 use crate::local::NodeLocal;
@@ -267,42 +268,32 @@ pub(crate) fn arm(local: &mut NodeLocal, plan: FaultPlan) {
         report: RecoveryReport::default(),
     });
     // Cut 0: the initial contents, which every node already holds, encode as
-    // an all-empty delta — the image is a few dozen bytes of header.
-    let image = build_image(local, &state.ckpt.regions);
+    // frames with no runs — the image is a few dozen bytes of header.
+    let (bytes, _) = ship_image(local, &state.ckpt.regions);
     state.report.checkpoints = 1;
-    state.report.checkpoint_bytes = image.encoded_len() as u64;
+    state.report.checkpoint_bytes = bytes;
     local.recovery = Some(state);
-    send_image(local, &image);
 }
 
-/// Builds the wire image of the node's *current* state as a delta against
-/// `prev` (the region copies of the previous checkpoint).
-fn build_image(local: &NodeLocal, prev: &[RegionCkpt]) -> CkptImage {
-    let stamp = local.stats.barriers;
-    CkptImage {
+/// Encodes the image of the node's *current* state as a delta against
+/// `prev` (the region copies of the previous checkpoint) and ships it to the
+/// transport replicas when a real backend is attached.  Returns the image's
+/// length in bytes and the words of region data it carries.
+fn ship_image(local: &mut NodeLocal, prev: &[RegionCkpt]) -> (u64, u64) {
+    let image = CkptImage {
         node: local.node.index() as u32,
-        barriers: stamp,
+        barriers: local.stats.barriers,
         epoch: local.epoch,
         time_ns: local.clock.now().as_nanos(),
-        clock: local.vector.clone(),
-        regions: local
-            .regions
-            .iter()
-            .zip(prev.iter())
-            .map(|(r, p)| CkptRegion::delta(&p.data, &r.data, stamp))
-            .collect(),
-        locks: local.held.iter().map(|&(id, _)| id).collect(),
-    }
-}
-
-/// Ships a checkpoint image to the transport replicas, when a real backend
-/// is attached.
-fn send_image(local: &mut NodeLocal, image: &CkptImage) {
+        clock: local.vector.entries().to_vec(),
+    };
+    let mut bytes = Vec::new();
+    let regions = prev.iter().zip(&local.regions);
+    let words = image.encode(regions.map(|(p, r)| (&p.data[..], &r.data[..])), &mut bytes);
     if let Some(w) = local.wire.as_deref_mut() {
-        let mut bytes = Vec::with_capacity(image.encoded_len());
-        image.encode_into(&mut bytes);
         w.send_oob(WireMsgKind::Ckpt, &bytes);
     }
+    (bytes.len() as u64, words as u64)
 }
 
 /// True while the node is replaying skipped barriers: every shared-memory
@@ -354,20 +345,15 @@ pub(crate) fn checkpoint_if_armed(local: &mut NodeLocal) {
         // checkpoint and keep accumulating undo until the next clean one.
         return;
     }
-    let image = {
-        let state = local.recovery.as_deref().expect("checked above");
-        build_image(local, &state.ckpt.regions)
-    };
+    let mut state = local.recovery.take().expect("checked above");
+    let (bytes, words) = ship_image(local, &state.ckpt.regions);
     // The capture cost lands on the clock before the snapshot freezes the
     // time, so restore resumes from after-capture time.
-    let charge = local.charge(Charge::Checkpoint(image.words() as u64));
-    let state = local.recovery.as_deref_mut().expect("checked above");
+    let charge = local.charge(Charge::Checkpoint(words));
     state.report.checkpoints += 1;
-    state.report.checkpoint_bytes += image.encoded_len() as u64;
+    state.report.checkpoint_bytes += bytes;
     state.report.ckpt_ns += charge.as_nanos();
     state.undo.clear();
-    send_image(local, &image);
-    let mut state = local.recovery.take().expect("checked above");
     state.ckpt.recapture(local);
     local.recovery = Some(state);
 }

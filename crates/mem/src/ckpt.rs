@@ -8,270 +8,150 @@
 //! the rendezvous.  The in-memory snapshot keeps full region copies (restore
 //! is a `memcpy`); *this* module defines the compact image that travels to
 //! the transport replicas as a [`WireMsgKind::Ckpt`](crate::wire::WireMsgKind)
-//! frame and whose size the recovery bench reports: word-granular
-//! changed-run deltas against the node's previous checkpoint, encoded with
-//! the same flat-payload codec the data plane already uses
-//! ([`encode_flat_update`](crate::wire::encode_flat_update) — no serde tree
-//! walk).
+//! message and whose size the recovery bench reports.
 //!
-//! # Image layout (all integers little-endian)
+//! An image carries a node's changed words since its previous cut, which is
+//! the shape of a publish.  So its regions travel as a batch body of v2
+//! frames, one per region, and decode through the [`BatchReader`] that every
+//! publish batch goes through.
 //!
-//! | Field        | Layout                                                    |
-//! |--------------|-----------------------------------------------------------|
-//! | header       | `u32 node` · `u64 barriers` · `u64 epoch` · `u64 time_ns` |
-//! | vector clock | `u32 n` · `n × u32 entry`                                 |
-//! | regions      | `u32 nregions` · per region: flat-update record · `u32 payload_len` · payload |
-//! | lock table   | `u32 nlocks` · `nlocks × u32 lock`                        |
+//! # Image layout
 //!
-//! The per-region run table is a [`FlatUpdate`] whose runs are *word*
-//! indices stamped with the cut's barrier count; the payload carries each
-//! run's bytes back to back.  A clean barrier cut has an empty lock table —
-//! it is present so the image format can describe mid-critical-section cuts
-//! if a future protocol needs them.
+//! | Field   | Layout                                                           |
+//! |---------|------------------------------------------------------------------|
+//! | header  | varints: `node` · `barriers` · `epoch` · `time_ns`               |
+//! | clock   | the node's vector clock as one full-mode [`CompactClock`] record |
+//! | regions | batch body: `u32 nregions` · `nregions × (varint len, frame v2)` |
 //!
-//! Malformed input decodes to `None`: truncations, overstated run counts,
-//! payload/run-table length mismatches and unsorted runs are all rejected,
-//! matching the rest of the wire codec.
+//! Frame `i` is region `i`'s delta against the node's previous cut: its runs
+//! are the word runs that changed ([`changed_word_runs`]) as byte ranges, its
+//! `seq` is the cut's barrier count, and its clock is empty, as an EC
+//! publish's is.
+//!
+//! Malformed input decodes to `None`, as everywhere in the wire codec.
 
-use crate::wire::{
-    decode_flat_update, decode_vclock, encode_flat_update, encode_vclock, MAX_WIRE_MSG,
-};
-use crate::{changed_word_runs, VectorClock};
+use crate::cclock::{get_varint, put_varint, CompactClock};
+use crate::wire::{encode_frame_v2, BatchReader, FrameV2, WireFrame};
+use crate::{changed_word_runs, BufferPool};
 
-/// One run of a [`FlatUpdate`]: `len` consecutive word blocks from `start`,
-/// all carrying `stamp`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlatRun {
-    /// First block index of the run.
-    pub start: usize,
-    /// Number of consecutive blocks in the run.
-    pub len: usize,
-    /// The stamp every block of the run carries.
-    pub stamp: u64,
-}
-
-/// A checkpoint image's run table: the stamped word runs of one region's
-/// delta, in increasing block order.  It carries no bytes; the image's
-/// payload holds each run's words back to back.
+/// The header of one node's checkpoint image: the barrier cut's identity
+/// (node, barrier count, epoch, simulated time) and the node's vector clock
+/// at the cut.  The region deltas that follow it are built by
+/// [`CkptImage::encode`] and come back from [`CkptImage::decode`] as frames.
 ///
 /// ```
-/// use dsm_mem::{FlatRun, FlatUpdate};
+/// use dsm_mem::CkptImage;
 ///
-/// let table = FlatUpdate::from_runs(vec![FlatRun { start: 2, len: 3, stamp: 1 }]);
-/// assert_eq!(table.runs()[0].start + table.runs()[0].len, 5);
+/// let image = CkptImage { node: 1, barriers: 3, clock: vec![2, 5], ..CkptImage::default() };
+/// let (prev, cur) = (vec![0u8; 16], vec![0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0]);
+/// let mut bytes = Vec::new();
+/// assert_eq!(image.encode([(&prev[..], &cur[..])].into_iter(), &mut bytes), 2);
+///
+/// let (back, frames) = CkptImage::decode(&bytes).unwrap();
+/// assert_eq!(back, image);
+/// let mut copy = prev.clone();
+/// assert!(frames[0].apply(&mut copy));
+/// assert_eq!(copy, cur);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FlatUpdate {
-    runs: Vec<FlatRun>,
-}
-
-impl FlatUpdate {
-    /// A run table over `runs`, which must be in increasing block order.
-    pub fn from_runs(runs: Vec<FlatRun>) -> Self {
-        FlatUpdate { runs }
-    }
-
-    /// The runs, in increasing block order.
-    pub fn runs(&self) -> &[FlatRun] {
-        &self.runs
-    }
-}
-
-/// One region's contribution to a checkpoint image: the word runs that
-/// changed since the node's previous checkpoint, plus their bytes.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CkptRegion {
-    /// Changed word runs (run starts/lengths are word indices), every run
-    /// stamped with the cut's barrier count.
-    pub update: FlatUpdate,
-    /// Each run's bytes, back to back in run order.
-    pub payload: Vec<u8>,
-}
-
-impl CkptRegion {
-    /// Builds the delta of one region against its previous checkpoint copy,
-    /// stamping every run `stamp` (the cut's barrier count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the copies differ in length or are not word-granular —
-    /// every region in this system is, and a silent ragged tail would make
-    /// the image lossy.
-    pub fn delta(prev: &[u8], cur: &[u8], stamp: u64) -> CkptRegion {
-        assert_eq!(prev.len(), cur.len(), "checkpoint copies must match");
-        assert_eq!(cur.len() % 4, 0, "regions are word-granular");
-        let mut runs = Vec::new();
-        changed_word_runs(prev, cur, 0..cur.len() / 4, |start, end| {
-            runs.push(FlatRun {
-                start,
-                len: end - start,
-                stamp,
-            })
-        });
-        let mut payload = Vec::with_capacity(runs.iter().map(|r| r.len * 4).sum());
-        for r in &runs {
-            payload.extend_from_slice(&cur[r.start * 4..(r.start + r.len) * 4]);
-        }
-        CkptRegion {
-            update: FlatUpdate::from_runs(runs),
-            payload,
-        }
-    }
-
-    /// Number of words the delta covers.
-    pub fn words(&self) -> usize {
-        self.payload.len() / 4
-    }
-
-    /// Copies the delta into a region-sized buffer (the previous checkpoint
-    /// copy), reconstructing the checkpointed contents.  Returns `false`,
-    /// leaving a suffix unapplied, if a run falls outside the buffer.
-    pub fn apply_to(&self, target: &mut [u8]) -> bool {
-        let mut pos = 0usize;
-        for r in self.update.runs() {
-            let (start, len) = (r.start * 4, r.len * 4);
-            let Some(dst) = target.get_mut(start..start + len) else {
-                return false;
-            };
-            dst.copy_from_slice(&self.payload[pos..pos + len]);
-            pos += len;
-        }
-        true
-    }
-}
-
-/// One node's checkpoint image: the barrier cut's identity (node, barrier
-/// count, epoch, simulated time), the node's vector clock at the cut, the
-/// per-region changed-run deltas and the (normally empty) held-lock table.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CkptImage {
     /// The checkpointing node.
     pub node: u32,
-    /// Barriers the node had completed at the cut (cut index; doubles as the
-    /// run stamp of every delta run).
+    /// Barriers the node had completed at the cut: the cut's index, and the
+    /// `seq` of every region frame.
     pub barriers: u64,
     /// The node's interval/epoch counter at the cut.
     pub epoch: u64,
     /// The node's simulated clock at the cut, in nanoseconds.
     pub time_ns: u64,
-    /// The node's vector clock at the cut.
-    pub clock: VectorClock,
-    /// Per-region deltas against the node's previous checkpoint, in region
-    /// index order (one entry per region, empty delta if unchanged).
-    pub regions: Vec<CkptRegion>,
-    /// Locks held across the cut (empty at a clean barrier cut).
-    pub locks: Vec<u32>,
-}
-
-fn get_u32(buf: &[u8], at: &mut usize) -> Option<u32> {
-    let end = at.checked_add(4)?;
-    let v = u32::from_le_bytes(buf.get(*at..end)?.try_into().expect("4 bytes"));
-    *at = end;
-    Some(v)
-}
-
-fn get_u64(buf: &[u8], at: &mut usize) -> Option<u64> {
-    let end = at.checked_add(8)?;
-    let v = u64::from_le_bytes(buf.get(*at..end)?.try_into().expect("8 bytes"));
-    *at = end;
-    Some(v)
+    /// The node's vector-clock entries at the cut.
+    pub clock: Vec<u32>,
 }
 
 impl CkptImage {
-    /// Appends the encoded image to `out` (see the module docs for the
-    /// layout).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.node.to_le_bytes());
-        out.extend_from_slice(&self.barriers.to_le_bytes());
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.time_ns.to_le_bytes());
-        encode_vclock(&self.clock, out);
-        out.extend_from_slice(&(self.regions.len() as u32).to_le_bytes());
-        for r in &self.regions {
-            encode_flat_update(&r.update, out);
-            out.extend_from_slice(&(r.payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(&r.payload);
+    /// Appends the image to `out`: this header, then one frame per
+    /// `(prev, cur)` pair of region copies, carrying the words of `cur` that
+    /// differ from `prev`.  Returns the number of words the frames carry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair's copies differ in length or are not word-granular —
+    /// every region in this system is, and a silent ragged tail would make
+    /// the image lossy.
+    pub fn encode<'r>(
+        &self,
+        regions: impl ExactSizeIterator<Item = (&'r [u8], &'r [u8])>,
+        out: &mut Vec<u8>,
+    ) -> usize {
+        for v in [self.node as u64, self.barriers, self.epoch, self.time_ns] {
+            put_varint(out, v);
         }
-        out.extend_from_slice(&(self.locks.len() as u32).to_le_bytes());
-        for &l in &self.locks {
-            out.extend_from_slice(&l.to_le_bytes());
+        let mut codec = CompactClock::new();
+        codec.encode_next(&self.clock, true, out);
+        out.extend_from_slice(&(regions.len() as u32).to_le_bytes());
+        let (mut runs, mut frame, mut words) = (Vec::new(), Vec::new(), 0);
+        for (region, (prev, cur)) in regions.enumerate() {
+            assert_eq!(prev.len(), cur.len(), "checkpoint copies must match");
+            assert_eq!(cur.len() % 4, 0, "regions are word-granular");
+            runs.clear();
+            changed_word_runs(prev, cur, 0..cur.len() / 4, |start, end| {
+                runs.push(((start * 4) as u32, ((end - start) * 4) as u32));
+                words += end - start;
+            });
+            frame.clear();
+            let f = FrameV2 {
+                region: region as u32,
+                seq: self.barriers,
+                clock: &[],
+                full: true,
+                runs: &runs,
+                data: cur,
+            };
+            encode_frame_v2(&f, &mut codec, &mut frame);
+            put_varint(out, frame.len() as u64);
+            out.extend_from_slice(&frame);
         }
+        words
     }
 
-    /// Decodes an image; the buffer must contain exactly one record.
-    /// Malformed input — truncation, trailing garbage, run/payload length
-    /// mismatches, unsorted or overlapping runs — returns `None`.
-    pub fn decode(buf: &[u8]) -> Option<CkptImage> {
+    /// Decodes an image; the buffer must hold exactly one.  Returns the
+    /// header and one frame per region, in region order: applying frame `i`
+    /// ([`WireFrame::apply`]) to region `i`'s copy at the previous cut
+    /// rebuilds its copy at this one.
+    ///
+    /// Beyond what [`BatchReader`] refuses, a frame out of region order, one
+    /// whose `seq` is not the cut's barrier count, one with a non-empty
+    /// clock, and trailing bytes all return `None`.
+    pub fn decode(buf: &[u8]) -> Option<(CkptImage, Vec<WireFrame>)> {
         let mut at = 0usize;
-        let node = get_u32(buf, &mut at)?;
-        let barriers = get_u64(buf, &mut at)?;
-        let epoch = get_u64(buf, &mut at)?;
-        let time_ns = get_u64(buf, &mut at)?;
-        let (clock, used) = decode_vclock(buf.get(at..)?)?;
-        at += used;
-        let nregions = get_u32(buf, &mut at)? as usize;
-        if nregions > MAX_WIRE_MSG / 8 {
-            return None;
-        }
-        let mut regions = Vec::with_capacity(nregions);
-        for _ in 0..nregions {
-            let (update, used) = decode_flat_update(buf.get(at..)?)?;
-            at += used;
-            let plen = get_u32(buf, &mut at)? as usize;
-            let end = at.checked_add(plen)?;
-            let payload = buf.get(at..end)?.to_vec();
-            at = end;
-            let mut words = 0usize;
-            let mut prev_end = 0usize;
-            for r in update.runs() {
-                if r.len == 0 || r.start < prev_end {
-                    return None;
-                }
-                prev_end = r.start.checked_add(r.len)?;
-                words = words.checked_add(r.len)?;
-            }
-            if words.checked_mul(4)? != plen {
+        let mut next = || -> Option<u64> {
+            let (v, n) = get_varint(buf.get(at..)?)?;
+            at += n;
+            Some(v)
+        };
+        let node = u32::try_from(next()?).ok()?;
+        let (barriers, epoch, time_ns) = (next()?, next()?, next()?);
+        let mut codec = CompactClock::new();
+        at += codec.decode_next(buf.get(at..)?, true)?;
+        let clock = codec.baseline().to_vec();
+        let mut reader = BatchReader::new(buf.get(at..)?)?;
+        let (mut pool, mut frames) = (BufferPool::new(), Vec::new());
+        while reader.remaining() > 0 {
+            let f = reader.next(&mut codec, &mut pool)?;
+            let in_place = f.region as usize == frames.len() && f.seq == barriers;
+            if !in_place || !codec.baseline().is_empty() {
                 return None;
             }
-            regions.push(CkptRegion { update, payload });
+            frames.push(f);
         }
-        let nlocks = get_u32(buf, &mut at)? as usize;
-        if nlocks > MAX_WIRE_MSG / 4 {
-            return None;
-        }
-        let mut locks = Vec::with_capacity(nlocks);
-        for _ in 0..nlocks {
-            locks.push(get_u32(buf, &mut at)?);
-        }
-        if at != buf.len() {
-            return None;
-        }
-        Some(CkptImage {
+        let image = CkptImage {
             node,
             barriers,
             epoch,
             time_ns,
             clock,
-            regions,
-            locks,
-        })
-    }
-
-    /// Length of the encoded image in bytes — what the recovery bench
-    /// reports as the per-checkpoint wire cost.
-    pub fn encoded_len(&self) -> usize {
-        let mut n = 4 + 8 + 8 + 8; // header
-        n += 4 + self.clock.len() * 4; // vector clock
-        n += 4; // nregions
-        for r in &self.regions {
-            n += 4 + r.update.runs().len() * 16 + 4 + r.payload.len();
-        }
-        n + 4 + self.locks.len() * 4
-    }
-
-    /// Total words of region data the image carries.
-    pub fn words(&self) -> usize {
-        self.regions.iter().map(CkptRegion::words).sum()
+        };
+        reader.finished().then_some((image, frames))
     }
 }
 
@@ -279,28 +159,19 @@ impl CkptImage {
 mod tests {
     use super::*;
     use crate::testutil::TestRng;
-    use dsm_sim::NodeId;
 
+    /// A random image header and `prev`/`cur` copies of 1–3 regions, each
+    /// `cur` a few words off its `prev`.
     fn sample_image(rng: &mut TestRng) -> (CkptImage, Vec<Vec<u8>>, Vec<Vec<u8>>) {
-        let nregions = rng.in_range(1, 4);
-        let mut prevs = Vec::new();
-        let mut curs = Vec::new();
-        let mut image = CkptImage {
+        let image = CkptImage {
             node: rng.below(8) as u32,
             barriers: rng.below(100) as u64,
             epoch: rng.below(100) as u64,
             time_ns: rng.next_u64(),
-            clock: {
-                let mut c = VectorClock::new(4);
-                for i in 0..4 {
-                    c.set_entry(NodeId::new(i), rng.below(50) as u32);
-                }
-                c
-            },
-            regions: Vec::new(),
-            locks: (0..rng.below(3) as u32).collect(),
+            clock: (0..rng.below(6)).map(|_| rng.below(50) as u32).collect(),
         };
-        for _ in 0..nregions {
+        let (mut prevs, mut curs) = (Vec::new(), Vec::new());
+        for _ in 0..rng.in_range(1, 4) {
             let words = rng.in_range(4, 68);
             let prev = rng.bytes(words * 4);
             let mut cur = prev.clone();
@@ -308,13 +179,17 @@ mod tests {
                 let w = rng.below(words);
                 cur[w * 4..w * 4 + 4].copy_from_slice(&(rng.next_u64() as u32).to_le_bytes());
             }
-            image
-                .regions
-                .push(CkptRegion::delta(&prev, &cur, image.barriers));
             prevs.push(prev);
             curs.push(cur);
         }
         (image, prevs, curs)
+    }
+
+    fn encode(image: &CkptImage, prevs: &[Vec<u8>], curs: &[Vec<u8>]) -> (Vec<u8>, usize) {
+        let mut buf = Vec::new();
+        let pairs = prevs.iter().zip(curs).map(|(p, c)| (&p[..], &c[..]));
+        let words = image.encode(pairs, &mut buf);
+        (buf, words)
     }
 
     #[test]
@@ -322,24 +197,29 @@ mod tests {
         let mut rng = TestRng::new(0x2545_f491_4f6c_dd1d);
         for case in 0..128 {
             let (image, prevs, curs) = sample_image(&mut rng);
-            let mut buf = Vec::new();
-            image.encode_into(&mut buf);
-            assert_eq!(buf.len(), image.encoded_len(), "case {case}: length");
-            let back = CkptImage::decode(&buf).expect("round trip");
-            assert_eq!(back, image, "case {case}");
-            // Applying the delta to the previous copy reconstructs the cut.
-            for (ridx, prev) in prevs.iter().enumerate() {
-                let mut target = prev.clone();
-                assert!(back.regions[ridx].apply_to(&mut target));
-                assert_eq!(target, curs[ridx], "case {case} region {ridx}");
-            }
-            // Every truncation of the image is rejected.
-            let cut = rng.below(buf.len());
-            assert!(
-                CkptImage::decode(&buf[..cut]).is_none(),
-                "case {case}: truncation at {cut} rejected"
+            let (buf, words) = encode(&image, &prevs, &curs);
+            let (back, frames) = CkptImage::decode(&buf).expect("round trip");
+            assert_eq!(back, image, "case {case}: header and clock");
+            assert_eq!(
+                frames.len(),
+                prevs.len(),
+                "case {case}: one frame per region"
             );
-            // As is trailing garbage.
+            // Applying each frame to the previous copy rebuilds the cut.
+            let mut carried = 0;
+            for (ridx, frame) in frames.iter().enumerate() {
+                let mut target = prevs[ridx].clone();
+                assert!(frame.apply(&mut target));
+                assert_eq!(target, curs[ridx], "case {case} region {ridx}");
+                carried += frame.payload.len() / 4;
+            }
+            assert_eq!(carried, words, "case {case}: words carried");
+            for cut in 0..buf.len() {
+                assert!(
+                    CkptImage::decode(&buf[..cut]).is_none(),
+                    "case {case}: truncation at {cut} refused"
+                );
+            }
             let mut long = buf.clone();
             long.push(0);
             assert!(CkptImage::decode(&long).is_none(), "case {case}: trailing");
@@ -351,36 +231,72 @@ mod tests {
         let prev = vec![0u8; 32];
         let mut cur = prev.clone();
         cur[4..8].fill(9);
-        let image = CkptImage {
-            regions: vec![CkptRegion::delta(&prev, &cur, 3)],
-            clock: VectorClock::new(2),
-            ..CkptImage::default()
-        };
-        let mut buf = Vec::new();
-        image.encode_into(&mut buf);
+        let (mut buf, words) = encode(&CkptImage::default(), &[prev], &[cur]);
+        assert_eq!(words, 1);
         assert!(CkptImage::decode(&buf).is_some());
-        // Shrink the payload length field without shrinking the run table:
-        // the words/payload cross-check must fire.
-        let plen_at = buf.len() - 4 /* nlocks */ - 4 /* payload */ - 4;
-        buf[plen_at..plen_at + 4].copy_from_slice(&0u32.to_le_bytes());
+        // The frame's last two bytes are its one run's length (4) and
+        // payload; claiming a 5-byte run leaves the payload one byte short.
+        let len_at = buf.len() - 4 - 1;
+        assert_eq!(buf[len_at], 4);
+        buf[len_at] = 5;
         assert!(CkptImage::decode(&buf).is_none(), "payload mismatch");
     }
 
     #[test]
     fn empty_delta_is_compact() {
-        let data = vec![7u8; 64];
-        let r = CkptRegion::delta(&data, &data, 1);
-        assert!(r.update.runs().is_empty());
-        assert_eq!(r.words(), 0);
+        let data = vec![vec![7u8; 64], vec![1u8; 4096]];
+        let image = CkptImage {
+            clock: vec![3, 3, 3, 3],
+            ..CkptImage::default()
+        };
+        let (buf, words) = encode(&image, &data, &data);
+        assert_eq!(words, 0);
+        let (_, frames) = CkptImage::decode(&buf).expect("decodes");
+        assert!(frames.iter().all(|f| f.runs.is_empty()));
+        // Header 4, clock 5 (length, one run), count 4, and per frame a
+        // length byte and 6 bytes: region, seq, mode, clock, nruns.
+        assert_eq!(buf.len(), 4 + 5 + 4 + 2 * (1 + 6));
     }
 
     #[test]
-    fn apply_rejects_out_of_range_runs() {
-        let prev = vec![0u8; 16];
-        let mut cur = prev.clone();
-        cur[12..16].fill(1);
-        let r = CkptRegion::delta(&prev, &cur, 1);
-        let mut short = vec![0u8; 8];
-        assert!(!r.apply_to(&mut short));
+    fn zero_region_image_keeps_its_clock() {
+        let image = CkptImage {
+            node: 3,
+            barriers: 9,
+            epoch: 4,
+            time_ns: 1 << 40,
+            clock: vec![0, 7, 7, 1],
+        };
+        let (buf, words) = encode(&image, &[], &[]);
+        assert_eq!(words, 0);
+        assert_eq!(CkptImage::decode(&buf), Some((image, Vec::new())));
+    }
+
+    #[test]
+    fn frames_must_carry_the_cut_and_region_order() {
+        let image = CkptImage {
+            barriers: 5,
+            ..CkptImage::default()
+        };
+        let regions = vec![vec![0u8; 8], vec![0u8; 8]];
+        let (buf, _) = encode(&image, &regions, &regions);
+        assert!(CkptImage::decode(&buf).is_some());
+        // Header: node 0, barriers 5, epoch 0, time 0; then the clock record
+        // (two bytes), the frame count, and frame 0's length byte, region
+        // and seq.
+        let (region0_at, seq0_at) = (4 + 2 + 4 + 1, 4 + 2 + 4 + 2);
+        assert_eq!((buf[1], buf[region0_at], buf[seq0_at]), (5, 0, 5));
+        let mut other_cut = buf.clone();
+        other_cut[seq0_at] = 4;
+        assert!(
+            CkptImage::decode(&other_cut).is_none(),
+            "seq is not the cut"
+        );
+        let mut reordered = buf.clone();
+        reordered[region0_at] = 1;
+        assert!(
+            CkptImage::decode(&reordered).is_none(),
+            "region out of order"
+        );
     }
 }

@@ -63,7 +63,7 @@ pub mod wire;
 
 pub use bitset::{BitRuns, BitSet};
 pub use cclock::{put_varint, ClockDelta, CompactClock};
-pub use ckpt::{CkptImage, CkptRegion, FlatRun, FlatUpdate};
+pub use ckpt::CkptImage;
 pub use diff::{changed_word_runs, same_stamp_runs};
 pub use granularity::BlockGranularity;
 pub use page::{for_each_page, page_of, page_range, pages_in, PAGE_SIZE};

@@ -3,20 +3,19 @@
 //! The simulated backend never serializes anything — messages are cost
 //! accounting.  The real backends (in-process channels, sockets) move actual
 //! bytes, and this module is the dependency-free codec they move them with.
-//! Everything is little-endian and encoded straight from the flat payload +
-//! run-offset representation the data plane already keeps (the engines' run
-//! tables, [`FlatUpdate`], [`VectorClock`]): encoding is a header write plus
-//! one payload `memcpy` per record, never a tree walk.
+//! Everything is encoded straight from the representation the data plane
+//! already keeps (the engines' run tables and the regions' master copies):
+//! encoding is a header write plus one payload `memcpy` per run, never a
+//! tree walk.
 //!
-//! # Record layouts (all integers little-endian)
+//! # Record layouts (fixed-width integers little-endian)
 //!
 //! | Record         | Layout                                                             |
 //! |----------------|--------------------------------------------------------------------|
 //! | message        | `u32 len` · `u8 kind` · `body[len-1]`                              |
-//! | `VectorClock`  | `u32 n` · `n × u32 entry`                                          |
-//! | `FlatUpdate`   | `u32 nruns` · `nruns × (u32 start, u32 len, u64 stamp)`            |
 //! | frame v2       | varints: `region` · `seq` · `u8 mode` · clock record · runs · payload |
 //! | batch body     | `u32 nframes` · `nframes × (varint len, frame v2)`                 |
+//! | [`CkptImage`](crate::CkptImage) | varints: `node` · `barriers` · `epoch` · `time_ns` · clock record · batch body |
 //! | [`WireInit`]   | `u32 nprocs` · `u32 nregions` · `nregions × (u32 len, bytes)`      |
 //! | [`WireReport`] | `u64 fnv` · `u64 frames` · `u64 bytes` · 3 × (`u64 count` · `u64 fnv`) for ctrl/ckpt/rollback |
 //!
@@ -24,7 +23,8 @@
 //! per epoch: the clock travels as a [`CompactClock`] delta record against
 //! the stream's previous clock (`mode` 1 = encoded from the all-zero clock,
 //! required on the first frame of a stream), and run offsets are gap-encoded
-//! varints.  [`WireFrame`] is the decoded form a replica applies.
+//! varints.  [`WireFrame`] is the decoded form a replica applies.  A
+//! checkpoint image is a batch body of such frames behind a short header.
 //!
 //! Malformed input decodes to `None` (in-memory records) or
 //! `io::ErrorKind::InvalidData` (streamed messages); a corrupt peer must not
@@ -33,8 +33,7 @@
 use std::io::{self, Read, Write};
 
 use crate::cclock::{get_varint, put_varint, CompactClock};
-use crate::{BufferPool, FlatRun, FlatUpdate, VectorClock};
-use dsm_sim::NodeId;
+use crate::BufferPool;
 
 /// Upper bound on one framed message, as a sanity check against corrupt
 /// length prefixes (1 GiB; real frames are a few KiB).
@@ -110,60 +109,6 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends the wire encoding of a vector clock to `out`.
-pub fn encode_vclock(clock: &VectorClock, out: &mut Vec<u8>) {
-    put_u32(out, clock.len() as u32);
-    for &e in clock.entries() {
-        put_u32(out, e);
-    }
-}
-
-/// Decodes a vector clock; returns the clock and the bytes consumed.
-pub fn decode_vclock(buf: &[u8]) -> Option<(VectorClock, usize)> {
-    let mut r = Reader::new(buf);
-    let clock = decode_vclock_from(&mut r)?;
-    Some((clock, r.at))
-}
-
-fn decode_vclock_from(r: &mut Reader<'_>) -> Option<VectorClock> {
-    let n = r.u32()? as usize;
-    if n > MAX_WIRE_MSG / 4 {
-        return None;
-    }
-    let mut clock = VectorClock::new(n);
-    for i in 0..n {
-        clock.set_entry(NodeId::new(i as u32), r.u32()?);
-    }
-    Some(clock)
-}
-
-/// Appends the wire encoding of a run table to `out`.
-pub fn encode_flat_update(update: &FlatUpdate, out: &mut Vec<u8>) {
-    put_u32(out, update.runs().len() as u32);
-    for run in update.runs() {
-        put_u32(out, run.start as u32);
-        put_u32(out, run.len as u32);
-        put_u64(out, run.stamp);
-    }
-}
-
-/// Decodes a run table; returns it and the bytes consumed.
-pub fn decode_flat_update(buf: &[u8]) -> Option<(FlatUpdate, usize)> {
-    let mut r = Reader::new(buf);
-    let nruns = r.u32()? as usize;
-    if nruns > MAX_WIRE_MSG / 16 {
-        return None;
-    }
-    let mut runs = Vec::with_capacity(nruns);
-    for _ in 0..nruns {
-        let start = r.u32()? as usize;
-        let len = r.u32()? as usize;
-        let stamp = r.u64()?;
-        runs.push(FlatRun { start, len, stamp });
-    }
-    Some((FlatUpdate::from_runs(runs), r.at))
 }
 
 /// One replicated publish, as a replica applies it: the bytes one publish
@@ -621,7 +566,6 @@ pub fn read_msg(r: &mut impl Read, body: &mut Vec<u8>) -> io::Result<Option<Wire
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::TestRng;
 
     #[test]
     fn fnv_is_stable_and_length_sensitive() {
@@ -632,90 +576,6 @@ mod tests {
             fnv64_regions([b"a".as_slice(), b"bc".as_slice()])
         );
         assert_eq!(fnv64_regions([]), fnv64_regions([]));
-    }
-
-    #[test]
-    fn vclock_round_trip() {
-        let mut c = VectorClock::new(5);
-        c.set_entry(NodeId::new(0), 3);
-        c.set_entry(NodeId::new(4), 9);
-        let mut buf = Vec::new();
-        encode_vclock(&c, &mut buf);
-        assert_eq!(buf.len(), 4 + 5 * 4);
-        let (back, used) = decode_vclock(&buf).expect("decodes");
-        assert_eq!(back, c);
-        assert_eq!(used, buf.len());
-    }
-
-    /// The run table of a stamp array: its same-stamp runs, without the
-    /// never-published (stamp 0) ones.
-    fn published_runs(stamps: &[u64]) -> FlatUpdate {
-        let mut runs = Vec::new();
-        crate::same_stamp_runs(stamps, 0..stamps.len(), |start, end, stamp| {
-            if stamp != 0 {
-                runs.push(FlatRun {
-                    start,
-                    len: end - start,
-                    stamp,
-                });
-            }
-        });
-        FlatUpdate::from_runs(runs)
-    }
-
-    #[test]
-    fn flat_update_round_trip() {
-        let u = published_runs(&[0, 7, 7, 9, 0, 9]);
-        assert_eq!(u.runs().len(), 3);
-        let mut buf = Vec::new();
-        encode_flat_update(&u, &mut buf);
-        let (back, used) = decode_flat_update(&buf).expect("decodes");
-        assert_eq!(used, buf.len());
-        assert_eq!(back.runs(), u.runs());
-    }
-
-    #[test]
-    fn flat_update_wire_round_trip_seeded_property() {
-        // Checkpoint images serialize their per-region run tables through
-        // this exact path, so it gets the full randomized treatment.
-        let mut rng = TestRng::new(0x9e37_79b9_7f4a_7c15);
-        for case in 0..256 {
-            let nwords = rng.in_range(1, 97);
-            let mut stamps = vec![0u64; nwords];
-            for s in stamps.iter_mut() {
-                if rng.below(3) != 0 {
-                    *s = 1 + rng.below(5) as u64;
-                }
-            }
-            let u = published_runs(&stamps);
-            let mut buf = Vec::new();
-            encode_flat_update(&u, &mut buf);
-            let (back, used) = decode_flat_update(&buf).expect("round trip");
-            assert_eq!(used, buf.len(), "case {case}: consumed everything");
-            assert_eq!(back.runs(), u.runs(), "case {case}: runs survive");
-            // Any truncation that cuts into the run table is rejected.
-            if !u.runs().is_empty() {
-                let cut = rng.in_range(4, buf.len());
-                assert!(
-                    decode_flat_update(&buf[..cut]).is_none(),
-                    "case {case}: truncation at {cut} rejected"
-                );
-            }
-            assert!(decode_flat_update(&buf[..3]).is_none(), "headerless");
-            // Garbage run counts (larger than the buffer could hold) are
-            // rejected by the bounds check, not by attempting the allocation.
-            let mut garbage = buf.clone();
-            garbage[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-            assert!(
-                decode_flat_update(&garbage).is_none(),
-                "case {case}: absurd run count rejected"
-            );
-            garbage[0..4].copy_from_slice(&(u.runs().len() as u32 + 1).to_le_bytes());
-            assert!(
-                decode_flat_update(&garbage).is_none(),
-                "case {case}: overstated run count rejected"
-            );
-        }
     }
 
     #[test]

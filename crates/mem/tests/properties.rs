@@ -7,8 +7,7 @@
 
 use dsm_mem::testutil::TestRng as Rng;
 use dsm_mem::{
-    page_of, pages_in, same_stamp_runs, wire, BitSet, BufferPool, FlatRun, FlatUpdate, MemRange,
-    RegionId, VectorClock, PAGE_SIZE,
+    page_of, pages_in, wire, BitSet, BufferPool, MemRange, RegionId, VectorClock, PAGE_SIZE,
 };
 use dsm_sim::NodeId;
 
@@ -44,63 +43,6 @@ fn bitset_matches_reference() {
             .map(|(i, _)| i)
             .collect();
         assert_eq!(from_iter, expected, "seed {seed}");
-    }
-}
-
-/// The wire codec round-trips run tables, including empty ones and ones
-/// whose stamp pattern covers every block.
-#[test]
-fn wire_flat_update_round_trips() {
-    for seed in 0..CASES * 2 {
-        let mut rng = Rng::new(seed + 7000);
-        let nblocks = rng.in_range(0, 200);
-        let stamps: Vec<u64> = (0..nblocks)
-            .map(|_| match seed % 3 {
-                0 => 0,                   // never published
-                1 => 7,                   // one full-coverage run
-                _ => rng.below(4) as u64, // mixed runs and gaps
-            })
-            .collect();
-        let mut runs = Vec::new();
-        same_stamp_runs(&stamps, 0..nblocks, |start, end, stamp| {
-            if stamp != 0 {
-                runs.push(FlatRun {
-                    start,
-                    len: end - start,
-                    stamp,
-                });
-            }
-        });
-        let u = FlatUpdate::from_runs(runs);
-        let mut buf = Vec::new();
-        wire::encode_flat_update(&u, &mut buf);
-        let (back, used) = wire::decode_flat_update(&buf).expect("well-formed encoding");
-        assert_eq!(used, buf.len(), "seed {seed}");
-        assert_eq!(back.runs(), u.runs(), "seed {seed}");
-    }
-}
-
-/// The wire codec round-trips vector clocks of any width, including empty
-/// clocks (EC frames) and wide 256-entry clocks (the scaling sweep shape).
-#[test]
-fn wire_vclock_round_trips() {
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed + 8000);
-        let n = match seed % 4 {
-            0 => 0,
-            1 => 256,
-            _ => rng.in_range(1, 64),
-        };
-        let mut c = VectorClock::new(n);
-        for i in 0..n {
-            c.set_entry(NodeId::new(i as u32), rng.next_u64() as u32);
-        }
-        let mut buf = Vec::new();
-        wire::encode_vclock(&c, &mut buf);
-        assert_eq!(buf.len(), 4 + c.wire_size(), "seed {seed}");
-        let (back, used) = wire::decode_vclock(&buf).expect("well-formed encoding");
-        assert_eq!(used, buf.len(), "seed {seed}");
-        assert_eq!(back, c, "seed {seed}");
     }
 }
 
