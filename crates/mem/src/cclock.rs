@@ -32,9 +32,10 @@
 //! signed per-entry change, zigzag-mapped to unsigned.  Malformed input
 //! decodes to `None`; a corrupt peer must not be able to panic the decoder.
 
-/// Upper bound on a decoded clock length (entries), as a sanity check
-/// against corrupt varints (2^28 entries; real clocks have a few hundred).
-pub const MAX_CLOCK_LEN: usize = 1 << 28;
+/// Upper bound on a decoded clock length (entries), so a corrupt record
+/// cannot size a huge baseline: 2^16 entries, 256 KiB.  The widest clock in
+/// this system is the transport scaling sweep's 256 nodes.
+pub const MAX_CLOCK_LEN: usize = 1 << 16;
 
 /// Appends the LEB128 varint encoding of `v` to `out`.
 pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {

@@ -299,4 +299,28 @@ mod tests {
             "region out of order"
         );
     }
+
+    #[test]
+    fn corrupt_images_never_panic() {
+        let mut rng = TestRng::new(0x51a7_c0de);
+        for case in 0..64 {
+            let (image, prevs, curs) = sample_image(&mut rng);
+            let (buf, _) = encode(&image, &prevs, &curs);
+            for _ in 0..64 {
+                let mut bad = buf.clone();
+                for _ in 0..rng.in_range(1, 4) {
+                    let at = rng.below(bad.len());
+                    bad[at] = rng.next_u64() as u8;
+                }
+                // Refused or decoded, never a panic; what decodes applies
+                // safely, refusing runs past a region's end.
+                if let Some((_, frames)) = CkptImage::decode(&bad) {
+                    for f in &frames {
+                        let _ = f.apply(&mut [0u8; 64]);
+                    }
+                }
+            }
+            assert!(CkptImage::decode(&buf).is_some(), "case {case}");
+        }
+    }
 }
