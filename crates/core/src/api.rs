@@ -606,9 +606,7 @@ mod tests {
     }
 
     #[test]
-    // The worker's panic message ("was not acquired through this lock set")
-    // is replaced by the runtime's join message when it propagates.
-    #[should_panic(expected = "worker thread panicked")]
+    #[should_panic(expected = "lock L0 was not acquired through this guard")]
     fn lock_set_refuses_to_release_an_outer_guards_lock() {
         let d = dsm(ImplKind::lrc_diff(), 1);
         d.run(|ctx| {
@@ -696,9 +694,7 @@ mod tests {
     }
 
     #[test]
-    // The worker's panic message ("mutable view through a read-only lock
-    // guard") is replaced by the runtime's join message when it propagates.
-    #[should_panic(expected = "worker thread panicked")]
+    #[should_panic(expected = "mutable view through a guard that holds read-only lock L0")]
     fn read_only_guard_refuses_mutable_views() {
         let mut d = dsm(ImplKind::ec_time(), 1);
         let a = d.alloc_bound::<u32>("a", 8, BlockGranularity::Word, LockId::new(0));

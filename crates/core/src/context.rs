@@ -239,11 +239,14 @@ impl<'a> ProcessContext<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the access is out of bounds.
+    /// Panics if the access is out of bounds, or if another worker of the
+    /// run has panicked.
     pub fn peek<T: Scalar>(&mut self, arr: impl Into<SharedArray<T>>, idx: usize) -> T {
         let ridx = arr.into().ridx();
         let off = idx.saturating_mul(T::SIZE);
         self.check_bounds(ridx, off, T::SIZE);
+        // An idle poll must not outlive a peer's panic.
+        self.global.sync.check_failed();
         let mut buf = [0u8; 16];
         self.global
             .engine
@@ -282,7 +285,7 @@ impl<'a> ProcessContext<'a> {
                     break;
                 }
                 l.waiters += 1;
-                l = sync::wait(&slot.cv, l);
+                l = self.global.sync.wait(&slot.cv, l);
                 l.waiters -= 1;
             }
 
@@ -467,7 +470,7 @@ impl<'a> ProcessContext<'a> {
                 slot.cv.notify_all();
             } else {
                 while b.generation == my_gen {
-                    b = sync::wait(&slot.cv, b);
+                    b = self.global.sync.wait(&slot.cv, b);
                 }
             }
             (b.release_time, b.released_vector.clone(), b.commit_payload)

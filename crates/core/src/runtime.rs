@@ -12,7 +12,7 @@ use crate::ids::LockId;
 use crate::local::NodeLocal;
 use crate::recovery::{self, FaultPlan, RecoveryReport};
 use crate::scalar::Scalar;
-use crate::sync::SyncTables;
+use crate::sync::{PeerPanicked, SyncTables};
 use crate::transport::{Transport, TransportReport, WireEndpoint};
 
 /// Result of one DSM run: simulated execution time, per-node times, traffic
@@ -94,6 +94,19 @@ impl std::fmt::Debug for RunGlobal {
             .field("regions", &self.regions.len())
             .field("engine", &self.engine)
             .finish()
+    }
+}
+
+/// Fails the run when a panic escapes the worker thread that holds it, so
+/// that peers blocked on that worker wake up instead of waiting forever.  It
+/// sits outside the recovery supervisor: an injected crash never reaches it.
+struct FailOnPanic<'a>(&'a SyncTables);
+
+impl Drop for FailOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.fail();
+        }
     }
 }
 
@@ -208,6 +221,12 @@ impl Dsm {
     /// The closure is executed by `nprocs` OS threads, each with its own copy
     /// of the shared regions; it receives a [`ProcessContext`] identifying the
     /// processor and providing the shared-memory and synchronization API.
+    ///
+    /// # Panics
+    ///
+    /// If a worker panics, `run` re-raises that panic once every worker has
+    /// ended.  Workers blocked on a lock or barrier the failed worker would
+    /// have released give up instead of waiting for it.
     pub fn run<F>(&self, worker: F) -> RunResult
     where
         F: Fn(&mut ProcessContext<'_>) + Sync,
@@ -233,7 +252,8 @@ impl Dsm {
         let mut endpoints: Vec<Option<Box<WireEndpoint>>> = (0..nprocs)
             .map(|p| transport.take_endpoint(dsm_sim::NodeId::new(p as u32)))
             .collect();
-        let mut locals: Vec<Option<NodeLocal>> = Vec::with_capacity(nprocs);
+        let mut locals = Vec::with_capacity(nprocs);
+        let mut panics = Vec::new();
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(nprocs);
             for (p, endpoint) in endpoints.iter_mut().enumerate() {
@@ -243,6 +263,7 @@ impl Dsm {
                 let init = &self.init;
                 let endpoint = endpoint.take();
                 handles.push(scope.spawn(move || {
+                    let _fail = FailOnPanic(&global.sync);
                     let node = dsm_sim::NodeId::new(p as u32);
                     let cost = global.cfg.cost.clone();
                     let mut local = NodeLocal::new(node, nprocs, regions, init, cost);
@@ -278,11 +299,19 @@ impl Dsm {
                 }));
             }
             for h in handles {
-                locals.push(Some(h.join().expect("worker thread panicked")));
+                match h.join() {
+                    Ok(local) => locals.push(local),
+                    Err(payload) => panics.push(payload),
+                }
             }
         });
+        if !panics.is_empty() {
+            // A worker that met a peer's panic in a wait has no failure of
+            // its own to report: re-raise the first one that does.
+            let first = panics.iter().position(|p| !p.is::<PeerPanicked>());
+            std::panic::resume_unwind(panics.swap_remove(first.unwrap_or(0)));
+        }
 
-        let mut locals: Vec<NodeLocal> = locals.into_iter().map(|l| l.expect("joined")).collect();
         let node_times: Vec<SimTime> = locals.iter().map(|l| l.clock.now()).collect();
         let time = node_times.iter().copied().fold(SimTime::ZERO, SimTime::max);
         let wires: Vec<WireEndpoint> = locals

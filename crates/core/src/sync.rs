@@ -17,7 +17,7 @@
 //! signals it only when that count is non-zero, so an uncontended
 //! acquire/release pair takes the slot mutex twice and makes no syscall.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use dsm_mem::VectorClock;
@@ -41,11 +41,11 @@ pub(crate) fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// [`lock`] for condition-variable waits.
-pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cv.wait(guard)
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+/// The panic payload of a worker whose wait could never end because a peer
+/// panicked.  It unwinds without the panic hook, and the runtime fails the
+/// run with the peer's own panic instead.
+#[derive(Debug)]
+pub(crate) struct PeerPanicked;
 
 /// Slots in a [`SlotTable`]'s first segment; segment `k` holds
 /// `FIRST_SEGMENT << k` slots.
@@ -131,6 +131,14 @@ impl<T> SlotTable<T> {
     /// end-of-run stats aggregation).
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Every slot built so far, looked up or not: each built segment whole.
+    fn built(&self) -> impl Iterator<Item = &T> {
+        self.segments
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|slots| slots.iter().map(|s| &s.0))
     }
 }
 
@@ -268,6 +276,8 @@ impl BarrierSlot {
 pub(crate) struct SyncTables {
     locks: SlotTable<LockSlot>,
     barriers: SlotTable<BarrierSlot>,
+    /// Set once a panic escapes a worker: no wait of the run may block again.
+    failed: AtomicBool,
 }
 
 impl SyncTables {
@@ -276,7 +286,44 @@ impl SyncTables {
         SyncTables {
             locks: SlotTable::new(|_| LockSlot::new()),
             barriers: SlotTable::new(move |_| BarrierSlot::new(nprocs)),
+            failed: AtomicBool::new(false),
         }
+    }
+
+    /// Marks the run failed, because a panic escaped a worker, and wakes
+    /// every lock and barrier waiter.  Each wake holds the slot's mutex, so a
+    /// waiter either has yet to check the flag or is already blocked.
+    pub fn fail(&self) {
+        self.failed.store(true, Ordering::SeqCst);
+        // Pairs with the fence in `check_failed`: either the waiter sees the
+        // flag, or this scan sees the segment holding the waiter's slot.
+        fence(Ordering::SeqCst);
+        for slot in self.locks.built() {
+            let _held = lock(&slot.sync);
+            slot.cv.notify_all();
+        }
+        for slot in self.barriers.built() {
+            let _held = lock(&slot.sync);
+            slot.cv.notify_all();
+        }
+    }
+
+    /// Unwinds with [`PeerPanicked`] once the run has failed.
+    pub fn check_failed(&self) {
+        fence(Ordering::SeqCst);
+        if self.failed.load(Ordering::SeqCst) {
+            std::panic::resume_unwind(Box::new(PeerPanicked));
+        }
+    }
+
+    /// Blocks on a slot's condition variable, recovering the guard as
+    /// [`lock`] does, unless the run has failed.  The caller holds the slot
+    /// mutex, so [`fail`](Self::fail)'s wake cannot fall between the check
+    /// and the wait.
+    pub fn wait<'a, T>(&self, cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        self.check_failed();
+        cv.wait(guard)
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// The slot of lock `index`, created on first use.

@@ -266,3 +266,51 @@ fn read_only_fan_out() {
     });
     assert_eq!(result.final_at(data, 63), 1063);
 }
+
+/// A worker's panic ends the run with that panic, even while its peers are
+/// blocked on it: node 0 waits at a barrier holding lock 0, node 1 waits for
+/// lock 0, and node 2 panics instead of arriving.
+#[test]
+fn a_worker_panic_ends_the_run() {
+    within_deadline("run with a panicking worker", worker_panic_ends_the_run);
+}
+
+fn worker_panic_ends_the_run() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    for kind in [ImplKind::ec_time(), ImplKind::lrc_diff()] {
+        let mut dsm = Dsm::new(DsmConfig::with_procs(kind, 3)).unwrap();
+        let a = dsm.alloc_bound::<u32>("a", 4, BlockGranularity::Word, LockId::new(0));
+        let held = AtomicBool::new(false);
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            dsm.run(|ctx| {
+                if ctx.node() != 0 {
+                    // Node 0 takes the lock first.
+                    while !held.load(Ordering::Acquire) {
+                        thread::yield_now();
+                    }
+                }
+                match ctx.node() {
+                    0 => {
+                        let mut g = ctx.lock(a.lock(), LockMode::Exclusive);
+                        g.set(a, 0, 1);
+                        held.store(true, Ordering::Release);
+                        g.barrier(BarrierId::new(0));
+                    }
+                    1 => {
+                        ctx.lock(a.lock(), LockMode::Exclusive).set(a, 1, 1);
+                        ctx.barrier(BarrierId::new(0));
+                    }
+                    _ => panic!("node 2 fails on purpose"),
+                }
+            })
+        }));
+        let payload = run.expect_err("the run must fail");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"node 2 fails on purpose"),
+            "{kind}: the run fails with the worker's own panic"
+        );
+    }
+}
