@@ -111,6 +111,52 @@ fn bubble_work(len: usize, p: &QsParams) -> u64 {
     (len as u64 * len.saturating_sub(1) as u64 / 2) * p.work_bubble
 }
 
+/// The parallel sort's three-way partition: reorders `buf` into the elements
+/// below its middle element, those equal to it and those above (each group
+/// in its original order), and returns where the task splits, in
+/// `1..buf.len()`.
+fn partition(buf: &mut [i32]) -> usize {
+    let len = buf.len();
+    let pivot = buf[len / 2];
+    let lower: Vec<i32> = buf.iter().copied().filter(|&x| x < pivot).collect();
+    let upper: Vec<i32> = buf.iter().copied().filter(|&x| x > pivot).collect();
+    let equal = len - lower.len() - upper.len();
+    buf[..lower.len()].copy_from_slice(&lower);
+    buf[lower.len()..lower.len() + equal].fill(pivot);
+    buf[len - upper.len()..].copy_from_slice(&upper);
+    (lower.len() + equal / 2 + 1).clamp(1, len - 1)
+}
+
+/// Splits the task `[start, start + len)` at `split`: the smaller part goes
+/// to the queue, the larger stays with the worker.  Returns
+/// `((queued_start, queued_len), (kept_start, kept_len))`.
+fn split_task(start: usize, len: usize, split: usize) -> ((usize, usize), (usize, usize)) {
+    if split <= len / 2 {
+        ((start, split), (start + split, len - split))
+    } else {
+        ((start + split, len - split), (start, split))
+    }
+}
+
+/// Number of tasks a run enqueues, the initial whole-array task included.
+/// A task's range partitions the same way whichever worker takes it, so the
+/// count depends only on the input: this replays the split rule on it.
+fn task_count(p: &QsParams) -> usize {
+    let mut v: Vec<i32> = (0..p.n).map(|i| p.value(i)).collect();
+    let mut queued = vec![(0, p.n)];
+    let mut tasks = 1;
+    while let Some((mut start, mut len)) = queued.pop() {
+        while len > p.threshold {
+            let split = partition(&mut v[start..start + len]);
+            let (small, large) = split_task(start, len, split);
+            queued.push(small);
+            tasks += 1;
+            (start, len) = large;
+        }
+    }
+    tasks
+}
+
 /// Queue slot layout inside the shared queue region (all `u32` words):
 /// `[head, tail, pending, _pad, entry0.start, entry0.len, entry1.start, ...]`.
 const Q_HEAD: usize = 0;
@@ -146,9 +192,10 @@ pub fn run_opts(
     let array = dsm.alloc_array::<i32>("qs-array", p.n, BlockGranularity::Word);
     dsm.init_array(array, |i| p.value(i));
 
-    // Enough queue entries for the worst case: every leaf task plus the
-    // partition chain.
-    let capacity = (p.n / p.threshold).max(8) * 4;
+    // One queue entry per task the run enqueues: the queue never wraps, so
+    // no pending entry is overwritten and no entry lock is rebound while a
+    // worker may still hold it.
+    let capacity = task_count(&p);
     // The queue is bound to its lock in one step; under LRC the binding is a
     // no-op and the lock alone orders both queue and task data.
     let queue = dsm.alloc_bound::<u32>(
@@ -184,7 +231,7 @@ pub fn run_opts(
                 let tail = q.get(queue, Q_TAIL) as usize;
                 let pending = q.get(queue, Q_PENDING);
                 let task = if head < tail {
-                    let slot = head % capacity;
+                    let slot = head;
                     let start = q.get(queue, Q_ENTRIES + slot * 2) as usize;
                     let len = q.get(queue, Q_ENTRIES + slot * 2 + 1) as usize;
                     q.set(queue, Q_HEAD, (head + 1) as u32);
@@ -227,32 +274,11 @@ pub fn run_opts(
                 let mut buf = vec![0i32; len];
                 entry.read_into(array, start, &mut buf);
                 entry.compute(Work::ops(len as u64 * p.work_partition));
-                let pivot = buf[len / 2];
-                let mut lower: Vec<i32> = Vec::with_capacity(len);
-                let mut upper: Vec<i32> = Vec::with_capacity(len);
-                let mut equal = 0usize;
-                for &x in &buf {
-                    if x < pivot {
-                        lower.push(x);
-                    } else if x > pivot {
-                        upper.push(x);
-                    } else {
-                        equal += 1;
-                    }
-                }
-                buf.clear();
-                buf.extend_from_slice(&lower);
-                buf.extend(std::iter::repeat(pivot).take(equal));
-                buf.extend_from_slice(&upper);
+                let split = partition(&mut buf);
                 entry.write_from(array, start, &buf);
-                let split = lower.len() + equal / 2 + 1;
-                let split = split.clamp(1, len - 1);
                 // Smaller partition goes to the queue, larger stays with us.
-                let (small_start, small_len, large_start, large_len) = if split <= len / 2 {
-                    (start, split, start + split, len - split)
-                } else {
-                    (start + split, len - split, start, split)
-                };
+                let ((small_start, small_len), (large_start, large_len)) =
+                    split_task(start, len, split);
 
                 if ec {
                     // Publish the writes made so far and narrow the binding
@@ -265,11 +291,10 @@ pub fn run_opts(
                 // Enqueue the smaller partition.
                 {
                     let mut q = entry.lock(queue.lock(), LockMode::Exclusive);
-                    let tail = q.get(queue, Q_TAIL) as usize;
-                    let new_slot = tail % capacity;
+                    let new_slot = q.get(queue, Q_TAIL) as usize;
                     q.set(queue, Q_ENTRIES + new_slot * 2, small_start as u32);
                     q.set(queue, Q_ENTRIES + new_slot * 2 + 1, small_len as u32);
-                    q.set(queue, Q_TAIL, (tail + 1) as u32);
+                    q.set(queue, Q_TAIL, (new_slot + 1) as u32);
                     q.modify(queue, Q_PENDING, |pending: u32| pending + 1);
                     if ec {
                         q.rebind(entry_lock(new_slot), [array.range(small_start, small_len)]);
@@ -342,5 +367,38 @@ mod tests {
         let p = QsParams::tiny();
         let (_, ok) = run(ImplKind::ec_ci(), 2, &p);
         assert!(ok, "EC-ci quicksort output mismatch");
+    }
+
+    #[test]
+    fn task_counts_follow_the_input() {
+        assert_eq!(task_count(&QsParams::tiny()), 38);
+        assert_eq!(task_count(&QsParams::small()), 164);
+        assert_eq!(task_count(&QsParams::paper()), 1639);
+    }
+
+    #[test]
+    #[ignore = "paper scale: under a second in release; CI runs it with --release --ignored"]
+    fn paper_scale_sorts_at_two_and_four_processors() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        use std::time::Duration;
+
+        const DEADLINE: Duration = Duration::from_secs(120);
+        let (done, finished) = channel();
+        let worker = std::thread::spawn(move || {
+            for kind in [ImplKind::ec_time(), ImplKind::lrc_diff()] {
+                for nprocs in [2, 4] {
+                    let (_, ok) = run(kind, nprocs, &QsParams::paper());
+                    assert!(ok, "{kind} quicksort at {nprocs} procs: output mismatch");
+                }
+            }
+            let _ = done.send(());
+        });
+        // A queue bug can leave a worker polling forever: fail, not hang.
+        if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(DEADLINE) {
+            panic!("paper-scale quicksort did not finish within {DEADLINE:?}");
+        }
+        if let Err(panic) = worker.join() {
+            std::panic::resume_unwind(panic);
+        }
     }
 }
