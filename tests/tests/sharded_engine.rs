@@ -11,7 +11,9 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
-use dsm_core::{BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode};
+use dsm_core::{
+    BarrierId, BlockGranularity, Dsm, DsmConfig, ImplKind, LockId, LockMode, TransportKind,
+};
 
 /// How long one case may run before it counts as hung.  Every case finishes
 /// in a few seconds even in an unoptimized build.
@@ -269,7 +271,8 @@ fn read_only_fan_out() {
 
 /// A worker's panic ends the run with that panic, even while its peers are
 /// blocked on it: node 0 waits at a barrier holding lock 0, node 1 waits for
-/// lock 0, and node 2 panics instead of arriving.
+/// lock 0, and node 2 panics instead of arriving.  The real backends end too,
+/// with their replicas never finished.
 #[test]
 fn a_worker_panic_ends_the_run() {
     within_deadline("run with a panicking worker", worker_panic_ends_the_run);
@@ -280,37 +283,46 @@ fn worker_panic_ends_the_run() {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     for kind in [ImplKind::ec_time(), ImplKind::lrc_diff()] {
-        let mut dsm = Dsm::new(DsmConfig::with_procs(kind, 3)).unwrap();
-        let a = dsm.alloc_bound::<u32>("a", 4, BlockGranularity::Word, LockId::new(0));
-        let held = AtomicBool::new(false);
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            dsm.run(|ctx| {
-                if ctx.node() != 0 {
-                    // Node 0 takes the lock first.
-                    while !held.load(Ordering::Acquire) {
-                        thread::yield_now();
+        for transport in [
+            TransportKind::Simulated,
+            TransportKind::Channel,
+            TransportKind::SocketLocal(2),
+        ] {
+            let mut cfg = DsmConfig::with_procs(kind, 3);
+            cfg.transport = transport.clone();
+            let mut dsm = Dsm::new(cfg).unwrap();
+            let a = dsm.alloc_bound::<u32>("a", 4, BlockGranularity::Word, LockId::new(0));
+            let held = AtomicBool::new(false);
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                dsm.run(|ctx| {
+                    if ctx.node() != 0 {
+                        // Node 0 takes the lock first.
+                        while !held.load(Ordering::Acquire) {
+                            thread::yield_now();
+                        }
                     }
-                }
-                match ctx.node() {
-                    0 => {
-                        let mut g = ctx.lock(a.lock(), LockMode::Exclusive);
-                        g.set(a, 0, 1);
-                        held.store(true, Ordering::Release);
-                        g.barrier(BarrierId::new(0));
+                    match ctx.node() {
+                        0 => {
+                            let mut g = ctx.lock(a.lock(), LockMode::Exclusive);
+                            g.set(a, 0, 1);
+                            held.store(true, Ordering::Release);
+                            g.barrier(BarrierId::new(0));
+                        }
+                        1 => {
+                            ctx.lock(a.lock(), LockMode::Exclusive).set(a, 1, 1);
+                            ctx.barrier(BarrierId::new(0));
+                        }
+                        _ => panic!("node 2 fails on purpose"),
                     }
-                    1 => {
-                        ctx.lock(a.lock(), LockMode::Exclusive).set(a, 1, 1);
-                        ctx.barrier(BarrierId::new(0));
-                    }
-                    _ => panic!("node 2 fails on purpose"),
-                }
-            })
-        }));
-        let payload = run.expect_err("the run must fail");
-        assert_eq!(
-            payload.downcast_ref::<&str>(),
-            Some(&"node 2 fails on purpose"),
-            "{kind}: the run fails with the worker's own panic"
-        );
+                })
+            }));
+            let payload = run.expect_err("the run must fail");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"node 2 fails on purpose"),
+                "{kind} over {}: the run fails with the worker's own panic",
+                transport.label()
+            );
+        }
     }
 }
