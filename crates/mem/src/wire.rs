@@ -808,44 +808,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_v2_decode_refuses_counts_its_bytes_cannot_hold() {
-        let mut pool = BufferPool::new();
-        // Ten bytes whose full-mode clock record claims 2^28 entries: a
-        // receiver that took the length on trust would grow a 1 GiB baseline.
-        let mut huge_clock = vec![0, 1, CLOCK_MODE_FULL];
-        put_varint(&mut huge_clock, 1 << 28);
-        huge_clock.extend([0, 0]); // no clock runs, no publish runs
-        assert_eq!(huge_clock.len(), 10);
-        let mut dec = CompactClock::new();
-        assert!(decode_frame_v2(&huge_clock, &mut dec, &mut pool).is_none());
-        assert!(dec.baseline().is_empty(), "no baseline grown");
-        // Ten bytes claiming 2^29 - 1 runs: refused before the run table is
-        // sized, since each run needs at least two bytes.
-        let mut huge_runs = vec![0, 1, CLOCK_MODE_FULL, 0, 0];
-        put_varint(&mut huge_runs, (1 << 29) - 1);
-        assert_eq!(huge_runs.len(), 10);
-        assert!(decode_frame_v2(&huge_runs, &mut CompactClock::new(), &mut pool).is_none());
-        // The largest clock the system uses still decodes.
-        let mut wide = Vec::new();
-        let clock: Vec<u32> = (1..=256).collect();
-        encode_frame_v2(
-            &FrameV2 {
-                region: 0,
-                seq: 1,
-                clock: &clock,
-                full: true,
-                runs: &[],
-                data: &[],
-            },
-            &mut CompactClock::new(),
-            &mut wide,
-        );
-        let mut dec = CompactClock::new();
-        assert!(decode_frame_v2(&wide, &mut dec, &mut pool).is_some());
-        assert_eq!(dec.baseline(), &clock[..]);
-    }
-
-    #[test]
     fn batch_reader_rejects_truncation() {
         let data = vec![1u8; 16];
         let mut enc = CompactClock::new();
